@@ -3,10 +3,11 @@
 //   2. link channel count (what creates the Fig 10 split win),
 //   3. Listing-1 poll cost (what stops one-sided SpTRSV scaling),
 //   4. put-with-signal (1 fused op) vs the 4-op one-sided MPI message,
-//   5. engine scheduling fast paths: persistent rank-thread pool vs the
-//      legacy fresh-engine-per-grid-point execution,
-//   6. execution backend dispatch cost: fibers vs threads,
+//   5. engine scheduling fast paths: persistent rank fibers vs the legacy
+//      fresh-engine-per-grid-point execution,
 //   7. scheduler core: indexed min-heap vs legacy linear scan.
+// (Ablation 6, fibers vs the removed OS-thread backend, is gone with that
+// backend; the numbering is kept so EXPERIMENTS.md stays aligned.)
 #include <chrono>
 #include <cstdio>
 
@@ -126,7 +127,7 @@ int main(int argc, char** argv) {
 
   // 5. Engine scheduling fast paths. Sweeps execute thousands of tiny
   //    independent simulations; the legacy path built a fresh engine (and
-  //    spawned nranks OS threads) for every grid point, while the current
+  //    created nranks fibers) for every grid point, while the current
   //    run_sweep reuses one engine per worker. Time both over the same
   //    many-point grid of trivial runs to isolate the dispatch overhead.
   {
@@ -138,12 +139,12 @@ int main(int argc, char** argv) {
 
     const auto t0 = clock::now();
     for (int i = 0; i < points; ++i) {
-      runtime::Engine eng(plat, nranks);  // legacy: fresh threads per point
+      runtime::Engine eng(plat, nranks);  // legacy: fresh fibers per point
       const auto res = eng.run(body);
       MRL_CHECK(res.ok());
     }
     const auto t1 = clock::now();
-    runtime::Engine eng(plat, nranks);  // current: persistent thread pool
+    runtime::Engine eng(plat, nranks);  // current: persistent fibers
     for (int i = 0; i < points; ++i) {
       const auto res = eng.run(body);
       MRL_CHECK(res.ok());
@@ -165,79 +166,6 @@ int main(int argc, char** argv) {
                           .c_str());
     std::printf("  -> reuse speedup: %.2fx\n\n",
                 reuse_ms > 0 ? fresh_ms / reuse_ms : 0.0);
-  }
-
-  // 6. Execution backend dispatch cost: fibers vs threads. Every perform()
-  //    is one baton handoff — on the thread backend that is a mutex +
-  //    condvar + two kernel-mediated context switches; on the fiber backend
-  //    it is a user-space register swap. The body forces a real handoff per
-  //    op (advance desynchronizes the clocks so the caller is never the
-  //    min-clock rank at its own yield), isolating exactly the per-op
-  //    dispatch cost that dominates small-message sweeps.
-  {
-    using clock = std::chrono::steady_clock;
-    const int points = args.full ? 2000 : 500;
-    const int nranks = 8;
-    const int ops_per_rank = 64;
-    const auto plat = simnet::Platform::perlmutter_cpu();
-    const auto body = [ops_per_rank](runtime::Rank& r) {
-      for (int k = 0; k < ops_per_rank; ++k) {
-        r.advance(0.5);
-        r.engine().perform(r, [] {});
-      }
-    };
-    const double total_ops =
-        static_cast<double>(points) * nranks * ops_per_rank;
-
-    auto time_backend = [&](runtime::EngineBackend backend) {
-      runtime::EngineOptions opt;
-      opt.backend = backend;
-      runtime::Engine eng(plat, nranks, opt);
-      const auto t0 = clock::now();
-      for (int i = 0; i < points; ++i) {
-        const auto res = eng.run(body);
-        MRL_CHECK(res.ok());
-      }
-      const auto t1 = clock::now();
-      return std::chrono::duration<double, std::milli>(t1 - t0).count();
-    };
-
-    const double threads_ms = time_backend(runtime::EngineBackend::kThreads);
-    const double fibers_ms =
-        runtime::fibers_supported()
-            ? time_backend(runtime::EngineBackend::kFibers)
-            : 0.0;
-
-    TextTable t({"backend", "wall-clock", "per op"});
-    t.add_row({"threads (condvar baton)",
-               format_double(threads_ms, 1) + " ms",
-               format_time_us(1000.0 * threads_ms / total_ops)});
-    if (runtime::fibers_supported()) {
-      t.add_row({"fibers (user-space switch)",
-                 format_double(fibers_ms, 1) + " ms",
-                 format_time_us(1000.0 * fibers_ms / total_ops)});
-    }
-    std::printf("%s", t.render("ablation 6: execution backend dispatch cost "
-                               "(" + std::to_string(points) + " points x " +
-                               std::to_string(nranks) + " ranks x " +
-                               std::to_string(ops_per_rank) + " ops)")
-                          .c_str());
-    if (runtime::fibers_supported()) {
-      std::printf("  -> fiber speedup: %.2fx\n\n",
-                  fibers_ms > 0 ? threads_ms / fibers_ms : 0.0);
-      bench::dump_csv(
-          "abl_dispatch_cost",
-          {{"backend", "wall_ms", "us_per_op", "speedup_vs_threads"},
-           {"threads", format_double(threads_ms, 3),
-            format_double(1000.0 * threads_ms / total_ops, 4),
-            format_double(1.0, 2)},
-           {"fibers", format_double(fibers_ms, 3),
-            format_double(1000.0 * fibers_ms / total_ops, 4),
-            format_double(fibers_ms > 0 ? threads_ms / fibers_ms : 0.0,
-                          2)}});
-    } else {
-      std::printf("  (fiber backend unavailable in this build — TSan)\n\n");
-    }
   }
 
   // 7. Scheduler core: indexed min-heap vs the legacy linear scan. Every

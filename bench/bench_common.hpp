@@ -34,7 +34,7 @@ inline std::string& metrics_path() {
 
 /// atexit hook: dump the process-wide metrics aggregate once the bench has
 /// finished all of its runs. The registry only accumulates commutative
-/// quantities, so the bytes are independent of backend and --jobs.
+/// quantities, so the bytes are independent of scheduler and --jobs.
 ///
 /// The closing banner repeats the per-link head-of-line queueing from the
 /// same registry aggregate the CSV is written from, so the printed numbers
@@ -111,7 +111,7 @@ inline void dump_profile_at_exit() {
 
 /// atexit hook for --check-report: dump the process-wide registry of checker
 /// verdicts as schema-stable JSON (sorted, so bytes are independent of
-/// backend/scheduler/--jobs).
+/// scheduler and --jobs).
 inline void dump_check_report_at_exit() {
   const std::string& path = check_report_path();
   if (path.empty()) return;
@@ -144,7 +144,7 @@ struct Args {
   static void usage(const char* prog, std::FILE* out,
                     const ExtraFlags* extra = nullptr) {
     std::fprintf(out,
-                 "usage: %s [--full] [--jobs N] [--backend B] "
+                 "usage: %s [--full] [--jobs N] "
                  "[--scheduler S] [--fault-seed S] [--metrics PATH] "
                  "[--check] [--check-history N] [--check-report PATH]\n"
                  "                 [--trace PATH] [--trace-format F] "
@@ -157,9 +157,6 @@ struct Args {
                  "                 default: hardware concurrency; 1 = "
                  "sequential; output is\n"
                  "                 bit-identical for every N)\n"
-                 "  --backend B    rank execution backend: 'fibers' "
-                 "(default) or 'threads';\n"
-                 "                 output is bit-identical across backends\n"
                  "  --scheduler S  engine ready-queue structure: 'heap' "
                  "(default, indexed\n"
                  "                 min-heap) or 'linear' (legacy O(ranks) "
@@ -171,7 +168,7 @@ struct Args {
                  "and write the\n"
                  "                 process-wide aggregate CSV to PATH at "
                  "exit (bytes are\n"
-                 "                 identical across backends and --jobs "
+                 "                 identical across schedulers and --jobs "
                  "values)\n"
                  "  --check        enable the RMA race & synchronization "
                  "checker (off by\n"
@@ -188,8 +185,8 @@ struct Args {
                  "machine-readable JSON\n"
                  "                 dump of all checker verdicts to PATH at "
                  "exit (sorted, so\n"
-                 "                 bytes are identical across backends, "
-                 "schedulers, --jobs)\n"
+                 "                 bytes are identical across schedulers "
+                 "and --jobs)\n"
                  "  --trace PATH   enable per-rank execution spans and "
                  "write the captured\n"
                  "                 run's timeline to PATH at exit "
@@ -251,37 +248,6 @@ struct Args {
           std::exit(2);
         }
         a.jobs = static_cast<int>(n);
-      } else if (std::strcmp(arg, "--backend") == 0 ||
-                 std::strncmp(arg, "--backend=", 10) == 0) {
-        const char* val = nullptr;
-        if (arg[9] == '=') {
-          val = arg + 10;
-        } else if (i + 1 < argc) {
-          val = argv[++i];
-        } else {
-          std::fprintf(stderr, "%s: --backend requires a value\n", argv[0]);
-          usage(argv[0], stderr);
-          std::exit(2);
-        }
-        if (std::strcmp(val, "fibers") == 0) {
-          if (!runtime::fibers_supported()) {
-            std::fprintf(stderr,
-                         "%s: --backend fibers is unavailable in this build "
-                         "(ThreadSanitizer); use --backend threads\n",
-                         argv[0]);
-            std::exit(2);
-          }
-          runtime::set_default_backend(runtime::EngineBackend::kFibers);
-        } else if (std::strcmp(val, "threads") == 0) {
-          runtime::set_default_backend(runtime::EngineBackend::kThreads);
-        } else {
-          std::fprintf(stderr,
-                       "%s: invalid --backend value '%s' (expected 'fibers' "
-                       "or 'threads')\n",
-                       argv[0], val);
-          usage(argv[0], stderr);
-          std::exit(2);
-        }
       } else if (std::strcmp(arg, "--scheduler") == 0 ||
                  std::strncmp(arg, "--scheduler=", 12) == 0) {
         const char* val = nullptr;
@@ -510,11 +476,6 @@ inline void banner(const std::string& title, const std::string& paper_ref) {
   std::printf("\n================================================================\n");
   std::printf("%s\n", title.c_str());
   std::printf("reproduces: %s\n", paper_ref.c_str());
-  // Execution provenance, so saved logs/CSVs are self-describing. Neither
-  // knob changes any number (output is bit-identical across both).
-  std::printf("backend: %s · jobs: %d\n",
-              runtime::to_string(runtime::default_backend()),
-              core::resolve_jobs(0));
   std::printf("================================================================\n\n");
 }
 

@@ -46,23 +46,13 @@ void BM_TopologyRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_TopologyRoute);
 
-// One baton handoff per op, across both execution backends (arg 1:
-// 0 = fibers, 1 = threads). The persistent engine is hoisted out of the
-// timing loop so the number is pure per-op dispatch cost, not pool spawn.
+// One baton handoff per op. The persistent engine is hoisted out of the
+// timing loop so the number is pure per-op dispatch cost, not fiber setup.
 void BM_EnginePerformHandoff(benchmark::State& state) {
   const int nranks = static_cast<int>(state.range(0));
-  const auto backend = state.range(1) == 0 ? runtime::EngineBackend::kFibers
-                                           : runtime::EngineBackend::kThreads;
-  if (backend == runtime::EngineBackend::kFibers &&
-      !runtime::fibers_supported()) {
-    state.SkipWithError("fiber backend unavailable in this build (TSan)");
-    return;
-  }
   const simnet::Platform plat = simnet::Platform::perlmutter_cpu();
   const int ops = 200;
-  runtime::EngineOptions opt;
-  opt.backend = backend;
-  runtime::Engine eng(plat, nranks, opt);
+  runtime::Engine eng(plat, nranks);
   for (auto _ : state) {
     const auto r = eng.run([&](runtime::Rank& rank) {
       for (int i = 0; i < ops; ++i) {
@@ -72,11 +62,12 @@ void BM_EnginePerformHandoff(benchmark::State& state) {
     });
     benchmark::DoNotOptimize(r.makespan_us);
   }
-  state.SetLabel(runtime::to_string(backend));
   state.SetItemsProcessed(state.iterations() * ops * nranks);
 }
 BENCHMARK(BM_EnginePerformHandoff)
-    ->ArgsProduct({{2, 16, 64}, {0, 1}})
+    ->Arg(2)
+    ->Arg(16)
+    ->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
 void BM_MpiPingPong(benchmark::State& state) {

@@ -8,6 +8,8 @@
 //   fig05_stencil_100k  one-sided stencil, 100000 ranks (800 nodes)
 //   fig07_grid          the Fig 7 GPU workload trio at 4 PEs
 //   ext_fault_sweep     degraded-network sweep, 3 flavors x 5 intensities
+//   jobs_scaling        the parallel sweep runner: a 24-point one-sided grid
+//                       at --jobs 1 and --jobs 4; also reports the speedup
 //   embedding           DLRM-style embedding-lookup serving: MPI at 64
 //                       ranks + SHMEM at 4 PEs (--skip-embedding omits
 //                       it, --only-embedding runs nothing else)
@@ -28,9 +30,14 @@
 //
 // With --baseline FILE the harness compares each section's ops_per_sec and
 // rss_mb against the committed baseline and exits 1 on a regression beyond
-// --tolerance / --rss-tolerance (default 25% each). Absolute throughput and
-// RSS are machine-dependent, so CI treats that gate as soft (artifact +
-// report); the hard gates remain the bit-identity tests.
+// --tolerance / --rss-tolerance (default 25% each). It also checks two
+// absolute floors: fig05_stencil_100k must simulate more than 1000 ranks/s,
+// and on hosts with at least 4 hardware threads jobs_scaling must speed up
+// by more than 1.5x. Absolute throughput and RSS are machine-dependent, so
+// CI treats that gate as soft (artifact + report); the hard gates remain the
+// bit-identity tests. Wall-clock checks live here rather than in ctest,
+// where concurrently running suites (ctest -j) skew them.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -38,6 +45,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_common.hpp"
@@ -88,7 +96,18 @@ struct SectionResult {
   double ops_per_sec = 0;
   double rss_mb = 0;   ///< VmHWM during the section (see reset_peak_rss)
   std::uint64_t ranks = 0;  ///< simulated ranks; >0 adds ranks_per_sec
+  double speedup = 0;       ///< jobs_scaling: wall(jobs 1) / wall(jobs 4)
+
+  [[nodiscard]] double ranks_per_sec() const {
+    return wall_s > 0 ? static_cast<double>(ranks) / wall_s : 0;
+  }
 };
+
+/// Absolute floors (see the header comment). Generous against the observed
+/// rates, so only a scan/wave-class regression trips them.
+constexpr double kStencil100kRanksPerSecFloor = 1000.0;
+constexpr double kJobsScalingSpeedupFloor = 1.5;
+constexpr unsigned kJobsScalingMinHardwareThreads = 4;
 
 std::uint64_t scheduler_visible_ops(const runtime::OpCounters& c) {
   return c.fabric_ops() + c.syncs + c.waits;
@@ -120,9 +139,7 @@ SectionResult run_section(const std::string& name, F&& body,
   std::printf(" %12llu ops  %8.3f s  %12.0f ops/s  rss %.1f MB",
               static_cast<unsigned long long>(r.sim_ops), r.wall_s,
               r.ops_per_sec, r.rss_mb);
-  if (ranks > 0 && r.wall_s > 0) {
-    std::printf("  %.0f ranks/s", static_cast<double>(ranks) / r.wall_s);
-  }
+  if (ranks > 0) std::printf("  %.0f ranks/s", r.ranks_per_sec());
   std::printf("\n");
   return r;
 }
@@ -152,8 +169,6 @@ void write_json(const std::string& path, const std::vector<SectionResult>& rs,
   }
   os << "{\n"
      << "  \"bench\": \"engine\",\n"
-     << "  \"backend\": \"" << runtime::to_string(runtime::default_backend())
-     << "\",\n"
      << "  \"scheduler\": \""
      << runtime::to_string(runtime::default_scheduler()) << "\",\n"
      << "  \"jobs\": " << jobs << ",\n"
@@ -166,8 +181,10 @@ void write_json(const std::string& path, const std::vector<SectionResult>& rs,
        << ", \"rss_mb\": " << json_escape_free(r.rss_mb);
     if (r.ranks > 0) {
       os << ", \"ranks\": " << r.ranks << ", \"ranks_per_sec\": "
-         << json_escape_free(
-                r.wall_s > 0 ? static_cast<double>(r.ranks) / r.wall_s : 0);
+         << json_escape_free(r.ranks_per_sec());
+    }
+    if (r.speedup > 0) {
+      os << ", \"speedup\": " << json_escape_free(r.speedup);
     }
     os << "}" << (i + 1 < rs.size() ? "," : "") << "\n";
   }
@@ -216,7 +233,29 @@ int compare_baseline(const std::string& path,
   ss << in.rdbuf();
   const std::string text = ss.str();
   int failures = 0;
+  const unsigned hw_threads = std::thread::hardware_concurrency();
   for (const auto& r : rs) {
+    if (r.name == "fig05_stencil_100k") {
+      const bool ok = r.ranks_per_sec() > kStencil100kRanksPerSecFloor;
+      std::printf("[perf] %-20s %12.0f ranks/s vs floor %.0f%s\n",
+                  r.name.c_str(), r.ranks_per_sec(),
+                  kStencil100kRanksPerSecFloor, ok ? "" : "  BELOW FLOOR");
+      if (!ok) ++failures;
+    }
+    if (r.speedup > 0) {
+      if (hw_threads < kJobsScalingMinHardwareThreads) {
+        std::printf("[perf] %-20s speedup %.2fx not gated (%u hardware "
+                    "threads < %u)\n",
+                    r.name.c_str(), r.speedup, hw_threads,
+                    kJobsScalingMinHardwareThreads);
+      } else {
+        const bool ok = r.speedup > kJobsScalingSpeedupFloor;
+        std::printf("[perf] %-20s speedup %.2fx vs floor %.2fx%s\n",
+                    r.name.c_str(), r.speedup, kJobsScalingSpeedupFloor,
+                    ok ? "" : "  BELOW FLOOR");
+        if (!ok) ++failures;
+      }
+    }
     const double base = json_section_value(text, r.name, "ops_per_sec");
     if (base <= 0) {
       std::printf("[perf] %-20s no baseline entry; skipped\n", r.name.c_str());
@@ -256,7 +295,7 @@ int compare_baseline(const std::string& path,
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--out PATH] [--baseline PATH] [--tolerance PCT] "
-               "[--rss-tolerance PCT] [--jobs N] [--backend fibers|threads] "
+               "[--rss-tolerance PCT] [--jobs N] "
                "[--scheduler heap|linear] [--stack-pool on|off] "
                "[--stack-pool-slab-mb N] [--skip-1m | --only-1m] "
                "[--skip-embedding | --only-embedding]\n",
@@ -302,17 +341,6 @@ int main(int argc, char** argv) {
       const auto v = parse_cli_int(value("--jobs"), 1, "--jobs");
       if (!v) return usage(argv[0]);
       jobs = static_cast<int>(*v);
-    } else if (std::strcmp(arg, "--backend") == 0) {
-      const char* v = value("--backend");
-      if (std::strcmp(v, "threads") == 0) {
-        runtime::set_default_backend(runtime::EngineBackend::kThreads);
-      } else if (std::strcmp(v, "fibers") == 0) {
-        if (runtime::fibers_supported()) {
-          runtime::set_default_backend(runtime::EngineBackend::kFibers);
-        }
-      } else {
-        return usage(argv[0]);
-      }
     } else if (std::strcmp(arg, "--scheduler") == 0) {
       const char* v = value("--scheduler");
       if (std::strcmp(v, "linear") == 0) {
@@ -359,8 +387,7 @@ int main(int argc, char** argv) {
 
   core::set_default_jobs(jobs);
   runtime::set_default_metrics(true);  // the sim-op counter
-  std::printf("perf_harness: backend=%s scheduler=%s jobs=%d\n",
-              runtime::to_string(runtime::default_backend()),
+  std::printf("perf_harness: scheduler=%s jobs=%d\n",
               runtime::to_string(runtime::default_scheduler()), jobs);
 
   std::vector<SectionResult> results;
@@ -395,11 +422,14 @@ int main(int argc, char** argv) {
     cfg.n = 512;
     cfg.iters = 2;
     cfg.verify = false;
-    results.push_back(run_section("fig05_stencil_100k", [&cfg] {
-      const auto plat = simnet::Platform::perlmutter_cpu(800);  // >= 100k
-      const auto r = workloads::stencil::run_one_sided(plat, 100000, cfg);
-      check_ok(r.status, "stencil 100k");
-    }));
+    results.push_back(run_section(
+        "fig05_stencil_100k",
+        [&cfg] {
+          const auto plat = simnet::Platform::perlmutter_cpu(800);  // >= 100k
+          const auto r = workloads::stencil::run_one_sided(plat, 100000, cfg);
+          check_ok(r.status, "stencil 100k");
+        },
+        /*ranks=*/100000));
     runtime::set_default_fiber_stack_bytes(saved);
   }
 
@@ -455,6 +485,39 @@ int main(int argc, char** argv) {
       }
     }
   }));
+
+  if (core_sections) {
+    // The parallel sweep runner's wall-clock scaling. Each job count takes
+    // the best of three passes: even at 64 iterations per point one pass
+    // is only tens of milliseconds, close to scheduling noise.
+    double best_s[2] = {0, 0};
+    SectionResult r = run_section("jobs_scaling", [&best_s] {
+      const auto plat = simnet::Platform::perlmutter_cpu();
+      core::SweepConfig cfg;
+      cfg.kind = core::SweepKind::kOneSidedMpi;
+      cfg.msg_sizes = {8, 64, 512, 4096, 32768, 262144};
+      cfg.msgs_per_sync = {1, 10, 100, 1000};
+      cfg.iters = 64;
+      for (int k = 0; k < 2; ++k) {
+        cfg.jobs = k == 0 ? 1 : 4;
+        for (int pass = 0; pass < 3; ++pass) {
+          const auto t0 = std::chrono::steady_clock::now();
+          const auto pts = core::run_sweep(plat, cfg);
+          const double s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+          check_ok(pts.is_ok() ? Status::ok() : pts.status(), "jobs sweep");
+          best_s[k] = pass == 0 ? s : std::min(best_s[k], s);
+        }
+      }
+    });
+    r.speedup = best_s[1] > 0 ? best_s[0] / best_s[1] : 0;
+    std::printf("[perf] %-20s jobs=1 %.3f s, jobs=4 %.3f s: %.2fx speedup "
+                "(%u hardware threads)\n",
+                r.name.c_str(), best_s[0], best_s[1], r.speedup,
+                std::thread::hardware_concurrency());
+    results.push_back(r);
+  }
 
   if (!skip_embedding) results.push_back(run_section("embedding", [] {
     // Serving-scale embedding lookup (DESIGN.md §13): the batched-get hot

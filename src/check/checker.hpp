@@ -3,8 +3,8 @@
 // An opt-in dynamic correctness layer for the one-sided runtimes. Because the
 // engine executes every fabric-visible action in global virtual-time order,
 // classic happens-before race detection becomes *reproducible*: the same
-// program produces byte-identical verdicts across execution backends, job
-// counts and schedulers — the property PARCOACH-style tools cannot get from a
+// program produces byte-identical verdicts across job counts and
+// schedulers — the property PARCOACH-style tools cannot get from a
 // real machine.
 //
 // Three cooperating mechanisms:
@@ -238,12 +238,12 @@ class Checker {
     return per_rank_violations_;
   }
   /// Stored structured verdicts (capped at the same limit as report lines),
-  /// in detection order — deterministic across backends/jobs/schedulers.
+  /// in detection order — deterministic across jobs/schedulers.
   [[nodiscard]] const std::vector<Violation>& violations() const {
     return violations_;
   }
   /// Full multi-line report: header + one line per violation (capped), in
-  /// detection order — deterministic across backends/jobs/schedulers.
+  /// detection order — deterministic across jobs/schedulers.
   [[nodiscard]] std::string report() const;
   /// One-line annotation for deadlock/watchdog reports: in-progress
   /// collective generations with entered counts and missing ranks.
@@ -382,8 +382,8 @@ void write_check_report_json(const std::vector<Violation>& violations,
 /// Process-wide collection of every published run's verdicts, for the
 /// `--check-report PATH` dump. Publishes arrive in nondeterministic order
 /// under parallel sweeps, so the dump sorts violations lexicographically by
-/// their full field tuple — the bytes are independent of backend, scheduler
-/// and --jobs, like the metrics registry.
+/// their full field tuple — the bytes are independent of scheduler and
+/// --jobs, like the metrics registry.
 class CheckReportRegistry {
  public:
   static CheckReportRegistry& instance();

@@ -10,7 +10,6 @@ namespace mrl::runtime {
 
 namespace {
 
-std::atomic<EngineBackend> g_default_backend{EngineBackend::kFibers};
 std::atomic<SchedulerKind> g_default_scheduler{SchedulerKind::kIndexedHeap};
 std::atomic<double> g_default_watchdog_virtual_us{1e9};
 std::atomic<std::size_t> g_default_fiber_stack_bytes{256 * 1024};
@@ -19,10 +18,6 @@ std::atomic<bool> g_default_trace{false};
 std::atomic<bool> g_default_spans{false};
 
 }  // namespace
-
-const char* to_string(EngineBackend b) {
-  return b == EngineBackend::kFibers ? "fibers" : "threads";
-}
 
 const char* to_string(SchedulerKind s) {
   return s == SchedulerKind::kIndexedHeap ? "heap" : "linear";
@@ -34,18 +29,6 @@ SchedulerKind default_scheduler() {
 
 void set_default_scheduler(SchedulerKind s) {
   g_default_scheduler.store(s, std::memory_order_relaxed);
-}
-
-EngineBackend default_backend() {
-  const EngineBackend b = g_default_backend.load(std::memory_order_relaxed);
-  if (b == EngineBackend::kFibers && !fibers_supported()) {
-    return EngineBackend::kThreads;
-  }
-  return b;
-}
-
-void set_default_backend(EngineBackend b) {
-  g_default_backend.store(b, std::memory_order_relaxed);
 }
 
 double default_watchdog_virtual_us() {
@@ -89,9 +72,6 @@ Engine::Engine(simnet::Platform platform, int nranks, EngineOptions opt)
   MRL_CHECK(nranks_ >= 1);
   MRL_CHECK_MSG(nranks_ <= platform_.max_ranks(),
                 "more ranks than the platform can host");
-  if (opt_.backend == EngineBackend::kFibers && !fibers_supported()) {
-    opt_.backend = EngineBackend::kThreads;  // TSan build — see fiber.hpp
-  }
   fabric_ = platform_.make_fabric();
   trace_.set_enabled(opt_.trace);
   spans_.set_enabled(opt_.spans);
@@ -122,35 +102,17 @@ Engine::Engine(simnet::Platform platform, int nranks, EngineOptions opt)
   }
 }
 
-Engine::~Engine() {
-  {
-    std::lock_guard lk(mu_);
-    shutdown_ = true;
-    notify_all_ranks_locked();
-  }
-  for (auto& t : threads_) t.join();
-  // Fiber-backend contexts park suspended between runs; destroying them just
-  // releases their stacks (Fiber::~Fiber — back to the pool, or munmap).
-}
-
-void Engine::notify_all_ranks_locked() {
-  if (thread_cvs_ == nullptr) return;  // fiber backend: nothing parked on CVs
-  for (int i = 0; i < nranks_; ++i) thread_cvs_[i].notify_all();
-}
-
 RunResult Engine::run(const std::function<void(Rank&)>& body) {
   if (running_.exchange(true)) {
-    // Called from inside a rank body (same thread on the fiber backend, a
-    // worker thread on the thread backend) or concurrently from another
-    // thread: either would corrupt the in-progress schedule.
+    // Called from inside a rank body or concurrently from another thread:
+    // either would corrupt the in-progress schedule.
     RunResult res;
     res.status = Status(ErrorCode::kInvalidArgument,
                         "Engine::run is not reentrant: a run is already in "
                         "progress on this engine");
     return res;
   }
-  RunResult res = opt_.backend == EngineBackend::kFibers ? run_fibers(body)
-                                                         : run_threads(body);
+  RunResult res = run_fibers(body);
   running_.store(false);
   bool checker_verdict = false;
   if (checker_.enabled()) {
@@ -158,7 +120,7 @@ RunResult Engine::run(const std::function<void(Rank&)>& body) {
       // End-of-run sweep (never-completed puts), then convert an otherwise
       // clean run into a checker verdict. The report text is built purely
       // from virtual-time-ordered events, so it is bit-identical across
-      // backends, job counts, and schedulers.
+      // job counts and schedulers.
       checker_.on_run_end();
       if (checker_.has_violations()) {
         res.status = Status(ErrorCode::kFailedPrecondition, checker_.report());
@@ -221,19 +183,17 @@ MetricsReport Engine::metrics_report() const {
 
 std::vector<std::size_t> Engine::stack_high_water_bytes() const {
   std::vector<std::size_t> hwm;
-  if (!metrics_.enabled() || opt_.backend != EngineBackend::kFibers ||
-      fibers_.empty()) {
-    return hwm;
-  }
+  if (!metrics_.enabled() || fibers_.empty()) return hwm;
   hwm.reserve(fibers_.size());
   for (const auto& f : fibers_) hwm.push_back(f->stack_high_water_bytes());
   return hwm;
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler state machine, shared by both backends. "_locked" refers to the
-// thread backend's mu_ contract; on the fiber backend everything is naturally
-// serialized on one OS thread and the same functions run lock-free.
+// Scheduler state machine. "_locked" means "caller holds the baton": the
+// engine runs on the one OS thread inside run(), and only the fiber holding
+// the baton (or run() itself, between switches) touches this state, so the
+// functions need no lock.
 // ---------------------------------------------------------------------------
 
 void Engine::reset_run_state_locked(const std::function<void(Rank&)>& body) {
@@ -603,39 +563,40 @@ void Engine::check_watchdog_locked(const Rank& r) {
   abort_code_ = ErrorCode::kTimeout;
   abort_reason_ = os.str();
   MRL_LOG_ERROR("%s", abort_reason_.c_str());
-  notify_all_ranks_locked();  // thread backend
   throw AbortException{};
 }
 
 void Engine::abort_run(Rank&, ErrorCode code, std::string reason) {
-  // Called from inside a perform body (the engine is quiescent; on the
-  // thread backend mu_ is already held by thread_perform) — same contract
-  // and unwind path as check_watchdog_locked.
+  // Called from inside a perform body (the engine is quiescent) — same
+  // contract and unwind path as check_watchdog_locked.
   abort_ = true;
   abort_code_ = code;
   abort_reason_ = std::move(reason);
   MRL_LOG_ERROR("%s", abort_reason_.c_str());
-  notify_all_ranks_locked();  // thread backend
   throw AbortException{};
 }
 
 // ---------------------------------------------------------------------------
-// Public protocol: dispatch on the backend chosen at construction.
+// Public protocol.
 // ---------------------------------------------------------------------------
 
 void Engine::perform(Rank& r, const std::function<void()>& fn) {
-  if (opt_.backend == EngineBackend::kFibers) {
-    fiber_perform(r, fn);
-  } else {
-    thread_perform(r, fn);
-  }
+  const auto s = static_cast<std::size_t>(r.id_);
+  check_abort_locked(r);
+  check_watchdog_locked(r);
+  rank_wake_[s] = rank_clock_[s];
+  set_state_locked(r.id_, RankState::kReady);
+  fiber_yield(r);
+  set_state_locked(r.id_, RankState::kRunning);
+  fn();
+  wake_satisfied_locked();
 }
 
 void Engine::wait(Rank& r, const char* what,
                   const std::function<std::optional<double>()>& cond,
                   const std::function<void()>& finalize, WaitGate gate) {
   // Blocked duration is measured in virtual time (the rank clock), so it is
-  // identical across backends and job counts by construction.
+  // identical across schedulers and job counts by construction.
   const auto s = static_cast<std::size_t>(r.id_);
   const simnet::TimeUs t0 = rank_clock_[s];
   r.last_wait_what_ = what;
@@ -648,11 +609,7 @@ void Engine::wait(Rank& r, const char* what,
   // every blocked condition, which is exactly the oracle the cross-scheduler
   // identity tests compare the gated path against.
   if (opt_.scheduler != SchedulerKind::kIndexedHeap) gate = {};
-  if (opt_.backend == EngineBackend::kFibers) {
-    fiber_wait(r, what, cond, finalize, gate);
-  } else {
-    thread_wait(r, what, cond, finalize, gate);
-  }
+  fiber_wait(r, what, cond, finalize, gate);
   if (opt_.spans) {
     // Causeless when the condition was satisfiable at entry (the rank never
     // parked, though virtual time may still have advanced to the wake time).
@@ -673,191 +630,9 @@ void Engine::wait(Rank& r, const char* what,
 }
 
 // ---------------------------------------------------------------------------
-// Thread backend: one parked OS thread per rank, mutex/condvar baton.
-// ---------------------------------------------------------------------------
-
-RunResult Engine::run_threads(const std::function<void(Rank&)>& body) {
-  std::unique_lock lk(mu_);
-  reset_run_state_locked(body);
-  ++run_gen_;
-
-  if (threads_.empty()) {
-    // Lazy persistent pool: spawned once, parked between runs. Per-rank
-    // condvars are allocated here — only thread-backend engines pay for
-    // them.
-    thread_cvs_ = std::make_unique<std::condition_variable[]>(
-        static_cast<std::size_t>(nranks_));
-    threads_.reserve(static_cast<std::size_t>(nranks_));
-    for (int i = 0; i < nranks_; ++i) {
-      threads_.emplace_back([this, i] { worker_main(i); });
-    }
-  } else {
-    for (int i = 0; i < nranks_; ++i) thread_cvs_[i].notify_one();  // new gen
-  }
-  schedule_locked();  // grant the first baton
-  while (done_count_ != nranks_) run_cv_.wait(lk);
-  body_ = nullptr;
-  return collect_result_locked();
-}
-
-void Engine::worker_main(int id) {
-  std::condition_variable& cv = thread_cvs_[static_cast<std::size_t>(id)];
-  std::uint64_t seen_gen = 0;
-  std::unique_lock lk(mu_);
-  for (;;) {
-    while (!shutdown_ && run_gen_ == seen_gen) cv.wait(lk);
-    if (shutdown_) return;
-    seen_gen = run_gen_;
-    lk.unlock();
-    rank_main(id);
-    lk.lock();
-  }
-}
-
-void Engine::rank_main(int id) {
-  Rank& r = *ranks_[static_cast<std::size_t>(id)];
-  std::condition_variable& cv = thread_cvs_[static_cast<std::size_t>(id)];
-  {
-    std::unique_lock lk(mu_);
-    while (granted_ != id && !abort_) cv.wait(lk);
-    if (abort_) {
-      set_state_locked(id, RankState::kDone);
-      ++done_count_;
-      if (done_count_ == nranks_) run_cv_.notify_all();
-      return;
-    }
-    set_state_locked(id, RankState::kRunning);
-  }
-  try {
-    (*body_)(r);
-  } catch (const AbortException&) {
-    // Engine-initiated unwind (deadlock elsewhere); nothing to record.
-  } catch (const std::exception& e) {
-    std::lock_guard lk(mu_);
-    note_body_error_locked(id, e.what());
-  } catch (...) {
-    std::lock_guard lk(mu_);
-    note_body_error_locked(id, nullptr);
-  }
-  {
-    std::lock_guard lk(mu_);
-    set_state_locked(id, RankState::kDone);
-    ++done_count_;
-    if (abort_) {
-      notify_all_ranks_locked();
-    }
-    if (done_count_ == nranks_) {
-      run_cv_.notify_all();
-    } else {
-      schedule_locked();
-    }
-  }
-}
-
-void Engine::schedule_locked() {
-  if (abort_) {
-    notify_all_ranks_locked();
-    return;
-  }
-  const int best = pick_min_ready_locked();
-  if (best != -1) {
-    granted_ = best;
-    // Targeted handoff: only the granted rank's thread is woken.
-    thread_cvs_[static_cast<std::size_t>(best)].notify_one();
-    return;
-  }
-  // No runnable rank. If anyone is still blocked, that's a deadlock.
-  if (done_count_ < nranks_) {
-    note_deadlock_locked();
-    notify_all_ranks_locked();
-  }
-}
-
-void Engine::thread_perform(Rank& r, const std::function<void()>& fn) {
-  const int id = r.id_;
-  const auto s = static_cast<std::size_t>(id);
-  std::condition_variable& cv = thread_cvs_[s];
-  std::unique_lock lk(mu_);
-  check_abort_locked(r);
-  check_watchdog_locked(r);
-  rank_wake_[s] = rank_clock_[s];
-  set_state_locked(id, RankState::kReady);
-  schedule_locked();
-  while (granted_ != id && !abort_) {
-    cv.wait(lk);
-  }
-  check_abort_locked(r);
-  set_state_locked(id, RankState::kRunning);
-  fn();
-  wake_satisfied_locked();
-}
-
-void Engine::thread_wait(Rank& r, const char* what,
-                         const std::function<std::optional<double>()>& cond,
-                         const std::function<void()>& finalize,
-                         WaitGate gate) {
-  const int id = r.id_;
-  const auto s = static_cast<std::size_t>(id);
-  std::condition_variable& cv = thread_cvs_[s];
-  std::unique_lock lk(mu_);
-  check_abort_locked(r);
-  check_watchdog_locked(r);
-  // The caller enters holding the baton (it was the granted runner). Only a
-  // baton-relinquishing thread may invoke the scheduler; after this thread
-  // has been woken from kBlocked it no longer holds the baton and must wait
-  // to be granted by the current holder's next yield.
-  bool holding = true;
-  for (;;) {
-    if (auto w = cond()) {
-      // Satisfiable: schedule at the wake time, re-evaluate once granted so
-      // an earlier-arriving candidate delivered meanwhile wins.
-      rank_wake_[s] = std::max(rank_clock_[s], *w);
-      set_state_locked(id, RankState::kReady);
-      if (holding) schedule_locked();
-      while (granted_ != id && !abort_) {
-        cv.wait(lk);
-      }
-      check_abort_locked(r);
-      set_state_locked(id, RankState::kRunning);
-      auto w2 = cond();
-      MRL_CHECK_MSG(w2.has_value(),
-                    "wait condition became unsatisfiable (must be monotonic)");
-      rank_clock_[s] = std::max(rank_clock_[s], *w2);
-      if (finalize) {
-        finalize_rank_ = id;
-        finalize();
-        wake_satisfied_locked();
-        finalize_rank_ = -1;
-      }
-      return;
-    }
-    rank_cond_[s] = &cond;
-    rank_what_[s] = what;
-    if (gate.counter != nullptr) {
-      rank_slot_[s] = kSlotGated;
-      register_gated_waiter_locked(id, gate);
-    }
-    set_state_locked(id, RankState::kBlocked);
-    if (holding) {
-      // May detect a deadlock and set abort_ synchronously.
-      schedule_locked();
-      holding = false;
-    }
-    while (rank_state_[s] == RankState::kBlocked && !abort_) {
-      cv.wait(lk);
-    }
-    check_abort_locked(r);
-    rank_cond_[s] = nullptr;
-    // Re-queued as kReady with a wake hint (and possibly already granted);
-    // the loop re-evaluates cond and goes through the satisfiable path.
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Fiber backend: every rank is a stackful fiber, the whole engine runs on
+// Fiber execution: every rank is a stackful fiber, the whole engine runs on
 // the single thread that called run(), and the baton is a direct user-space
-// context switch. The scheduling decisions are the same as the thread
-// backend's, in the same order, so the two produce bit-identical results.
+// context switch.
 // ---------------------------------------------------------------------------
 
 RunResult Engine::run_fibers(const std::function<void(Rank&)>& body) {
@@ -984,18 +759,6 @@ void Engine::fiber_yield(Rank& r) {
   MRL_CHECK(granted_ == r.id_);
 }
 
-void Engine::fiber_perform(Rank& r, const std::function<void()>& fn) {
-  const auto s = static_cast<std::size_t>(r.id_);
-  check_abort_locked(r);
-  check_watchdog_locked(r);
-  rank_wake_[s] = rank_clock_[s];
-  set_state_locked(r.id_, RankState::kReady);
-  fiber_yield(r);
-  set_state_locked(r.id_, RankState::kRunning);
-  fn();
-  wake_satisfied_locked();
-}
-
 void Engine::fiber_wait(Rank& r, const char* what,
                         const std::function<std::optional<double>()>& cond,
                         const std::function<void()>& finalize, WaitGate gate) {
@@ -1003,11 +766,10 @@ void Engine::fiber_wait(Rank& r, const char* what,
   const auto s = static_cast<std::size_t>(id);
   check_abort_locked(r);
   check_watchdog_locked(r);
-  // Mirrors thread_wait exactly, including the `holding` rule: once this
-  // rank has been resumed from kBlocked it was granted by the previous
-  // holder's yield, so it must NOT yield again before running — doing so
-  // would re-enter the scheduler at a different point than the thread
-  // backend and could diverge the grant order.
+  // The `holding` rule: once this rank has been resumed from kBlocked it was
+  // granted by the previous holder's yield, so it must NOT yield again
+  // before running — doing so would re-enter the scheduler a second time
+  // and change the grant order.
   bool holding = true;
   for (;;) {
     if (auto w = cond()) {

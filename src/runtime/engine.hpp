@@ -13,31 +13,23 @@
 // If every live rank is blocked, the engine reports a deadlock instead of
 // hanging — with each rank's self-described wait reason.
 //
-// Execution backends (EngineOptions::backend, DESIGN.md §8):
-//   * kFibers (default) — every rank is a stackful user-level fiber
-//     (runtime/fiber.{hpp,cpp}) and the whole engine runs on ONE OS thread.
-//     perform()/wait() hand the baton over with a direct user-space context
-//     switch: no mutex, no condvar, no kernel involvement. Because a fiber
-//     is just a stack (a few hundred KiB of lazily committed, guard-paged
-//     virtual memory), rank counts in the thousands are practical where the
-//     thread backend would exhaust OS resources.
-//   * kThreads — the legacy backend: each rank is a parked OS thread and the
-//     baton is a targeted mutex/condvar handoff. Kept selectable because
-//     ThreadSanitizer cannot follow user-level context switches (TSan CI
-//     pins this backend) and as the reference for the abl_design
-//     fibers-vs-threads dispatch ablation.
-// Both backends drive the identical scheduler state machine in the identical
-// order, so virtual times, traces, and CSVs are bit-identical across them
-// (asserted by runtime/core tests).
+// Execution (DESIGN.md §8): every rank is a stackful user-level fiber
+// (runtime/fiber.{hpp,cpp}) and the whole engine runs on ONE OS thread —
+// whichever thread called run(). perform()/wait() hand the baton over with a
+// direct user-space context switch: no mutex, no condvar, no kernel
+// involvement. Because a fiber is just a stack (a few hundred KiB of lazily
+// committed virtual memory), rank counts in the hundreds of thousands are
+// practical. ThreadSanitizer follows the switches through the fiber
+// annotations in fiber.cpp.
 //
 // Scheduling hot paths (sweeps call run() thousands of times):
-//   * rank fibers/threads are created once, on the first run(), and parked
-//     between runs — repeated run() calls reuse them instead of recreating
-//     nranks execution contexts per grid point;
+//   * rank fibers are created once, on the first run(), and parked between
+//     runs — repeated run() calls reuse them instead of recreating nranks
+//     execution contexts per grid point;
 //   * baton handoff is targeted: only the granted rank resumes (a rank whose
 //     wait condition becomes satisfiable is re-queued but stays suspended
-//     until actually granted), and on the fiber backend a rank that remains
-//     the min-clock runnable rank continues with no switch at all;
+//     until actually granted), and a rank that remains the min-clock
+//     runnable rank continues with no switch at all;
 //   * the scheduler selects the min-clock rank from an indexed binary
 //     min-heap keyed (wake time, rank id) — push/erase/top are O(log n) with
 //     a per-rank position index, so dispatch cost no longer scales with the
@@ -63,16 +55,13 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <queue>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -92,13 +81,12 @@ namespace mrl::runtime {
 
 class Engine;
 
-/// Rank execution backend (see the header comment and DESIGN.md §8).
-enum class EngineBackend {
-  kFibers,   ///< stackful fibers, one OS thread, user-space baton handoff
-  kThreads,  ///< one parked OS thread per rank, mutex/condvar baton handoff
-};
-
-[[nodiscard]] const char* to_string(EngineBackend b);
+/// Vestigial: fibers are the only execution backend. Kept, together with
+/// the no-op set_default_backend() below, solely because the perfbench
+/// sources still call set_default_backend(EngineBackend::kFibers); both go
+/// when that benchmark is next edited.
+enum class EngineBackend { kFibers };
+inline void set_default_backend(EngineBackend) {}
 
 /// Ready-queue data structure (DESIGN.md §10).
 enum class SchedulerKind {
@@ -113,12 +101,6 @@ enum class SchedulerKind {
 /// kept for the abl_design dispatch ablation and differential tests.
 [[nodiscard]] SchedulerKind default_scheduler();
 void set_default_scheduler(SchedulerKind s);
-
-/// Process-wide default backend for newly built EngineOptions. Starts at
-/// kFibers (coerced to kThreads in builds where fibers are unsupported,
-/// e.g. TSan); CLI/bench `--backend` flags override it.
-[[nodiscard]] EngineBackend default_backend();
-void set_default_backend(EngineBackend b);
 
 /// Process-wide default for EngineOptions::watchdog_virtual_us (initially
 /// 1e9). CLI/bench `--watchdog-us` flags override it; 0 disables the
@@ -245,25 +227,21 @@ struct EngineOptions {
   /// watchdog only observes communication ops — a body that loops without
   /// ever touching the engine is outside its contract. 0 disables it.
   double watchdog_virtual_us = default_watchdog_virtual_us();
-  /// Rank execution backend. kFibers is coerced to kThreads in builds where
-  /// fibers are unsupported (TSan — see fibers_supported()).
-  EngineBackend backend = default_backend();
   /// Ready-queue structure. kIndexedHeap and kLinearScan produce bit-identical
   /// simulations; the linear scan exists for ablation and differential tests.
   SchedulerKind scheduler = default_scheduler();
-  /// Usable stack bytes per rank fiber (fiber backend only). Stacks are
-  /// lazily committed virtual memory with a guard page, so thousands of
-  /// ranks are cheap; raise this for rank bodies with deep call chains or
-  /// large stack frames.
+  /// Usable stack bytes per rank fiber. Stacks are lazily committed virtual
+  /// memory, so thousands of ranks are cheap; raise this for rank bodies
+  /// with deep call chains or large stack frames.
   std::size_t fiber_stack_bytes = default_fiber_stack_bytes();
   /// Carve fiber stacks out of a pooled slab (one big mmap, recycled slots)
   /// instead of one mmap per fiber (DESIGN.md §12). Defaults to the
   /// process-wide default (on); mmap-per-fiber remains selectable for the
   /// guard-paged debugging configuration and the abl ablation.
   bool stack_pool = default_stack_pool();
-  /// Collect deterministic per-rank/per-link metrics (DESIGN.md §9) and, on
-  /// the fiber backend, per-fiber stack high-water-marks. Disabled metrics
-  /// cost one branch per hook and change no simulated time either way.
+  /// Collect deterministic per-rank/per-link metrics (DESIGN.md §9) and
+  /// per-fiber stack high-water-marks. Disabled metrics cost one branch per
+  /// hook and change no simulated time either way.
   bool metrics = default_metrics();
   /// Run the RMA race & synchronization checker (DESIGN.md §11). Like
   /// metrics: off by default, one branch per hook when disabled, and never
@@ -286,7 +264,6 @@ struct RunResult {
 class Engine {
  public:
   Engine(simnet::Platform platform, int nranks, EngineOptions opt = {});
-  ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -294,15 +271,13 @@ class Engine {
   /// Runs `body` on every rank to completion (or deadlock/exception).
   /// May be called repeatedly; rank clocks, epochs, and the trace reset at
   /// each call, and fabric contention state resets too unless EngineOptions
-  /// says otherwise. Rank fibers/threads persist across calls. A reentrant
-  /// call (from a rank body, or concurrently from another thread) returns
+  /// says otherwise. Rank fibers persist across calls. A reentrant call
+  /// (from a rank body, or concurrently from another thread) returns
   /// Status(kInvalidArgument) instead of starting.
   RunResult run(const std::function<void(Rank&)>& body);
 
   [[nodiscard]] const simnet::Platform& platform() const { return platform_; }
   [[nodiscard]] int nranks() const { return nranks_; }
-  /// Backend actually in use (after any TSan coercion).
-  [[nodiscard]] EngineBackend backend() const { return opt_.backend; }
   [[nodiscard]] SchedulerKind scheduler() const { return opt_.scheduler; }
   [[nodiscard]] simnet::Fabric& fabric() { return *fabric_; }
   [[nodiscard]] simnet::Trace& trace() { return trace_; }
@@ -343,13 +318,13 @@ class Engine {
   }
 
   /// Snapshot of the last completed run: per-rank counters/histograms,
-  /// per-link utilization/queueing, makespan and (fiber backend) stack
-  /// high-water-marks. Empty sections when metrics are disabled.
+  /// per-link utilization/queueing, makespan and fiber stack high-water
+  /// marks. Empty sections when metrics are disabled.
   [[nodiscard]] MetricsReport metrics_report() const;
 
-  /// Per-fiber stack high-water-marks in rank order. Empty on the thread
-  /// backend or when metrics are disabled (stacks are only poisoned — and
-  /// therefore measurable — on metrics-enabled fiber runs).
+  /// Per-fiber stack high-water-marks in rank order. Empty when metrics are
+  /// disabled (stacks are only poisoned — and therefore measurable — on
+  /// metrics-enabled runs).
   [[nodiscard]] std::vector<std::size_t> stack_high_water_bytes() const;
 
   // --- protocol for communication layers (called from rank contexts) ---
@@ -394,9 +369,10 @@ class Engine {
   static constexpr std::int32_t kSlotNone = -1;
   static constexpr std::int32_t kSlotGated = -2;
 
-  // Shared scheduler state machine (naturally serialized on the fiber
-  // backend; guarded by mu_ on the thread backend — the _locked suffix
-  // refers to that contract).
+  // Scheduler state machine. The _locked suffix marks functions that may
+  // only run while the caller holds the baton (or is run() itself between
+  // fiber switches): exactly one context touches this state at a time, so
+  // it needs no lock.
   void reset_run_state_locked(const std::function<void(Rank&)>& body);
   RunResult collect_result_locked();
   void set_state_locked(int id, RankState s);
@@ -422,25 +398,13 @@ class Engine {
   void wake_satisfied_locked();
   void check_abort_locked(const Rank& r) const;
   void check_watchdog_locked(const Rank& r);
-  void notify_all_ranks_locked();
 
-  // Thread backend.
-  RunResult run_threads(const std::function<void(Rank&)>& body);
-  void worker_main(int id);
-  void rank_main(int id);
-  void schedule_locked();
-  void thread_perform(Rank& r, const std::function<void()>& fn);
-  void thread_wait(Rank& r, const char* what,
-                   const std::function<std::optional<double>()>& cond,
-                   const std::function<void()>& finalize, WaitGate gate);
-
-  // Fiber backend.
+  // Fiber execution.
   RunResult run_fibers(const std::function<void(Rank&)>& body);
   static void fiber_entry(void* start);
   void fiber_worker(int id);
   void fiber_yield(Rank& r);
   void fiber_exit_run(Rank& r);
-  void fiber_perform(Rank& r, const std::function<void()>& fn);
   void fiber_wait(Rank& r, const char* what,
                   const std::function<std::optional<double>()>& cond,
                   const std::function<void()>& finalize, WaitGate gate);
@@ -461,7 +425,6 @@ class Engine {
   Metrics metrics_;
   check::Checker checker_;
 
-  std::mutex mu_;
   std::vector<std::unique_ptr<Rank>> ranks_;  // cold identity, reset per run
 
   // SoA rank hot fields, indexed by rank id (DESIGN.md §12). Exactly the
@@ -487,19 +450,11 @@ class Engine {
   /// attempt from another thread is also rejected instead of racing).
   std::atomic<bool> running_{false};
 
-  // Persistent thread-backend worker pool (lazily spawned by the first
-  // thread-backend run()). Per-rank condvars live here — outside Rank — so
-  // the fiber backend never pays 48 B × ranks for machinery it cannot use.
-  std::vector<std::thread> threads_;
-  std::unique_ptr<std::condition_variable[]> thread_cvs_;
   const std::function<void(Rank&)>* body_ = nullptr;
-  std::uint64_t run_gen_ = 0;  ///< bumped per run(); workers key off it
-  bool shutdown_ = false;
 
-  // Persistent fiber-backend contexts (lazily created by the first
-  // fiber-backend run()). main_fiber_ is the context of whichever thread is
-  // inside run(); rank fibers park between runs suspended in
-  // fiber_exit_run().
+  // Persistent fiber contexts (lazily created by the first run()).
+  // main_fiber_ is the context of whichever thread is inside run(); rank
+  // fibers park between runs suspended in fiber_exit_run().
   Fiber main_fiber_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::vector<FiberStart> fiber_start_;
@@ -538,7 +493,6 @@ class Engine {
   ErrorCode abort_code_ = ErrorCode::kDeadlock;
   std::string abort_reason_;
   std::string body_error_;
-  std::condition_variable run_cv_;
 };
 
 inline simnet::TimeUs Rank::now() const {

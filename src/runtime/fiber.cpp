@@ -58,15 +58,18 @@ void __asan_unpoison_memory_region(const volatile void* addr, std::size_t size);
 }
 #endif
 
-namespace mrl::runtime {
-
-bool fibers_supported() {
 #if defined(MRL_FIBER_TSAN)
-  return false;
-#else
-  return true;
-#endif
+extern "C" {
+// Declared here instead of including <sanitizer/tsan_interface.h>, for the
+// same reason as the ASan entry points above.
+void* __tsan_get_current_fiber();
+void* __tsan_create_fiber(unsigned flags);
+void __tsan_destroy_fiber(void* fiber);
+void __tsan_switch_to_fiber(void* fiber, unsigned flags);
 }
+#endif
+
+namespace mrl::runtime {
 
 namespace {
 
@@ -284,6 +287,9 @@ extern "C" void mrl_fiber_entry_c(void* fiber) {
 
 Fiber::~Fiber() {
   if (stack_mem_ != nullptr) {
+#if defined(MRL_FIBER_TSAN)
+    __tsan_destroy_fiber(tsan_fiber_);
+#endif
     if (pooled_) {
       StackPool::instance().release(stack_mem_, stack_total_);
     } else {
@@ -298,8 +304,6 @@ Fiber::~Fiber() {
 void Fiber::create(std::size_t stack_bytes, void (*entry)(void*), void* arg,
                    bool guard) {
   MRL_CHECK_MSG(stack_mem_ == nullptr, "fiber already created");
-  MRL_CHECK_MSG(fibers_supported(),
-                "fiber backend is unavailable in this build (TSan)");
   entry_ = entry;
   arg_ = arg;
 
@@ -325,8 +329,6 @@ void Fiber::create(std::size_t stack_bytes, void (*entry)(void*), void* arg,
 void Fiber::create_pooled(std::size_t stack_bytes, void (*entry)(void*),
                           void* arg) {
   MRL_CHECK_MSG(stack_mem_ == nullptr, "fiber already created");
-  MRL_CHECK_MSG(fibers_supported(),
-                "fiber backend is unavailable in this build (TSan)");
   entry_ = entry;
   arg_ = arg;
 
@@ -344,6 +346,9 @@ void Fiber::init_context(char* lo, std::size_t usable) {
 #if defined(MRL_FIBER_ASAN)
   asan_bottom_ = lo;
   asan_size_ = usable;
+#endif
+#if defined(MRL_FIBER_TSAN)
+  tsan_fiber_ = __tsan_create_fiber(0);
 #endif
 
 #if defined(MRL_FIBER_ASM)
@@ -469,12 +474,21 @@ void Fiber::adopt_thread() {
     pthread_attr_destroy(&attr);
   }
 #endif
+#if defined(MRL_FIBER_TSAN)
+  // The adopting thread's own TSan context; never destroyed by this Fiber.
+  tsan_fiber_ = __tsan_get_current_fiber();
+#endif
 }
 
 void Fiber::switch_to(Fiber& from, Fiber& to) {
 #if defined(MRL_FIBER_ASAN)
   __sanitizer_start_switch_fiber(&from.asan_fake_, to.asan_bottom_,
                                  to.asan_size_);
+#endif
+#if defined(MRL_FIBER_TSAN)
+  // Flags 0: the switch synchronizes `from` with `to`, so the baton handoff
+  // orders every access on both sides of it (the engine has no other lock).
+  __tsan_switch_to_fiber(to.tsan_fiber_, 0);
 #endif
 #if defined(MRL_FIBER_ASM)
   mrl_fiber_swap(&from.sp_, to.sp_);

@@ -29,19 +29,18 @@
 //     when detect_stack_use_after_return is on). Recycled pool slots are
 //     explicitly unpoisoned on release so a dead fiber's redzones cannot
 //     leak into its successor.
-//   * ThreadSanitizer — TSan cannot follow user-level context switches made
-//     behind its back; fibers_supported() reports false under TSan and the
-//     engine silently falls back to the OS-thread backend (see
-//     DESIGN.md §8).
+//   * ThreadSanitizer — every fiber owns a TSan fiber context
+//     (__tsan_create_fiber / __tsan_destroy_fiber) and every switch is
+//     announced with __tsan_switch_to_fiber, which also synchronizes the two
+//     contexts, so TSan sees one logical thread hopping between stacks
+//     instead of unsynchronized "threads" (see DESIGN.md §8). TSan counts
+//     each fiber toward its thread limit (8128 contexts), which caps the
+//     rank count of a single engine under TSan.
 #pragma once
 
 #include <cstddef>
 
 namespace mrl::runtime {
-
-/// True when the stackful-fiber backend works under the current build
-/// configuration (false under ThreadSanitizer).
-[[nodiscard]] bool fibers_supported();
 
 /// Target bytes per pooled stack slab (process-wide; initially 64 MiB).
 /// Each slab hosts floor(slab_bytes / slot_bytes) slots (at least one).
@@ -135,10 +134,11 @@ class Fiber {
   void (*entry_)(void*) = nullptr;
   void* arg_ = nullptr;
   bool poisoned_ = false;       ///< stack filled with the HWM sentinel
-  // AddressSanitizer bookkeeping (unused members cost nothing otherwise).
+  // Sanitizer bookkeeping (unused members cost nothing otherwise).
   void* asan_fake_ = nullptr;         ///< fake-stack handle while suspended
   const void* asan_bottom_ = nullptr; ///< stack region for ASan
   std::size_t asan_size_ = 0;
+  void* tsan_fiber_ = nullptr;        ///< TSan context of this fiber/thread
 };
 
 }  // namespace mrl::runtime

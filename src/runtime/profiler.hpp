@@ -8,7 +8,7 @@
 // (makespan picoseconds, nranks, span count, message count) — the slowest
 // run wins, exact key ties broken by an elementwise record comparison — so
 // the captured bytes are independent of publish order, i.e. identical
-// across execution backends, schedulers, and job counts (asserted by
+// across schedulers and job counts (asserted by
 // tests/profile_test.cpp and the CI byte-compare job).
 #pragma once
 

@@ -5,9 +5,9 @@
 // critical-path analyzer (critpath.hpp, DESIGN.md §14) walks backward.
 //
 // The engine records spans in global virtual-time order (one rank executes
-// at a time), so the store's byte content is identical across execution
-// backends, schedulers, and --jobs values. Disabled spans cost one branch
-// per hook, exactly like Trace and Metrics.
+// at a time), so the store's byte content is identical across schedulers
+// and --jobs values. Disabled spans cost one branch per hook, exactly like
+// Trace and Metrics.
 #pragma once
 
 #include <cstdint>

@@ -25,7 +25,7 @@
 // Determinism: the query stream is keyed (seed, global query id) exactly
 // like simnet/fault keys its draws, so any rank/batch/jobs decomposition
 // sees the same rows; all QPS/latency numbers are virtual-time quantities
-// and byte-identical across backends, schedulers and --jobs.
+// and byte-identical across schedulers and --jobs.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // RMA race & synchronization checker (DESIGN.md §11): injected-race corpus
 // (every diagnostic family fires with rank/time/op/byte-range detail),
 // zero-false-positive runs over the paper workloads, verdict byte-identity
-// across backends and schedulers, zero perturbation of simulated time, the
+// across schedulers, zero perturbation of simulated time, the
 // violations metrics family, and the enriched deadlock/watchdog notes.
 #include <gtest/gtest.h>
 
@@ -23,7 +23,6 @@ namespace mrl {
 namespace {
 
 using runtime::Engine;
-using runtime::EngineBackend;
 using runtime::EngineOptions;
 using runtime::SchedulerKind;
 
@@ -39,7 +38,7 @@ bool contains(const std::string& hay, const char* needle) {
 
 // --- injected-race corpus -------------------------------------------------
 // Each program is a minimal known-bad pattern; helpers return the run Status
-// so the identity test can replay them under every backend/scheduler.
+// so the identity test can replay them under every scheduler.
 
 Status mpi_overlapping_puts(EngineOptions opt) {
   Engine eng(simnet::Platform::perlmutter_cpu(1), 3, opt);
@@ -502,28 +501,18 @@ TEST(CheckClean, AllPaperWorkloadsRunCleanUnderChecker) {
 
 // --- determinism ----------------------------------------------------------
 
-TEST(CheckIdentity, VerdictBytesIdenticalAcrossBackendsAndSchedulers) {
+TEST(CheckIdentity, VerdictBytesIdenticalAcrossSchedulers) {
   std::vector<std::string> mpi_verdicts;
   std::vector<std::string> shmem_verdicts;
-  for (EngineBackend backend :
-       {EngineBackend::kFibers, EngineBackend::kThreads}) {
-    if (backend == EngineBackend::kFibers && !runtime::fibers_supported()) {
-      continue;
-    }
-    for (SchedulerKind sched :
-         {SchedulerKind::kIndexedHeap, SchedulerKind::kLinearScan}) {
-      EngineOptions o = checked();
-      o.backend = backend;
-      o.scheduler = sched;
-      mpi_verdicts.push_back(mpi_overlapping_puts(o).to_string());
-      shmem_verdicts.push_back(shmem_overlapping_puts(o).to_string());
-    }
+  for (SchedulerKind sched :
+       {SchedulerKind::kIndexedHeap, SchedulerKind::kLinearScan}) {
+    EngineOptions o = checked();
+    o.scheduler = sched;
+    mpi_verdicts.push_back(mpi_overlapping_puts(o).to_string());
+    shmem_verdicts.push_back(shmem_overlapping_puts(o).to_string());
   }
-  ASSERT_GE(mpi_verdicts.size(), 2u);
-  for (std::size_t i = 1; i < mpi_verdicts.size(); ++i) {
-    EXPECT_EQ(mpi_verdicts[0], mpi_verdicts[i]);
-    EXPECT_EQ(shmem_verdicts[0], shmem_verdicts[i]);
-  }
+  EXPECT_EQ(mpi_verdicts[0], mpi_verdicts[1]);
+  EXPECT_EQ(shmem_verdicts[0], shmem_verdicts[1]);
   EXPECT_TRUE(contains(mpi_verdicts[0], "race on"));
   EXPECT_TRUE(contains(shmem_verdicts[0], "race on"));
 }

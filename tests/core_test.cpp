@@ -3,10 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -265,16 +263,12 @@ TEST(Parallel, SweepJobs4BitIdenticalToJobs1) {
   }
 }
 
-// Execution-backend interchangeability at the sweep level: a fig01-style
-// grid must be bit-identical across {fibers, threads} × {jobs 1, jobs 4}.
-// Nesting check for the fiber backend: with jobs=4 each pool worker owns an
-// engine whose fiber scheduler runs on that worker's thread, under
-// parallel_for_indexed.
-TEST(Parallel, SweepBitIdenticalAcrossBackendsAndJobs) {
+// Scheduler interchangeability at the sweep level: a fig01-style grid must
+// be bit-identical across {heap, linear} × {jobs 1, jobs 4}. Nesting check
+// for the fibers: with jobs=4 each pool worker owns an engine whose fiber
+// scheduler runs on that worker's thread, under parallel_for_indexed.
+TEST(Parallel, SweepBitIdenticalAcrossSchedulersAndJobs) {
   namespace rt = mrl::runtime;
-  if (!rt::fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build (TSan)";
-  }
   SweepConfig cfg;
   cfg.kind = SweepKind::kOneSidedMpi;
   cfg.msg_sizes = {64, 4096, 262144};
@@ -282,17 +276,17 @@ TEST(Parallel, SweepBitIdenticalAcrossBackendsAndJobs) {
   cfg.iters = 3;
   const auto plat = simnet::Platform::perlmutter_cpu();
 
-  const rt::EngineBackend saved = rt::default_backend();
+  const rt::SchedulerKind saved = rt::default_scheduler();
   std::vector<std::vector<SweepPoint>> results;
-  for (rt::EngineBackend backend :
-       {rt::EngineBackend::kFibers, rt::EngineBackend::kThreads}) {
-    rt::set_default_backend(backend);
+  for (rt::SchedulerKind sched :
+       {rt::SchedulerKind::kIndexedHeap, rt::SchedulerKind::kLinearScan}) {
+    rt::set_default_scheduler(sched);
     for (int jobs : {1, 4}) {
       cfg.jobs = jobs;
       results.push_back(run_sweep(plat, cfg).value());
     }
   }
-  rt::set_default_backend(saved);
+  rt::set_default_scheduler(saved);
 
   const auto& ref = results.front();
   for (std::size_t v = 1; v < results.size(); ++v) {
@@ -311,13 +305,10 @@ TEST(Parallel, SweepBitIdenticalAcrossBackendsAndJobs) {
 
 // The process-wide metrics registry only aggregates commutative quantities
 // (integer sums, histogram buckets, maxima), so its CSV must come out
-// byte-for-byte identical no matter which backend ran the sweep or in what
+// byte-for-byte identical no matter which scheduler ran the sweep or in what
 // order the parallel grid points published their reports.
-TEST(Parallel, MetricsRegistryBytesIdenticalAcrossBackendsAndJobs) {
+TEST(Parallel, MetricsRegistryBytesIdenticalAcrossSchedulersAndJobs) {
   namespace rt = mrl::runtime;
-  if (!rt::fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build (TSan)";
-  }
   SweepConfig cfg;
   cfg.kind = SweepKind::kOneSidedMpi;
   cfg.msg_sizes = {64, 4096, 262144};
@@ -325,14 +316,14 @@ TEST(Parallel, MetricsRegistryBytesIdenticalAcrossBackendsAndJobs) {
   cfg.iters = 3;
   const auto plat = simnet::Platform::perlmutter_cpu();
 
-  const rt::EngineBackend saved = rt::default_backend();
+  const rt::SchedulerKind saved = rt::default_scheduler();
   const bool saved_metrics = rt::default_metrics();
   rt::set_default_metrics(true);
   std::vector<std::vector<std::vector<std::string>>> rows;
   std::vector<std::uint64_t> runs;
-  for (rt::EngineBackend backend :
-       {rt::EngineBackend::kFibers, rt::EngineBackend::kThreads}) {
-    rt::set_default_backend(backend);
+  for (rt::SchedulerKind sched :
+       {rt::SchedulerKind::kIndexedHeap, rt::SchedulerKind::kLinearScan}) {
+    rt::set_default_scheduler(sched);
     for (int jobs : {1, 4}) {
       rt::MetricsRegistry::instance().reset();
       cfg.jobs = jobs;
@@ -341,7 +332,7 @@ TEST(Parallel, MetricsRegistryBytesIdenticalAcrossBackendsAndJobs) {
       rows.push_back(rt::MetricsRegistry::instance().csv_rows());
     }
   }
-  rt::set_default_backend(saved);
+  rt::set_default_scheduler(saved);
   rt::set_default_metrics(saved_metrics);
   rt::MetricsRegistry::instance().reset();
 
@@ -387,39 +378,6 @@ TEST(Parallel, CalibrateRooflineJobs4IdenticalToJobs1) {
   EXPECT_EQ(seq.o_us, par.o_us);
   EXPECT_EQ(seq.L_us, par.L_us);
   EXPECT_EQ(seq.peak_gbs, par.peak_gbs);
-}
-
-// Wall-clock speedup demonstration for the parallel runner. Only meaningful
-// on a multi-core host, so it skips (after printing the measurement) when
-// fewer than 4 cores are available; EXPERIMENTS.md records measured numbers.
-TEST(Parallel, SweepSpeedupWithJobs4OnMultiCoreHosts) {
-  SweepConfig cfg;
-  cfg.kind = SweepKind::kOneSidedMpi;
-  cfg.msg_sizes = {8, 64, 512, 4096, 32768, 262144};
-  cfg.msgs_per_sync = {1, 10, 100, 1000};
-  cfg.iters = 8;
-  const auto plat = simnet::Platform::perlmutter_cpu();
-
-  const auto time_once = [&](int jobs) {
-    cfg.jobs = jobs;
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto pts = run_sweep(plat, cfg).value();
-    const auto t1 = std::chrono::steady_clock::now();
-    EXPECT_EQ(pts.size(), cfg.msg_sizes.size() * cfg.msgs_per_sync.size());
-    return std::chrono::duration<double>(t1 - t0).count();
-  };
-
-  const double t_seq = time_once(1);
-  const double t_par = time_once(4);
-  const double speedup = t_seq / t_par;
-  std::printf("[ INFO     ] 24-point sweep: jobs=1 %.3fs, jobs=4 %.3fs "
-              "(%.2fx, %u hardware threads)\n",
-              t_seq, t_par, speedup, std::thread::hardware_concurrency());
-  if (std::thread::hardware_concurrency() < 4) {
-    GTEST_SKIP() << "speedup assertion needs >= 4 cores; measured "
-                 << speedup << "x";
-  }
-  EXPECT_GT(speedup, 1.5);
 }
 
 TEST(Split, LargeMessagesGainFromSplittingOnPerlmutterGpu) {

@@ -659,7 +659,7 @@ TEST(P2P, GatedRecvBitIdenticalToLinearScanOracleUnderTagChurn) {
   // sender's push counter and re-parks it when a push doesn't satisfy the
   // match (wrong tag, or an ANY_SOURCE race); the linear scheduler ignores
   // gates and brute-force re-evaluates every condition after every perform.
-  // The two must produce bit-identical clocks and traces on both backends.
+  // The two must produce bit-identical clocks and traces.
   //
   // The body manufactures every re-park hazard: receivers post for a tag
   // that arrives SECOND (the first push wakes the gate, the match fails,
@@ -667,10 +667,8 @@ TEST(P2P, GatedRecvBitIdenticalToLinearScanOracleUnderTagChurn) {
   // whose gate is the inbox counter shared by several senders.
   const int n = 6;
   const int half = n / 2;
-  auto run_config = [&](runtime::EngineBackend backend,
-                        runtime::SchedulerKind sched) {
+  auto run_config = [&](runtime::SchedulerKind sched) {
     runtime::EngineOptions o;
-    o.backend = backend;
     o.scheduler = sched;
     o.trace = true;
     Engine eng(plat(), n, o);
@@ -703,33 +701,19 @@ TEST(P2P, GatedRecvBitIdenticalToLinearScanOracleUnderTagChurn) {
     return std::make_pair(r, eng.trace().records());
   };
 
-  std::vector<std::pair<runtime::EngineBackend, runtime::SchedulerKind>> cfgs;
-  for (auto backend :
-       {runtime::EngineBackend::kFibers, runtime::EngineBackend::kThreads}) {
-    if (backend == runtime::EngineBackend::kFibers &&
-        !runtime::fibers_supported()) {
-      continue;
-    }
-    cfgs.emplace_back(backend, runtime::SchedulerKind::kIndexedHeap);
-    cfgs.emplace_back(backend, runtime::SchedulerKind::kLinearScan);
+  const auto [r0, t0] = run_config(runtime::SchedulerKind::kIndexedHeap);
+  const auto [r, t] = run_config(runtime::SchedulerKind::kLinearScan);
+  EXPECT_EQ(r.makespan_us, r0.makespan_us);
+  ASSERT_EQ(r.rank_end_us.size(), r0.rank_end_us.size());
+  for (std::size_t k = 0; k < r0.rank_end_us.size(); ++k) {
+    EXPECT_EQ(r.rank_end_us[k], r0.rank_end_us[k]) << "rank " << k;
   }
-  ASSERT_GE(cfgs.size(), 2u);
-  const auto [r0, t0] = run_config(cfgs[0].first, cfgs[0].second);
-  for (std::size_t i = 1; i < cfgs.size(); ++i) {
-    const auto [r, t] = run_config(cfgs[i].first, cfgs[i].second);
-    SCOPED_TRACE("config " + std::to_string(i));
-    EXPECT_EQ(r.makespan_us, r0.makespan_us);
-    ASSERT_EQ(r.rank_end_us.size(), r0.rank_end_us.size());
-    for (std::size_t k = 0; k < r0.rank_end_us.size(); ++k) {
-      EXPECT_EQ(r.rank_end_us[k], r0.rank_end_us[k]) << "rank " << k;
-    }
-    ASSERT_EQ(t.size(), t0.size());
-    for (std::size_t k = 0; k < t0.size(); ++k) {
-      EXPECT_EQ(t[k].src_rank, t0[k].src_rank) << k;
-      EXPECT_EQ(t[k].dst_rank, t0[k].dst_rank) << k;
-      EXPECT_EQ(t[k].t_issue, t0[k].t_issue) << k;
-      EXPECT_EQ(t[k].t_arrival, t0[k].t_arrival) << k;
-    }
+  ASSERT_EQ(t.size(), t0.size());
+  for (std::size_t k = 0; k < t0.size(); ++k) {
+    EXPECT_EQ(t[k].src_rank, t0[k].src_rank) << k;
+    EXPECT_EQ(t[k].dst_rank, t0[k].dst_rank) << k;
+    EXPECT_EQ(t[k].t_issue, t0[k].t_issue) << k;
+    EXPECT_EQ(t[k].t_arrival, t0[k].t_arrival) << k;
   }
 }
 

@@ -1,12 +1,9 @@
 // Engine semantics: virtual-time ordering, determinism, blocking/waking,
 // deadlock detection, error propagation.
 //
-// Every semantic test runs under both execution backends (fibers and
-// threads) via the EngineBackends fixture: the two must be observationally
-// indistinguishable — same grants, same clocks, same error statuses. Under
-// ThreadSanitizer the fiber variants skip (TSan cannot follow user-level
-// context switches; see runtime/fiber.hpp) and the thread variants keep the
-// whole suite meaningful.
+// Identity contracts are checked differentially against the linear-scan
+// scheduler, the engine's brute-force oracle. The suite also runs under
+// ThreadSanitizer on the annotated fibers (runtime/fiber.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,29 +21,8 @@ namespace {
 
 simnet::Platform plat() { return simnet::Platform::perlmutter_cpu(); }
 
-class EngineBackends : public ::testing::TestWithParam<EngineBackend> {
- protected:
-  void SetUp() override {
-    if (GetParam() == EngineBackend::kFibers && !fibers_supported()) {
-      GTEST_SKIP() << "fiber backend unavailable in this build (TSan)";
-    }
-  }
-  /// Stamps the parameterized backend onto (a copy of) the options.
-  EngineOptions opts(EngineOptions base = {}) const {
-    base.backend = GetParam();
-    return base;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    All, EngineBackends,
-    ::testing::Values(EngineBackend::kFibers, EngineBackend::kThreads),
-    [](const ::testing::TestParamInfo<EngineBackend>& info) {
-      return std::string(to_string(info.param));
-    });
-
-TEST_P(EngineBackends, RunsAllRanksToCompletion) {
-  Engine eng(plat(), 8, opts());
+TEST(Engine, RunsAllRanksToCompletion) {
+  Engine eng(plat(), 8);
   std::vector<int> visited(8, 0);
   const RunResult r = eng.run([&](Rank& rank) { visited[rank.id()] = 1; });
   ASSERT_TRUE(r.ok()) << r.status.to_string();
@@ -54,8 +30,8 @@ TEST_P(EngineBackends, RunsAllRanksToCompletion) {
   EXPECT_EQ(r.rank_end_us.size(), 8u);
 }
 
-TEST_P(EngineBackends, AdvanceAccumulatesVirtualTime) {
-  Engine eng(plat(), 2, opts());
+TEST(Engine, AdvanceAccumulatesVirtualTime) {
+  Engine eng(plat(), 2);
   const RunResult r = eng.run([](Rank& rank) {
     EXPECT_DOUBLE_EQ(rank.now(), 0.0);
     rank.advance(1.5);
@@ -66,8 +42,8 @@ TEST_P(EngineBackends, AdvanceAccumulatesVirtualTime) {
   EXPECT_DOUBLE_EQ(r.makespan_us, 4.0);
 }
 
-TEST_P(EngineBackends, PerformExecutesInGlobalClockOrder) {
-  Engine eng(plat(), 4, opts());
+TEST(Engine, PerformExecutesInGlobalClockOrder) {
+  Engine eng(plat(), 4);
   std::vector<int> order;
   const RunResult r = eng.run([&](Rank& rank) {
     // Rank i performs at time 10*(3 - i): rank 3 first, rank 0 last.
@@ -79,8 +55,8 @@ TEST_P(EngineBackends, PerformExecutesInGlobalClockOrder) {
   EXPECT_EQ(order, (std::vector<int>{3, 2, 1, 0}));
 }
 
-TEST_P(EngineBackends, TiesBrokenByRankId) {
-  Engine eng(plat(), 4, opts());
+TEST(Engine, TiesBrokenByRankId) {
+  Engine eng(plat(), 4);
   std::vector<int> order;
   const RunResult r = eng.run([&](Rank& rank) {
     rank.advance(5.0);
@@ -90,8 +66,8 @@ TEST_P(EngineBackends, TiesBrokenByRankId) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST_P(EngineBackends, WaitWakesAtConditionTime) {
-  Engine eng(plat(), 2, opts());
+TEST(Engine, WaitWakesAtConditionTime) {
+  Engine eng(plat(), 2);
   double flag_time = -1;
   bool flag = false;
   const RunResult r = eng.run([&](Rank& rank) {
@@ -112,8 +88,8 @@ TEST_P(EngineBackends, WaitWakesAtConditionTime) {
   ASSERT_TRUE(r.ok());
 }
 
-TEST_P(EngineBackends, WaitDoesNotGoBackwards) {
-  Engine eng(plat(), 2, opts());
+TEST(Engine, WaitDoesNotGoBackwards) {
+  Engine eng(plat(), 2);
   bool flag = false;
   const RunResult r = eng.run([&](Rank& rank) {
     if (rank.id() == 0) {
@@ -130,8 +106,8 @@ TEST_P(EngineBackends, WaitDoesNotGoBackwards) {
   ASSERT_TRUE(r.ok());
 }
 
-TEST_P(EngineBackends, DeadlockIsDetectedAndReported) {
-  Engine eng(plat(), 2, opts());
+TEST(Engine, DeadlockIsDetectedAndReported) {
+  Engine eng(plat(), 2);
   const RunResult r = eng.run([&](Rank& rank) {
     eng.wait(rank, "never-satisfied",
              []() -> std::optional<double> { return std::nullopt; });
@@ -141,9 +117,9 @@ TEST_P(EngineBackends, DeadlockIsDetectedAndReported) {
   EXPECT_NE(r.status.message().find("never-satisfied"), std::string::npos);
 }
 
-TEST_P(EngineBackends, PartialDeadlockAlsoDetected) {
+TEST(Engine, PartialDeadlockAlsoDetected) {
   // One rank finishes; the other waits forever.
-  Engine eng(plat(), 2, opts());
+  Engine eng(plat(), 2);
   const RunResult r = eng.run([&](Rank& rank) {
     if (rank.id() == 1) {
       eng.wait(rank, "orphan wait",
@@ -154,8 +130,8 @@ TEST_P(EngineBackends, PartialDeadlockAlsoDetected) {
   EXPECT_EQ(r.status.code(), ErrorCode::kDeadlock);
 }
 
-TEST_P(EngineBackends, BodyExceptionIsPropagatedNotCrashed) {
-  Engine eng(plat(), 4, opts());
+TEST(Engine, BodyExceptionIsPropagatedNotCrashed) {
+  Engine eng(plat(), 4);
   const RunResult r = eng.run([&](Rank& rank) {
     if (rank.id() == 2) throw std::runtime_error("boom");
     // Other ranks block; the abort must unwind them.
@@ -166,8 +142,8 @@ TEST_P(EngineBackends, BodyExceptionIsPropagatedNotCrashed) {
   EXPECT_NE(r.status.message().find("boom"), std::string::npos);
 }
 
-TEST_P(EngineBackends, DeterministicAcrossRepeatedRuns) {
-  Engine eng(plat(), 16, opts());
+TEST(Engine, DeterministicAcrossRepeatedRuns) {
+  Engine eng(plat(), 16);
   auto body = [&](Rank& rank) {
     for (int i = 0; i < 20; ++i) {
       rank.advance(0.1 * ((rank.id() * 7 + i) % 5 + 1));
@@ -184,8 +160,8 @@ TEST_P(EngineBackends, DeterministicAcrossRepeatedRuns) {
   }
 }
 
-TEST_P(EngineBackends, ManyRanksComplete) {
-  Engine eng(plat(), 128, opts());
+TEST(Engine, ManyRanksComplete) {
+  Engine eng(plat(), 128);
   std::atomic<int> count{0};
   const RunResult r = eng.run([&](Rank& rank) {
     rank.advance(static_cast<double>(rank.id()));
@@ -196,11 +172,11 @@ TEST_P(EngineBackends, ManyRanksComplete) {
   EXPECT_DOUBLE_EQ(r.makespan_us, 127.0);
 }
 
-TEST_P(EngineBackends, ReusesExecutionContextsAcrossManyRuns) {
+TEST(Engine, ReusesExecutionContextsAcrossManyRuns) {
   // The sweep runner calls run() thousands of times per engine; rank
-  // fibers/threads are created once and parked between runs, and every run
+  // fibers are created once and parked between runs, and every run
   // must start from pristine clocks/epochs/trace regardless of history.
-  EngineOptions opt = opts();
+  EngineOptions opt;
   opt.trace = true;
   Engine eng(plat(), 4, opt);
   auto body = [&](Rank& rank) {
@@ -223,8 +199,8 @@ TEST_P(EngineBackends, ReusesExecutionContextsAcrossManyRuns) {
   }
 }
 
-TEST_P(EngineBackends, CleanRunAfterDeadlockedRun) {
-  Engine eng(plat(), 2, opts());
+TEST(Engine, CleanRunAfterDeadlockedRun) {
+  Engine eng(plat(), 2);
   // Run 1: deadlock — both ranks block forever.
   const RunResult bad = eng.run([&](Rank& rank) {
     eng.wait(rank, "never",
@@ -263,8 +239,8 @@ TEST_P(EngineBackends, CleanRunAfterDeadlockedRun) {
   EXPECT_DOUBLE_EQ(good2.makespan_us, 1.0);
 }
 
-TEST_P(EngineBackends, CleanRunAfterBodyExceptionRun) {
-  Engine eng(plat(), 2, opts());
+TEST(Engine, CleanRunAfterBodyExceptionRun) {
+  Engine eng(plat(), 2);
   const RunResult bad = eng.run([&](Rank& rank) {
     if (rank.id() == 0) throw std::runtime_error("boom");
     eng.wait(rank, "forever",
@@ -276,8 +252,8 @@ TEST_P(EngineBackends, CleanRunAfterBodyExceptionRun) {
   EXPECT_DOUBLE_EQ(good.makespan_us, 5.0);
 }
 
-TEST_P(EngineBackends, TraceResetsBetweenRuns) {
-  EngineOptions opt = opts();
+TEST(Engine, TraceResetsBetweenRuns) {
+  EngineOptions opt;
   opt.trace = true;
   Engine eng(plat(), 2, opt);
   auto record_one = [&](Rank& rank) {
@@ -298,11 +274,11 @@ TEST_P(EngineBackends, TraceResetsBetweenRuns) {
   EXPECT_EQ(eng.trace().records().size(), 1u);
 }
 
-TEST_P(EngineBackends, RepeatedRunsAreDeterministicWithBlockingWaits) {
+TEST(Engine, RepeatedRunsAreDeterministicWithBlockingWaits) {
   // Exercises the targeted-handoff scheduler: blocked ranks are re-queued
   // without waking, so repeated runs of a blocking workload must still give
   // identical clocks.
-  Engine eng(plat(), 6, opts());
+  Engine eng(plat(), 6);
   std::vector<double> flags_time(6, -1.0);
   std::vector<bool> flags(6, false);
   auto body = [&](Rank& rank) {
@@ -337,8 +313,8 @@ TEST(Engine, RejectsMoreRanksThanPlatformHosts) {
                "more ranks than the platform");
 }
 
-TEST_P(EngineBackends, EpochBumpTracked) {
-  Engine eng(plat(), 1, opts());
+TEST(Engine, EpochBumpTracked) {
+  Engine eng(plat(), 1);
   const RunResult r = eng.run([&](Rank& rank) {
     EXPECT_EQ(rank.epoch(), 0u);
     rank.bump_epoch();
@@ -348,11 +324,11 @@ TEST_P(EngineBackends, EpochBumpTracked) {
   ASSERT_TRUE(r.ok());
 }
 
-TEST_P(EngineBackends, WatchdogConvertsLivelockToTimeout) {
+TEST(Engine, WatchdogConvertsLivelockToTimeout) {
   // A rank that keeps making virtual-time "progress" without ever reaching
   // its wait condition is a livelock the deadlock detector cannot see: the
   // rank is always runnable. The watchdog caps virtual time instead.
-  EngineOptions opt = opts();
+  EngineOptions opt;
   opt.watchdog_virtual_us = 500.0;
   Engine eng(plat(), 2, opt);
   const RunResult r = eng.run([&](Rank& rank) {
@@ -370,8 +346,8 @@ TEST_P(EngineBackends, WatchdogConvertsLivelockToTimeout) {
       << r.status.message();
 }
 
-TEST_P(EngineBackends, WatchdogAlsoTripsInsideWaits) {
-  EngineOptions opt = opts();
+TEST(Engine, WatchdogAlsoTripsInsideWaits) {
+  EngineOptions opt;
   opt.watchdog_virtual_us = 200.0;
   Engine eng(plat(), 2, opt);
   const RunResult r = eng.run([&](Rank& rank) {
@@ -389,8 +365,8 @@ TEST_P(EngineBackends, WatchdogAlsoTripsInsideWaits) {
   EXPECT_EQ(r.status.code(), ErrorCode::kTimeout);
 }
 
-TEST_P(EngineBackends, CleanRunAfterWatchdogTimeout) {
-  EngineOptions opt = opts();
+TEST(Engine, CleanRunAfterWatchdogTimeout) {
+  EngineOptions opt;
   opt.watchdog_virtual_us = 300.0;
   Engine eng(plat(), 2, opt);
   const RunResult bad = eng.run([&](Rank& rank) {
@@ -410,7 +386,7 @@ TEST_P(EngineBackends, CleanRunAfterWatchdogTimeout) {
   EXPECT_DOUBLE_EQ(good.makespan_us, 100.0);
 }
 
-TEST_P(EngineBackends, StragglerScalesComputeNotWaits) {
+TEST(Engine, StragglerScalesComputeNotWaits) {
   // With a straggler_prob of 1 every rank is a straggler; compute_scale()
   // must reflect the factor while plain advance() stays unscaled.
   simnet::Platform p = plat();
@@ -418,7 +394,7 @@ TEST_P(EngineBackends, StragglerScalesComputeNotWaits) {
   spec.straggler_prob = 1.0;
   spec.straggler_factor = 3.0;
   p.set_faults(spec);
-  Engine eng(p, 2, opts());
+  Engine eng(p, 2);
   const RunResult r = eng.run([&](Rank& rank) {
     EXPECT_DOUBLE_EQ(rank.compute_scale(), 3.0);
     rank.advance(10.0);  // absolute virtual time: not scaled
@@ -427,11 +403,11 @@ TEST_P(EngineBackends, StragglerScalesComputeNotWaits) {
   ASSERT_TRUE(r.ok());
 }
 
-TEST_P(EngineBackends, ReentrantRunReturnsInvalidArgument) {
+TEST(Engine, ReentrantRunReturnsInvalidArgument) {
   // A rank body that calls run() again on its own engine must get a clean
   // error status back — not a crash, not a hang — and the outer run must
   // complete normally.
-  Engine eng(plat(), 2, opts());
+  Engine eng(plat(), 2);
   Status inner_status;
   const RunResult outer = eng.run([&](Rank& rank) {
     if (rank.id() == 0) {
@@ -452,12 +428,8 @@ TEST(EngineFibers, TwoThousandRanksRunOnOneThread) {
   // a rank count where spawning one OS thread per rank is already at or
   // past typical ulimit/VM limits. Trivial body plus a ring of sends so the
   // scheduler, waker, and blocking paths all engage at scale.
-  if (!fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build (TSan)";
-  }
   const int n = 2048;
   EngineOptions opt;
-  opt.backend = EngineBackend::kFibers;
   opt.fiber_stack_bytes = 128 * 1024;  // 2048 * 128KiB = 256MiB virtual
   Engine eng(simnet::Platform::perlmutter_cpu(/*nodes=*/16), n, opt);
   std::vector<bool> sent(static_cast<std::size_t>(n), false);
@@ -485,77 +457,15 @@ TEST(EngineFibers, TwoThousandRanksRunOnOneThread) {
   }
 }
 
-TEST(EngineCrossBackend, BitIdenticalClocksAndTraces) {
-  // The backends must be interchangeable down to the last bit: identical
-  // virtual clocks AND an identical trace byte stream for a workload that
-  // exercises perform, blocking waits, and tie-breaking.
-  if (!fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build (TSan)";
-  }
-  const int n = 8;
-  auto run_backend = [&](EngineBackend backend) {
-    EngineOptions opt;
-    opt.backend = backend;
-    opt.trace = true;
-    Engine eng(plat(), n, opt);
-    std::vector<bool> flags(static_cast<std::size_t>(n), false);
-    std::vector<double> flag_time(static_cast<std::size_t>(n), 0.0);
-    const RunResult r = eng.run([&](Rank& rank) {
-      const int id = rank.id();
-      const int peer = (id + 3) % n;
-      for (int i = 0; i < 10; ++i) {
-        rank.advance(0.1 * ((id * 13 + i) % 7 + 1));
-        eng.perform(rank, [&] {
-          simnet::MsgRecord rec;
-          rec.src_rank = id;
-          rec.dst_rank = peer;
-          rec.bytes = 64u * static_cast<std::uint64_t>(i + 1);
-          rec.t_issue = rank.now();
-          rec.t_arrival = rank.now() + 1.5;
-          eng.trace().record(rec);
-        });
-      }
-      eng.perform(rank, [&] {
-        flags[static_cast<std::size_t>(id)] = true;
-        flag_time[static_cast<std::size_t>(id)] = rank.now();
-      });
-      const int prev = (id + n - 1) % n;
-      eng.wait(rank, "peer", [&]() -> std::optional<double> {
-        if (!flags[static_cast<std::size_t>(prev)]) return std::nullopt;
-        return flag_time[static_cast<std::size_t>(prev)] + 0.5;
-      });
-    });
-    EXPECT_TRUE(r.ok()) << r.status.to_string();
-    return std::make_pair(r, eng.trace().records());
-  };
-
-  const auto [rf, tf] = run_backend(EngineBackend::kFibers);
-  const auto [rt, tt] = run_backend(EngineBackend::kThreads);
-  ASSERT_EQ(rf.rank_end_us.size(), rt.rank_end_us.size());
-  for (std::size_t i = 0; i < rf.rank_end_us.size(); ++i) {
-    EXPECT_EQ(rf.rank_end_us[i], rt.rank_end_us[i]) << "rank " << i;
-  }
-  EXPECT_EQ(rf.makespan_us, rt.makespan_us);
-  ASSERT_EQ(tf.size(), tt.size());
-  for (std::size_t i = 0; i < tf.size(); ++i) {
-    EXPECT_EQ(tf[i].src_rank, tt[i].src_rank) << i;
-    EXPECT_EQ(tf[i].dst_rank, tt[i].dst_rank) << i;
-    EXPECT_EQ(tf[i].bytes, tt[i].bytes) << i;
-    EXPECT_EQ(tf[i].t_issue, tt[i].t_issue) << i;
-    EXPECT_EQ(tf[i].t_arrival, tt[i].t_arrival) << i;
-  }
-}
-
-TEST(EngineCrossScheduler, BitIdenticalClocksAndTracesOnBothBackends) {
+TEST(EngineCrossScheduler, BitIdenticalClocksAndTraces) {
   // The indexed-heap scheduler must be a drop-in replacement for the linear
   // scan: same grant order (including the lowest-id tie-break), same clocks,
-  // same trace bytes — on both execution backends. The body manufactures
-  // wake-time ties (many ranks advancing by identical deltas) plus blocking
-  // waits so both pick_min and wake paths are exercised.
+  // same trace bytes. The body manufactures wake-time ties (many ranks
+  // advancing by identical deltas) plus blocking waits so both pick_min and
+  // wake paths are exercised.
   const int n = 12;
-  auto run_config = [&](EngineBackend backend, SchedulerKind sched) {
+  auto run_config = [&](SchedulerKind sched) {
     EngineOptions opt;
-    opt.backend = backend;
     opt.scheduler = sched;
     opt.trace = true;
     Engine eng(plat(), n, opt);
@@ -592,28 +502,18 @@ TEST(EngineCrossScheduler, BitIdenticalClocksAndTracesOnBothBackends) {
     return std::make_pair(r, eng.trace().records());
   };
 
-  std::vector<std::pair<EngineBackend, SchedulerKind>> configs;
-  for (auto backend : {EngineBackend::kFibers, EngineBackend::kThreads}) {
-    if (backend == EngineBackend::kFibers && !fibers_supported()) continue;
-    configs.emplace_back(backend, SchedulerKind::kIndexedHeap);
-    configs.emplace_back(backend, SchedulerKind::kLinearScan);
+  const auto [r0, t0] = run_config(SchedulerKind::kIndexedHeap);
+  const auto [r, t] = run_config(SchedulerKind::kLinearScan);
+  EXPECT_EQ(r.makespan_us, r0.makespan_us);
+  ASSERT_EQ(r.rank_end_us.size(), r0.rank_end_us.size());
+  for (std::size_t i = 0; i < r0.rank_end_us.size(); ++i) {
+    EXPECT_EQ(r.rank_end_us[i], r0.rank_end_us[i]) << "rank " << i;
   }
-  ASSERT_GE(configs.size(), 2u);
-  const auto [r0, t0] = run_config(configs[0].first, configs[0].second);
-  for (std::size_t c = 1; c < configs.size(); ++c) {
-    const auto [r, t] = run_config(configs[c].first, configs[c].second);
-    SCOPED_TRACE("config " + std::to_string(c));
-    EXPECT_EQ(r.makespan_us, r0.makespan_us);
-    ASSERT_EQ(r.rank_end_us.size(), r0.rank_end_us.size());
-    for (std::size_t i = 0; i < r0.rank_end_us.size(); ++i) {
-      EXPECT_EQ(r.rank_end_us[i], r0.rank_end_us[i]) << "rank " << i;
-    }
-    ASSERT_EQ(t.size(), t0.size());
-    for (std::size_t i = 0; i < t0.size(); ++i) {
-      EXPECT_EQ(t[i].src_rank, t0[i].src_rank) << i;
-      EXPECT_EQ(t[i].t_issue, t0[i].t_issue) << i;
-      EXPECT_EQ(t[i].t_arrival, t0[i].t_arrival) << i;
-    }
+  ASSERT_EQ(t.size(), t0.size());
+  for (std::size_t i = 0; i < t0.size(); ++i) {
+    EXPECT_EQ(t[i].src_rank, t0[i].src_rank) << i;
+    EXPECT_EQ(t[i].t_issue, t0[i].t_issue) << i;
+    EXPECT_EQ(t[i].t_arrival, t0[i].t_arrival) << i;
   }
 }
 
@@ -622,12 +522,11 @@ TEST(EngineWaitGate, GatedBarrierMatchesUngatedOracleAcrossSchedulers) {
   // exactly like mpi::Comm::collective, with the gate passed through
   // Engine::wait. The heap scheduler parks gated waiters in the threshold
   // heap; the linear scheduler ignores the gate and brute-force re-evaluates
-  // every condition. Identical clocks across all four configs prove the
-  // gated fast path wakes the same ranks at the same times as the oracle.
+  // every condition. Identical clocks under both prove the gated fast path
+  // wakes the same ranks at the same times as the oracle.
   const int n = 10;
-  auto run_config = [&](EngineBackend backend, SchedulerKind sched) {
+  auto run_config = [&](SchedulerKind sched) {
     EngineOptions opt;
-    opt.backend = backend;
     opt.scheduler = sched;
     Engine eng(plat(), n, opt);
     std::uint64_t generation = 0;
@@ -663,21 +562,12 @@ TEST(EngineWaitGate, GatedBarrierMatchesUngatedOracleAcrossSchedulers) {
     return r;
   };
 
-  std::vector<RunResult> results;
-  for (auto backend : {EngineBackend::kFibers, EngineBackend::kThreads}) {
-    if (backend == EngineBackend::kFibers && !fibers_supported()) continue;
-    results.push_back(run_config(backend, SchedulerKind::kIndexedHeap));
-    results.push_back(run_config(backend, SchedulerKind::kLinearScan));
-  }
-  ASSERT_GE(results.size(), 2u);
-  for (std::size_t c = 1; c < results.size(); ++c) {
-    SCOPED_TRACE("config " + std::to_string(c));
-    EXPECT_EQ(results[c].makespan_us, results[0].makespan_us);
-    ASSERT_EQ(results[c].rank_end_us.size(), results[0].rank_end_us.size());
-    for (std::size_t i = 0; i < results[0].rank_end_us.size(); ++i) {
-      EXPECT_EQ(results[c].rank_end_us[i], results[0].rank_end_us[i])
-          << "rank " << i;
-    }
+  const RunResult heap = run_config(SchedulerKind::kIndexedHeap);
+  const RunResult linear = run_config(SchedulerKind::kLinearScan);
+  EXPECT_EQ(linear.makespan_us, heap.makespan_us);
+  ASSERT_EQ(linear.rank_end_us.size(), heap.rank_end_us.size());
+  for (std::size_t i = 0; i < heap.rank_end_us.size(); ++i) {
+    EXPECT_EQ(linear.rank_end_us[i], heap.rank_end_us[i]) << "rank " << i;
   }
 }
 
@@ -717,17 +607,7 @@ TEST(EngineSchedulerDefaults, ProcessWideDefaultIsHonored) {
   EXPECT_STREQ(to_string(SchedulerKind::kIndexedHeap), "heap");
 }
 
-TEST(EngineBackendDefaults, ProcessWideDefaultIsHonored) {
-  const EngineBackend saved = default_backend();
-  set_default_backend(EngineBackend::kThreads);
-  {
-    Engine eng(plat(), 2);
-    EXPECT_EQ(eng.backend(), EngineBackend::kThreads);
-  }
-  set_default_backend(saved);
-  Engine eng(plat(), 2);
-  EXPECT_EQ(eng.backend(), saved);
-  // Watchdog default plumbs through the same way.
+TEST(EngineWatchdogDefaults, ProcessWideDefaultIsHonored) {
   const double saved_wd = default_watchdog_virtual_us();
   set_default_watchdog_virtual_us(123.0);
   EXPECT_DOUBLE_EQ(EngineOptions{}.watchdog_virtual_us, 123.0);
@@ -738,8 +618,8 @@ TEST(EngineBackendDefaults, ProcessWideDefaultIsHonored) {
 // Metrics (DESIGN.md §9)
 // ---------------------------------------------------------------------------
 
-TEST_P(EngineBackends, MetricsDisabledByDefaultAndReportEmpty) {
-  Engine eng(plat(), 2, opts());
+TEST(Engine, MetricsDisabledByDefaultAndReportEmpty) {
+  Engine eng(plat(), 2);
   EXPECT_FALSE(eng.metrics().enabled());
   const RunResult r = eng.run([](Rank& rank) { rank.advance(1.0); });
   ASSERT_TRUE(r.ok()) << r.status.to_string();
@@ -749,8 +629,8 @@ TEST_P(EngineBackends, MetricsDisabledByDefaultAndReportEmpty) {
   EXPECT_TRUE(rep.stack_hwm_bytes.empty());
 }
 
-TEST_P(EngineBackends, MetricsCountWaitsAndBlockedTime) {
-  EngineOptions o = opts();
+TEST(Engine, MetricsCountWaitsAndBlockedTime) {
+  EngineOptions o;
   o.metrics = true;
   Engine eng(plat(), 2, o);
   bool flag = false;
@@ -775,8 +655,8 @@ TEST_P(EngineBackends, MetricsCountWaitsAndBlockedTime) {
   EXPECT_DOUBLE_EQ(rep.makespan_us, 7.0);
 }
 
-TEST_P(EngineBackends, MetricsResetBetweenRuns) {
-  EngineOptions o = opts();
+TEST(Engine, MetricsResetBetweenRuns) {
+  EngineOptions o;
   o.metrics = true;
   Engine eng(plat(), 2, o);
   bool flag = false;
@@ -802,42 +682,8 @@ TEST_P(EngineBackends, MetricsResetBetweenRuns) {
   EXPECT_EQ(second.blocked_us, first.blocked_us);
 }
 
-// The per-run report must be bit-identical across execution backends: same
-// CSV bytes from a fiber engine and a thread engine running the same body.
-TEST(EngineMetrics, ReportBytesIdenticalAcrossBackends) {
-  if (!fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build (TSan)";
-  }
-  auto run_one = [](EngineBackend backend) {
-    EngineOptions o;
-    o.backend = backend;
-    o.metrics = true;
-    Engine eng(plat(), 8, o);
-    bool ready = false;
-    const RunResult r = eng.run([&](Rank& rank) {
-      rank.advance(0.5 * (rank.id() + 1));
-      if (rank.id() == 0) {
-        eng.perform(rank, [&] { ready = true; });
-      } else {
-        eng.wait(rank, "ready", [&]() -> std::optional<double> {
-          return ready ? std::optional<double>(4.0) : std::nullopt;
-        });
-      }
-    });
-    EXPECT_TRUE(r.ok()) << r.status.to_string();
-    return eng.metrics_report().csv_rows();
-  };
-  const auto fib = run_one(EngineBackend::kFibers);
-  const auto thr = run_one(EngineBackend::kThreads);
-  EXPECT_EQ(fib, thr);
-}
-
 TEST(EngineMetrics, FiberStackHighWaterMarksAreMeasured) {
-  if (!fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build (TSan)";
-  }
   EngineOptions o;
-  o.backend = EngineBackend::kFibers;
   o.metrics = true;
   Engine eng(plat(), 4, o);
   ASSERT_TRUE(eng.run([](Rank& rank) {
@@ -854,19 +700,9 @@ TEST(EngineMetrics, FiberStackHighWaterMarksAreMeasured) {
     EXPECT_LE(hwm, rep.stack_usable_bytes);
   }
   // The stack section exports through stack_csv_rows, not csv_rows — the
-  // latter must stay backend-independent.
+  // latter must stay build-independent.
   EXPECT_FALSE(rep.stack_csv_rows().empty());
   for (const auto& row : rep.csv_rows()) EXPECT_NE(row[0], "stack");
-}
-
-TEST(EngineMetrics, ThreadBackendHasNoStackSection) {
-  EngineOptions o;
-  o.backend = EngineBackend::kThreads;
-  o.metrics = true;
-  Engine eng(plat(), 2, o);
-  ASSERT_TRUE(eng.run([](Rank& rank) { rank.advance(1.0); }).ok());
-  EXPECT_TRUE(eng.metrics_report().stack_hwm_bytes.empty());
-  EXPECT_TRUE(eng.metrics_report().stack_csv_rows().empty());
 }
 
 TEST(EngineMetrics, ProcessWideDefaultIsHonored) {
@@ -898,11 +734,7 @@ __attribute__((noinline)) std::size_t burn_stack(int depth) {
 }  // namespace
 
 TEST(EngineStackPool, SlotsAreRecycledAcrossEngineLifetimes) {
-  if (!fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build (TSan)";
-  }
   EngineOptions o;
-  o.backend = EngineBackend::kFibers;
   o.stack_pool = true;
   o.fiber_stack_bytes = kOddStackBytes;
   const StackPoolStats before = stack_pool_stats();
@@ -927,11 +759,7 @@ TEST(EngineStackPool, ReusedSlotsRepoisonSoHwmIsPerTenant) {
   // Engine A burns deep frames, dies, and its slots go back to the pool
   // dirty. Engine B reuses them with a shallow body: poison_stack() must
   // overwrite A's scribbles or B's high-water marks report A's depth.
-  if (!fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build (TSan)";
-  }
   EngineOptions o;
-  o.backend = EngineBackend::kFibers;
   o.stack_pool = true;
   o.fiber_stack_bytes = kOddStackBytes;
   o.metrics = true;
@@ -963,13 +791,9 @@ TEST(EngineStackPool, ReusedSlotsRepoisonSoHwmIsPerTenant) {
 
 TEST(EngineStackPool, PooledAndUnpooledRunsAreBitIdentical) {
   // Stack placement is invisible to the simulation: same clocks either way.
-  if (!fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build (TSan)";
-  }
   auto run_once = [&](bool pooled) {
     EngineOptions o;
-    o.backend = EngineBackend::kFibers;
-    o.stack_pool = pooled;
+      o.stack_pool = pooled;
     o.fiber_stack_bytes = kOddStackBytes;
     Engine eng(plat(), 12, o);
     std::vector<bool> flags(12, false);
