@@ -15,10 +15,10 @@
 //                       it, --only-embedding runs nothing else)
 //   stencil_1m          one-sided stencil, 1,000,000 ranks — the pooled-stack
 //                       + gated-wait + SoA scale smoke (DESIGN.md §12); also
-//                       reports ranks/sec. Needs ~71 GB resident (~70 KB per
-//                       rank): --skip-1m omits it (small machines, the CI
-//                       perf sweep), --only-1m runs nothing else (the CI
-//                       guarded smoke job).
+//                       reports ranks/sec. Needs ~17 GB resident (~17.7 KiB
+//                       per rank with metrics on): --skip-1m omits it (small
+//                       machines, the CI perf sweep), --only-1m runs nothing
+//                       else (the CI guarded smoke job).
 //
 // "Simulated ops" are scheduler-visible operations counted by the metrics
 // layer: fabric ops (sends/puts/gets/atomics) + syncs + waits. Wall time is

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <new>
 
 #include "util/status.hpp"
 #include "util/units.hpp"
@@ -65,7 +66,12 @@ TransferResult Fabric::transfer(const TransferParams& p) {
     return r;
   }
 
-  const std::vector<DirectedLink>& path = topo_->route(p.src_ep, p.dst_ep);
+  // The route and the claim records live for one transfer(): bump-allocated
+  // from the fabric scratch arena, which keeps them off the rank fiber's
+  // stack and off the heap.
+  scratch_.reset();
+  const Route& path = *new (scratch_.alloc_array<Route>(1))
+      Route(topo_->route(p.src_ep, p.dst_ep));
   MRL_CHECK(!path.empty());
 
   if (mode_ == RouteMode::kCutThrough) {
@@ -81,9 +87,6 @@ TransferResult Fabric::transfer(const TransferParams& p) {
       TimeUs start;
       double occupancy;
     };
-    // Claim records live for one transfer(): bump-allocated from the fabric
-    // scratch arena instead of a fresh heap vector per message.
-    scratch_.reset();
     Claim* claims = scratch_.alloc_array<Claim>(path.size());
     std::size_t nclaims = 0;
     int total_drops = 0;

@@ -7,21 +7,6 @@
 
 namespace mrl::simnet {
 
-namespace {
-
-/// Connects per-node NICs to a central switch (multi-node CPU platforms).
-void wire_nics_to_switch(Topology& topo, const std::vector<int>& nics,
-                         double bw_gbs, double lat_us) {
-  if (nics.size() < 2) return;
-  const int sw = topo.add_endpoint("switch", EndpointKind::kSwitch);
-  for (int nic : nics) {
-    topo.add_link(nic, sw,
-                  LinkSpec{"Slingshot", bw_gbs, lat_us, /*channels=*/1});
-  }
-}
-
-}  // namespace
-
 const LogGP& Platform::params(Runtime r) const {
   switch (r) {
     case Runtime::kTwoSidedMpi: return two_sided_;
@@ -71,6 +56,20 @@ std::unique_ptr<Fabric> Platform::make_fabric() const {
                                   local_latency_us_, faults_);
 }
 
+Platform Platform::cpu_nodes(const std::string& name, int nodes,
+                             Topology node, int nic, LinkSpec uplink,
+                             int ranks_per_ep) {
+  Platform p;
+  p.name_ = nodes == 1 ? name
+                       : name + " (" + std::to_string(nodes) + " nodes)";
+  node.finalize(nodes, nic, std::move(uplink));
+  p.compute_eps_ = node.endpoints_of_kind(EndpointKind::kSocket);
+  p.topo_ = std::make_shared<const Topology>(std::move(node));
+  p.ranks_per_ep_ = ranks_per_ep;
+  p.max_ranks_ = static_cast<int>(p.compute_eps_.size()) * ranks_per_ep;
+  return p;
+}
+
 // ---------------------------------------------------------------------------
 // Perlmutter CPU: per node two Milan sockets joined by Infinity Fabric
 // (4 ports x 32 GB/s/dir; a single stream rides one port at 32 GB/s, which is
@@ -78,30 +77,17 @@ std::unique_ptr<Fabric> Platform::make_fabric() const {
 // socket 0 via PCIe4 at 25 GB/s.
 // ---------------------------------------------------------------------------
 Platform Platform::perlmutter_cpu(int nodes) {
-  MRL_CHECK(nodes >= 1);
-  Platform p;
-  p.name_ = nodes == 1 ? "Perlmutter CPU"
-                       : "Perlmutter CPU (" + std::to_string(nodes) + " nodes)";
-  auto topo = std::make_shared<Topology>();
-  std::vector<int> nics;
-  for (int n = 0; n < nodes; ++n) {
-    const std::string tag = nodes == 1 ? "" : ("n" + std::to_string(n) + ".");
-    const int s0 = topo->add_endpoint(tag + "milan0", EndpointKind::kSocket);
-    const int s1 = topo->add_endpoint(tag + "milan1", EndpointKind::kSocket);
-    topo->add_link(s0, s1,
-                   LinkSpec{"IF CPU-CPU", /*bw=*/128.0, /*lat=*/0.25,
-                            /*channels=*/4});
-    const int nic = topo->add_endpoint(tag + "nic", EndpointKind::kNic);
-    topo->add_link(s0, nic, LinkSpec{"PCIe4.0", 25.0, 0.35, 1});
-    nics.push_back(nic);
-    p.compute_eps_.push_back(s0);
-    p.compute_eps_.push_back(s1);
-  }
-  wire_nics_to_switch(*topo, nics, 25.0, 0.45);
-  topo->finalize();
-  p.topo_ = std::move(topo);
-  p.ranks_per_ep_ = 64;  // 64 Milan cores per socket
-  p.max_ranks_ = static_cast<int>(p.compute_eps_.size()) * p.ranks_per_ep_;
+  Topology node;
+  const int s0 = node.add_endpoint("milan0", EndpointKind::kSocket);
+  const int s1 = node.add_endpoint("milan1", EndpointKind::kSocket);
+  node.add_link(s0, s1,
+                LinkSpec{"IF CPU-CPU", /*bw=*/128.0, /*lat=*/0.25,
+                         /*channels=*/4});
+  const int nic = node.add_endpoint("nic", EndpointKind::kNic);
+  node.add_link(s0, nic, LinkSpec{"PCIe4.0", 25.0, 0.35, 1});
+  Platform p = cpu_nodes("Perlmutter CPU", nodes, std::move(node), nic,
+                         LinkSpec{"Slingshot", 25.0, 0.45, 1},
+                         /*ranks_per_ep=*/64);  // 64 Milan cores per socket
   // CrayMPI calibration: two-sided 1-msg latency 2*o+L = 3.3 us, floor 0.3 us;
   // one-sided per-op latency 20% lower.
   p.two_sided_ = LogGP{/*L=*/2.70, /*o=*/0.30, /*g=*/0.05, 0.0};
@@ -124,35 +110,22 @@ Platform Platform::perlmutter_cpu(int nodes) {
 // Fig 1). NICs attach through IF CPU-GPU -> PCIe4 ESM (50 GB/s).
 // ---------------------------------------------------------------------------
 Platform Platform::frontier_cpu(int nodes) {
-  MRL_CHECK(nodes >= 1);
-  Platform p;
-  p.name_ = nodes == 1 ? "Frontier CPU"
-                       : "Frontier CPU (" + std::to_string(nodes) + " nodes)";
-  auto topo = std::make_shared<Topology>();
-  std::vector<int> nics;
-  for (int n = 0; n < nodes; ++n) {
-    const std::string tag = nodes == 1 ? "" : ("n" + std::to_string(n) + ".");
-    int quad[4];
-    for (int q = 0; q < 4; ++q) {
-      quad[q] = topo->add_endpoint(tag + "quad" + std::to_string(q),
-                                   EndpointKind::kSocket);
-    }
-    for (int a = 0; a < 4; ++a) {
-      for (int b = a + 1; b < 4; ++b) {
-        topo->add_link(quad[a], quad[b],
-                       LinkSpec{"IF on-die", 36.0, 0.20, 1});
-      }
-    }
-    const int nic = topo->add_endpoint(tag + "nic0", EndpointKind::kNic);
-    topo->add_link(quad[0], nic, LinkSpec{"PCIe4 ESM", 50.0, 0.30, 1});
-    nics.push_back(nic);
-    for (int q = 0; q < 4; ++q) p.compute_eps_.push_back(quad[q]);
+  Topology node;
+  int quad[4];
+  for (int q = 0; q < 4; ++q) {
+    quad[q] = node.add_endpoint("quad" + std::to_string(q),
+                                EndpointKind::kSocket);
   }
-  wire_nics_to_switch(*topo, nics, 25.0, 0.45);
-  topo->finalize();
-  p.topo_ = std::move(topo);
-  p.ranks_per_ep_ = 16;  // 64 cores / 4 quadrants
-  p.max_ranks_ = static_cast<int>(p.compute_eps_.size()) * p.ranks_per_ep_;
+  for (int a = 0; a < 4; ++a) {
+    for (int b = a + 1; b < 4; ++b) {
+      node.add_link(quad[a], quad[b], LinkSpec{"IF on-die", 36.0, 0.20, 1});
+    }
+  }
+  const int nic = node.add_endpoint("nic0", EndpointKind::kNic);
+  node.add_link(quad[0], nic, LinkSpec{"PCIe4 ESM", 50.0, 0.30, 1});
+  Platform p = cpu_nodes("Frontier CPU", nodes, std::move(node), nic,
+                         LinkSpec{"Slingshot", 25.0, 0.45, 1},
+                         /*ranks_per_ep=*/16);  // 64 cores / 4 quadrants
   p.two_sided_ = LogGP{/*L=*/2.80, /*o=*/0.32, /*g=*/0.05, 0.0};
   p.one_sided_ = LogGP{/*L=*/2.30, /*o=*/0.26, /*g=*/0.05, 0.0};
   p.one_sided_.atomic_L_us = 1.30;
@@ -174,29 +147,15 @@ Platform Platform::frontier_cpu(int nodes) {
 // than two-sided: higher per-op overhead and software latency.
 // ---------------------------------------------------------------------------
 Platform Platform::summit_cpu(int nodes) {
-  MRL_CHECK(nodes >= 1);
-  Platform p;
-  p.name_ = nodes == 1 ? "Summit CPU"
-                       : "Summit CPU (" + std::to_string(nodes) + " nodes)";
-  auto topo = std::make_shared<Topology>();
-  std::vector<int> nics;
-  for (int n = 0; n < nodes; ++n) {
-    const std::string tag = nodes == 1 ? "" : ("n" + std::to_string(n) + ".");
-    const int s0 = topo->add_endpoint(tag + "power9_0", EndpointKind::kSocket);
-    const int s1 = topo->add_endpoint(tag + "power9_1", EndpointKind::kSocket);
-    topo->add_link(s0, s1,
-                   LinkSpec{"X-Bus", 25.0, 0.30, 1, /*occupancy=*/0.4});
-    const int nic = topo->add_endpoint(tag + "nic", EndpointKind::kNic);
-    topo->add_link(s0, nic, LinkSpec{"PCIe4.0", 16.0, 0.40, 1});
-    nics.push_back(nic);
-    p.compute_eps_.push_back(s0);
-    p.compute_eps_.push_back(s1);
-  }
-  wire_nics_to_switch(*topo, nics, 12.5, 0.60);
-  topo->finalize();
-  p.topo_ = std::move(topo);
-  p.ranks_per_ep_ = 21;  // 21 usable cores per socket (42 per node)
-  p.max_ranks_ = static_cast<int>(p.compute_eps_.size()) * p.ranks_per_ep_;
+  Topology node;
+  const int s0 = node.add_endpoint("power9_0", EndpointKind::kSocket);
+  const int s1 = node.add_endpoint("power9_1", EndpointKind::kSocket);
+  node.add_link(s0, s1, LinkSpec{"X-Bus", 25.0, 0.30, 1, /*occupancy=*/0.4});
+  const int nic = node.add_endpoint("nic", EndpointKind::kNic);
+  node.add_link(s0, nic, LinkSpec{"PCIe4.0", 16.0, 0.40, 1});
+  Platform p = cpu_nodes("Summit CPU", nodes, std::move(node), nic,
+                         LinkSpec{"Slingshot", 12.5, 0.60, 1},
+                         /*ranks_per_ep=*/21);  // 21 usable cores per socket
   // Spectrum MPI: two-sided 1-msg latency ~3 us; one-sided consistently worse.
   p.two_sided_ = LogGP{/*L=*/2.10, /*o=*/0.45, /*g=*/0.08, 0.0};
   p.one_sided_ = LogGP{/*L=*/6.50, /*o=*/0.90, /*g=*/0.08, 0.0};

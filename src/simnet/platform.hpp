@@ -122,6 +122,12 @@ class Platform {
  private:
   Platform() = default;
 
+  /// Shared body of the multi-node CPU factories: `nodes` copies of the
+  /// template `node` whose NICs (`nic` in the template) join one switch by
+  /// `uplink` links (Topology::finalize). Every socket hosts ranks.
+  static Platform cpu_nodes(const std::string& name, int nodes, Topology node,
+                            int nic, LinkSpec uplink, int ranks_per_ep);
+
   std::string name_;
   std::shared_ptr<const Topology> topo_;
   RouteMode route_mode_ = RouteMode::kCutThrough;

@@ -1,6 +1,9 @@
 // simnet: links, topology/routing, fabric cost arithmetic, platforms, trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <limits>
 #include <vector>
 
 #include "simnet/fabric.hpp"
@@ -61,6 +64,149 @@ TEST(Topology, DisconnectedGraphAborts) {
   t.add_endpoint("a", EndpointKind::kSocket);
   t.add_endpoint("b", EndpointKind::kSocket);
   EXPECT_DEATH(t.finalize(), "disconnected");
+}
+
+TEST(Topology, EqualHopTiesGoThroughTheFirstAddedLink) {
+  Topology t;
+  for (int i = 0; i < 4; ++i) {
+    t.add_endpoint("e" + std::to_string(i), EndpointKind::kSocket);
+  }
+  t.add_link(0, 2, LinkSpec{"02", 10, 0.5, 1});
+  t.add_link(0, 1, LinkSpec{"01", 10, 0.5, 1});
+  t.add_link(2, 3, LinkSpec{"23", 10, 0.5, 1});
+  t.add_link(1, 3, LinkSpec{"13", 10, 0.5, 1});
+  t.finalize();
+  // Both 0->2->3 and 0->1->3 take two hops; endpoint 2's link came first.
+  const Route r = t.route(0, 3);
+  ASSERT_EQ(r.size(), 2u);
+  EXPECT_EQ(r[0].link, 0);
+  EXPECT_EQ(t.link_endpoint(r[0].link, 1), 2);
+  EXPECT_EQ(r[1].link, 2);
+}
+
+TEST(Topology, RouteQueriesRejectOutOfRangeEndpoints) {
+  const Topology t = two_node_topo();
+  EXPECT_DEATH((void)t.route(0, 2), "MRL_CHECK failed");
+  EXPECT_DEATH((void)t.route_latency_us(0, 2), "MRL_CHECK failed");
+  EXPECT_DEATH((void)t.route_latency_us(-1, 0), "MRL_CHECK failed");
+  EXPECT_DEATH((void)t.route_channel_gbs(2, 0), "MRL_CHECK failed");
+  EXPECT_DEATH((void)t.route_channel_gbs(0, -1), "MRL_CHECK failed");
+}
+
+TEST(Topology, MultiNodeIdsArePerNodeBlocksWithSwitchLast) {
+  EXPECT_EQ(Platform::perlmutter_cpu(2).topology().describe(),
+            "endpoints:\n"
+            "  [0] n0.milan0 (socket)\n"
+            "  [1] n0.milan1 (socket)\n"
+            "  [2] n0.nic (nic)\n"
+            "  [3] n1.milan0 (socket)\n"
+            "  [4] n1.milan1 (socket)\n"
+            "  [5] n1.nic (nic)\n"
+            "  [6] switch (switch)\n"
+            "links:\n"
+            "  n0.milan0 <-> n0.milan1  IF CPU-CPU  128.00 GB/s/dir, 4 ch, "
+            "250 ns hop\n"
+            "  n0.milan0 <-> n0.nic  PCIe4.0  25.00 GB/s/dir, 1 ch, "
+            "350 ns hop\n"
+            "  n1.milan0 <-> n1.milan1  IF CPU-CPU  128.00 GB/s/dir, 4 ch, "
+            "250 ns hop\n"
+            "  n1.milan0 <-> n1.nic  PCIe4.0  25.00 GB/s/dir, 1 ch, "
+            "350 ns hop\n"
+            "  n0.nic <-> switch  Slingshot  25.00 GB/s/dir, 1 ch, "
+            "450 ns hop\n"
+            "  n1.nic <-> switch  Slingshot  25.00 GB/s/dir, 1 ch, "
+            "450 ns hop\n");
+}
+
+/// Reference router for the oracle tests: breadth-first search over the
+/// whole machine, not just one node template, visiting each endpoint's links
+/// in id order and keeping the first parent found. Returns the hops of every
+/// route out of `src`, indexed by destination.
+std::vector<std::vector<DirectedLink>> oracle_routes_from(const Topology& t,
+                                                          int src) {
+  const int n = t.num_endpoints();
+  std::vector<std::vector<std::pair<int, DirectedLink>>> adj(
+      static_cast<std::size_t>(n));
+  for (int l = 0; l < t.num_links(); ++l) {
+    const int a = t.link_endpoint(l, 0);
+    const int b = t.link_endpoint(l, 1);
+    adj[a].emplace_back(b, DirectedLink{l, 0});
+    adj[b].emplace_back(a, DirectedLink{l, 1});
+  }
+  std::vector<int> parent(n, -1);
+  std::vector<DirectedLink> parent_link(n);
+  std::vector<bool> seen(n, false);
+  std::deque<int> q{src};
+  seen[src] = true;
+  while (!q.empty()) {
+    const int u = q.front();
+    q.pop_front();
+    for (const auto& [v, dl] : adj[u]) {
+      if (seen[v]) continue;
+      seen[v] = true;
+      parent[v] = u;
+      parent_link[v] = dl;
+      q.push_back(v);
+    }
+  }
+  std::vector<std::vector<DirectedLink>> routes(static_cast<std::size_t>(n));
+  for (int dst = 0; dst < n; ++dst) {
+    for (int v = dst; v != src; v = parent[v]) {
+      routes[dst].push_back(parent_link[v]);
+    }
+    std::reverse(routes[dst].begin(), routes[dst].end());
+  }
+  return routes;
+}
+
+/// Every ordered endpoint pair: same hops as the oracle, latency summed in
+/// hop order to the same bits, same channel bandwidth.
+void expect_routes_match_oracle(const Platform& p) {
+  SCOPED_TRACE(p.name());
+  const Topology& t = p.topology();
+  for (int src = 0; src < t.num_endpoints(); ++src) {
+    const auto want = oracle_routes_from(t, src);
+    for (int dst = 0; dst < t.num_endpoints(); ++dst) {
+      const Route got = t.route(src, dst);
+      const std::vector<DirectedLink>& hops = want[dst];
+      ASSERT_EQ(got.size(), hops.size()) << src << " -> " << dst;
+      double lat = 0.0;
+      double chan = std::numeric_limits<double>::infinity();
+      for (std::size_t i = 0; i < hops.size(); ++i) {
+        EXPECT_EQ(got[i].link, hops[i].link) << src << " -> " << dst;
+        EXPECT_EQ(got[i].dir, hops[i].dir) << src << " -> " << dst;
+        lat += t.link(hops[i].link).latency_us;
+        chan = std::min(chan, t.link(hops[i].link).channel_gbs());
+      }
+      EXPECT_EQ(t.route_latency_us(src, dst), lat) << src << " -> " << dst;
+      EXPECT_EQ(t.route_channel_gbs(src, dst), chan) << src << " -> " << dst;
+    }
+  }
+}
+
+TEST(TopologyOracle, MultiNodeCpuRoutesMatchAllPairsBfs) {
+  for (const int nodes : {1, 2, 3, 17}) {
+    expect_routes_match_oracle(Platform::perlmutter_cpu(nodes));
+    expect_routes_match_oracle(Platform::frontier_cpu(nodes));
+    expect_routes_match_oracle(Platform::summit_cpu(nodes));
+  }
+}
+
+TEST(TopologyOracle, GpuRoutesMatchAllPairsBfs) {
+  expect_routes_match_oracle(Platform::perlmutter_gpu());
+  expect_routes_match_oracle(Platform::summit_gpu());
+  expect_routes_match_oracle(Platform::frontier_gpu());
+}
+
+TEST(Topology, BytesGrowLinearlyWithNodes) {
+  // Deterministic guard against a per-pair route table coming back: that
+  // would be ~4x from 800 to 1600 nodes and tens of GB at 8000.
+  const std::size_t b800 = Platform::perlmutter_cpu(800).topology().bytes();
+  const std::size_t b1600 = Platform::perlmutter_cpu(1600).topology().bytes();
+  EXPECT_GT(b800, 0u);
+  EXPECT_LE(static_cast<double>(b1600), 2.2 * static_cast<double>(b800));
+  EXPECT_LT(Platform::perlmutter_cpu(8000).topology().bytes(),
+            std::size_t{4} << 20);
 }
 
 TEST(Fabric, SingleTransferCost) {
