@@ -135,15 +135,4 @@ std::vector<std::vector<std::string>> RooflineFigure::csv_rows() const {
   return rows;
 }
 
-WorkloadDot dot_from_trace(const std::string& label,
-                           const simnet::Trace& trace, simnet::OpKind kind) {
-  const simnet::TraceSummary s = trace.summarize(kind);
-  WorkloadDot d;
-  d.label = label;
-  d.bytes = s.avg_msg_bytes;
-  d.msgs_per_sync = s.avg_msgs_per_sync;
-  d.measured_gbs = s.sustained_gbs;
-  return d;
-}
-
 }  // namespace mrl::core

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/model.hpp"
-#include "simnet/trace.hpp"
 
 namespace mrl::core {
 
@@ -60,10 +59,5 @@ class RooflineFigure {
   std::vector<PointSeries> series_;
   std::vector<WorkloadDot> dots_;
 };
-
-/// Derives a workload's roofline dot from its recorded trace (data-message
-/// kinds only; signals are runtime overhead, matching Table II accounting).
-WorkloadDot dot_from_trace(const std::string& label,
-                           const simnet::Trace& trace, simnet::OpKind kind);
 
 }  // namespace mrl::core

@@ -121,10 +121,9 @@ void set_default_fiber_stack_bytes(std::size_t bytes);
 [[nodiscard]] bool default_stack_pool();
 void set_default_stack_pool(bool on);
 
-/// Process-wide default for EngineOptions::trace (initially false; workloads
-/// that derive summaries from the trace force it on per-engine regardless).
-/// The CLI/bench `--trace`/`--profile` flags flip it so engines constructed
-/// outside the workload wrappers also record.
+/// Process-wide default for EngineOptions::trace (initially false). The
+/// CLI/bench `--trace`/`--profile` flags flip it so every engine constructed
+/// afterwards, the workload runners' included, stores its message records.
 [[nodiscard]] bool default_trace();
 void set_default_trace(bool on);
 
@@ -186,7 +185,8 @@ class Rank {
 
   /// Sender-side synchronization epoch (bumped by comm layers at each sync;
   /// the trace uses it to compute messages-per-sync, and the metrics layer
-  /// counts it as one synchronization). Defined after Engine.
+  /// counts it as one synchronization). It only grows within a run, which
+  /// the trace's exact epoch count relies on. Defined after Engine.
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   void bump_epoch();
 
@@ -213,7 +213,9 @@ class Rank {
 };
 
 struct EngineOptions {
-  bool trace = default_trace();      ///< record every message
+  /// Store every message record (Trace::records()). Trace summaries are
+  /// folded whether or not this is on, so workloads never need to set it.
+  bool trace = default_trace();
   /// Record per-rank execution spans (simnet/spans.hpp, DESIGN.md §14) for
   /// the profiler and critical-path analyzer. Like metrics: off by default,
   /// one branch per hook when disabled, and never perturbs simulated time —

@@ -1,8 +1,5 @@
 #include "simnet/trace.hpp"
 
-#include <algorithm>
-#include <utility>
-
 #include "util/units.hpp"
 
 namespace mrl::simnet {
@@ -19,64 +16,24 @@ std::string to_string(OpKind k) {
   return "unknown";
 }
 
-namespace {
-// One pass over the records in recorded order — the floating-point
-// accumulation order is exactly the order the old ref-vector walk used, so
-// the summary values are bit-identical. Distinct (sender, epoch) pairs are
-// counted with a sort+unique over an arena scratch array instead of a
-// node-per-element std::set.
-template <typename Pred>
-TraceSummary summarize_filtered(const RecordStore& records,
-                                util::Arena& scratch, Pred pred) {
-  TraceSummary s;
-  scratch.reset();
-  using Epoch = std::pair<std::int32_t, std::uint64_t>;  // (sender, epoch)
-  Epoch* epochs = scratch.alloc_array<Epoch>(records.size());
-  std::size_t ne = 0;
-  double first_issue = 0;
-  double last_arrival = 0;
-  double lat_sum = 0;
-  for (const MsgRecord& r : records) {
-    if (!pred(r)) continue;
-    if (s.num_msgs == 0) {
-      first_issue = r.t_issue;
-      last_arrival = r.t_arrival;
-      s.min_msg_bytes = static_cast<double>(r.bytes);
-      s.max_msg_bytes = s.min_msg_bytes;
-    }
-    ++s.num_msgs;
-    s.total_bytes += static_cast<double>(r.bytes);
-    lat_sum += r.t_arrival - r.t_issue;
-    first_issue = std::min(first_issue, r.t_issue);
-    last_arrival = std::max(last_arrival, r.t_arrival);
-    s.min_msg_bytes = std::min(s.min_msg_bytes, static_cast<double>(r.bytes));
-    s.max_msg_bytes = std::max(s.max_msg_bytes, static_cast<double>(r.bytes));
-    s.total_drops += static_cast<std::uint64_t>(r.drops);
-    epochs[ne++] = Epoch{r.src_rank, r.epoch};
-  }
-  if (s.num_msgs == 0) return s;
-  std::sort(epochs, epochs + ne);
-  s.num_epochs =
-      static_cast<std::uint64_t>(std::unique(epochs, epochs + ne) - epochs);
-  s.avg_msg_bytes = s.total_bytes / static_cast<double>(s.num_msgs);
-  s.avg_msgs_per_sync =
-      static_cast<double>(s.num_msgs) / static_cast<double>(s.num_epochs);
-  s.avg_latency_us = lat_sum / static_cast<double>(s.num_msgs);
-  s.span_us = last_arrival - first_issue;
-  s.sustained_gbs =
-      s.span_us > 0 ? bytes_per_us_to_gbs(s.total_bytes, s.span_us) : 0.0;
-  return s;
-}
-}  // namespace
-
-TraceSummary Trace::summarize() const {
-  return summarize_filtered(records_, scratch_,
-                            [](const MsgRecord&) { return true; });
+void Trace::clear() {
+  records_.clear();
+  all_ = {};
+  by_kind_ = {};
 }
 
-TraceSummary Trace::summarize(OpKind kind) const {
-  return summarize_filtered(records_, scratch_,
-                            [kind](const MsgRecord& r) { return r.kind == kind; });
+TraceSummary Trace::Fold::finish() const {
+  TraceSummary out = s;
+  if (out.num_msgs == 0) return out;
+  out.avg_msg_bytes = out.total_bytes / static_cast<double>(out.num_msgs);
+  out.avg_msgs_per_sync = static_cast<double>(out.num_msgs) /
+                          static_cast<double>(out.num_epochs);
+  out.avg_latency_us = lat_sum / static_cast<double>(out.num_msgs);
+  out.span_us = last_arrival - first_issue;
+  out.sustained_gbs =
+      out.span_us > 0 ? bytes_per_us_to_gbs(out.total_bytes, out.span_us)
+                      : 0.0;
+  return out;
 }
 
 }  // namespace mrl::simnet

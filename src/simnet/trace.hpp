@@ -1,10 +1,13 @@
 // Communication trace: every message the runtime moves, with issue/arrival
-// times and the synchronization epoch it belongs to. The Message Roofline
-// workload dots (Fig 6) and the latency-vs-msg/sync analysis (Fig 7) are
-// computed from these records.
+// times and the synchronization epoch it belongs to. Each message is folded
+// into running per-kind summaries as it is recorded, so the Message Roofline
+// workload dots (Fig 6) and the latency-vs-msg/sync analysis (Fig 7) cost
+// O(ranks) memory; the records themselves are stored only when the trace is
+// enabled (`--trace`, `--profile`, EngineOptions::trace).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -13,7 +16,7 @@
 #include <vector>
 
 #include "simnet/time.hpp"
-#include "util/arena.hpp"
+#include "util/status.hpp"
 
 namespace mrl::simnet {
 
@@ -25,6 +28,8 @@ enum class OpKind : std::uint8_t {
   kAtomic,      ///< CAS / fetch-op round trip
   kCollective,  ///< barrier/reduction constituent
 };
+inline constexpr std::size_t kNumOpKinds =
+    static_cast<std::size_t>(OpKind::kCollective) + 1;
 
 std::string to_string(OpKind k);
 
@@ -60,10 +65,11 @@ struct TraceSummary {
   std::uint64_t total_drops = 0;  ///< fault-injected drops across messages
 };
 
-/// Chunked append-only record storage. A single doubling vector holding 8M
-/// records (a 1M-rank stencil step) momentarily keeps ~1.5x the trace live
-/// during the realloc and copies hundreds of MB; fixed 64Ki-record chunks
-/// cap the growth spike at one chunk (~3 MiB) and never move old records.
+/// Chunked append-only record storage. A single doubling vector holding
+/// millions of records (a traced or profiled run at scale) momentarily
+/// keeps ~1.5x the store live during the realloc and copies hundreds of MB;
+/// fixed 64Ki-record chunks cap the growth spike at one chunk (~5 MiB) and
+/// never move old records.
 /// Indexing is two shifts, and clear() keeps the chunks for the next run.
 /// Templated so the profiler's per-rank execution spans (DESIGN.md §14)
 /// share the same storage discipline as message records.
@@ -150,29 +156,78 @@ class ChunkedStore {
 using RecordStore = ChunkedStore<MsgRecord>;
 
 /// Append-only trace. The engine serializes all recording, so no locking.
+/// Summaries are always available; records() only holds messages recorded
+/// while enabled().
 class Trace {
  public:
   void set_enabled(bool on) { enabled_ = on; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
+  /// Folds `rec` into the summaries and, when enabled, stores it. A
+  /// sender's epoch must not decrease between clear()s: that is what makes
+  /// the distinct-epoch count exact without remembering every pair.
   void record(const MsgRecord& rec) {
+    MRL_CHECK(rec.src_rank >= 0);
+    all_.add(rec);
+    by_kind_[static_cast<std::size_t>(rec.kind)].add(rec);
     if (enabled_) records_.push_back(rec);
   }
-  void clear() { records_.clear(); }
+  void clear();
 
   [[nodiscard]] const RecordStore& records() const { return records_; }
 
-  [[nodiscard]] TraceSummary summarize() const;
+  [[nodiscard]] TraceSummary summarize() const { return all_.finish(); }
 
   /// Summary restricted to one op kind.
-  [[nodiscard]] TraceSummary summarize(OpKind kind) const;
+  [[nodiscard]] TraceSummary summarize(OpKind kind) const {
+    return by_kind_[static_cast<std::size_t>(kind)].finish();
+  }
 
  private:
+  /// Running aggregate behind one TraceSummary, accumulated in record order
+  /// so the floating-point sums are those of a pass over the records.
+  struct Fold {
+    TraceSummary s;  ///< counts, byte total/extremes and drops so far
+    double first_issue = 0;
+    double last_arrival = 0;
+    double lat_sum = 0;
+    /// Per sender: 1 + the last epoch folded in (0: none yet).
+    std::vector<std::uint64_t> last_epoch;
+
+    void add(const MsgRecord& r) {
+      const auto src = static_cast<std::size_t>(r.src_rank);
+      if (src >= last_epoch.size()) last_epoch.resize(src + 1);
+      std::uint64_t& last = last_epoch[src];
+      MRL_CHECK_MSG(r.epoch + 1 >= last, "sender epoch went backwards");
+      if (r.epoch + 1 != last) {
+        ++s.num_epochs;
+        last = r.epoch + 1;
+      }
+      const auto bytes = static_cast<double>(r.bytes);
+      if (s.num_msgs == 0) {
+        first_issue = r.t_issue;
+        last_arrival = r.t_arrival;
+        s.min_msg_bytes = bytes;
+        s.max_msg_bytes = bytes;
+      }
+      ++s.num_msgs;
+      s.total_bytes += bytes;
+      lat_sum += r.t_arrival - r.t_issue;
+      first_issue = std::min(first_issue, r.t_issue);
+      last_arrival = std::max(last_arrival, r.t_arrival);
+      s.min_msg_bytes = std::min(s.min_msg_bytes, bytes);
+      s.max_msg_bytes = std::max(s.max_msg_bytes, bytes);
+      s.total_drops += static_cast<std::uint64_t>(r.drops);
+    }
+    [[nodiscard]] TraceSummary finish() const;
+  };
+
   bool enabled_ = false;
   RecordStore records_;
-  /// Scratch for the (sender, epoch) pairs built while summarizing; reused
-  /// across calls instead of allocating a node-based set per summary.
-  mutable util::Arena scratch_;
+  /// All kinds together. Kept apart from by_kind_ rather than merged at
+  /// read time, since merging would reorder the latency sum's additions.
+  Fold all_;
+  std::array<Fold, kNumOpKinds> by_kind_;
 };
 
 }  // namespace mrl::simnet

@@ -1,19 +1,18 @@
 // Bump-pointer arena for per-operation transient scratch (DESIGN.md §10).
 //
 // The simulator's hot paths used to pay one or more heap allocations per
-// simulated operation: the fabric's per-transfer lane-claim vector and the
-// trace summarizer's per-call record/epoch buffers. An Arena turns those
-// into a pointer bump: allocate() carves from a current block, reset()
-// rewinds to empty while RETAINING the blocks, so a steady-state caller
-// (one reset per transfer / per summarize) performs zero heap allocations
-// after warm-up.
+// simulated operation, e.g. the fabric's per-transfer lane-claim vector. An
+// Arena turns those into a pointer bump: allocate() carves from a current
+// block, reset() rewinds to empty while RETAINING the blocks, so a
+// steady-state caller (one reset per transfer) performs zero heap
+// allocations after warm-up.
 //
 // Contract:
 //   * returned memory is uninitialized; only trivially-destructible types
 //     may live in it (alloc_array enforces this) — reset() never runs
 //     destructors;
-//   * not thread-safe — each owner (a Fabric, a Trace) is already
-//     serialized by the engine;
+//   * not thread-safe — each owner (e.g. a Fabric) is already serialized
+//     by the engine;
 //   * AddressSanitizer-aware: rewound and not-yet-allocated bytes are
 //     poisoned, so a stale pointer into reset() memory is a hard ASan error
 //     instead of silent reuse (the ASan/UBSan CI jobs exercise this).

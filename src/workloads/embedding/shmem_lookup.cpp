@@ -16,9 +16,7 @@ constexpr double kPoolUsPerElem = 5e-4;  // same host pooling charge as MPI
 
 Result run_shmem(const simnet::Platform& platform, int nranks,
                  const Config& cfg) {
-  runtime::EngineOptions opt;
-  opt.trace = true;
-  runtime::Engine eng(platform, nranks, opt);
+  runtime::Engine eng(platform, nranks);
   const ZipfGen zipf(cfg.rows, cfg.zipf_s);
   const std::uint64_t qpr = cfg.queries_per_rank;
 

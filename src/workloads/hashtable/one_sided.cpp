@@ -16,9 +16,7 @@ Result run_one_sided(const simnet::Platform& platform, int nranks,
   // Size the overflow heap for the exact worst-case occupancy of the insert
   // stream (grow-only; placement and traffic of fitting runs are unchanged).
   const Config cfg = with_sized_overflow(cfg0, nranks);
-  runtime::EngineOptions opt;
-  opt.trace = true;
-  runtime::Engine eng(platform, nranks, opt);
+  runtime::Engine eng(platform, nranks);
   bool exhausted = false;
 
   const std::uint64_t n_local = inserts_per_rank(cfg, nranks);

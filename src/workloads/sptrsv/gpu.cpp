@@ -12,9 +12,7 @@ namespace mrl::workloads::sptrsv {
 
 Result run_shmem_gpu(const simnet::Platform& platform, int nranks,
                      const SupernodalMatrix& L, const Config& cfg) {
-  runtime::EngineOptions opt;
-  opt.trace = true;
-  runtime::Engine eng(platform, nranks, opt);
+  runtime::Engine eng(platform, nranks);
 
   const std::vector<double> b = L.make_rhs(cfg.rhs_seed);
   const std::vector<double> ref =

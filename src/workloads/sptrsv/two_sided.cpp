@@ -15,9 +15,7 @@ constexpr int kTagLsum = 1;
 
 Result run_two_sided(const simnet::Platform& platform, int nranks,
                      const SupernodalMatrix& L, const Config& cfg) {
-  runtime::EngineOptions opt;
-  opt.trace = true;
-  runtime::Engine eng(platform, nranks, opt);
+  runtime::Engine eng(platform, nranks);
 
   const std::vector<double> b = L.make_rhs(cfg.rhs_seed);
   const std::vector<double> ref =

@@ -21,9 +21,7 @@ constexpr double kStageOverheadUs = 8.0;  // cudaMemcpy + stream sync
 Result run_host_staged_gpu(const simnet::Platform& platform, int nranks,
                            const Config& cfg) {
   MRL_CHECK_MSG(platform.is_gpu(), "host staging needs a GPU platform");
-  runtime::EngineOptions opt;
-  opt.trace = true;
-  runtime::Engine eng(platform, nranks, opt);
+  runtime::Engine eng(platform, nranks);
 
   const std::vector<double> reference =
       cfg.verify ? serial_reference(cfg) : std::vector<double>{};

@@ -9,9 +9,7 @@ namespace mrl::workloads::stencil {
 
 Result run_two_sided(const simnet::Platform& platform, int nranks,
                      const Config& cfg) {
-  runtime::EngineOptions opt;
-  opt.trace = true;
-  runtime::Engine eng(platform, nranks, opt);
+  runtime::Engine eng(platform, nranks);
 
   const std::vector<double> reference =
       cfg.verify ? serial_reference(cfg) : std::vector<double>{};

@@ -4,14 +4,20 @@
 // configurations, and trace export round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "core/fit.hpp"
 #include "core/sweep.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/win.hpp"
+#include "shmem/shmem.hpp"
 #include "simnet/platform.hpp"
 #include "simnet/trace_export.hpp"
 #include "util/units.hpp"
@@ -449,6 +455,200 @@ TEST(TraceExport, WorkloadTraceExportsEndToEnd) {
   std::ostringstream os;
   simnet::export_trace_chrome(eng.trace(), os);
   EXPECT_GT(os.str().size(), 50u);
+}
+
+// ---------------------------------------------------------------------------
+// Online trace summaries
+// ---------------------------------------------------------------------------
+
+// Reference summarizer over stored records: one pass in recorded order, with
+// distinct (sender, epoch) pairs counted by sort+unique, so it needs no
+// assumption about epoch order. Trace's online folds must match it bitwise.
+template <typename Pred>
+simnet::TraceSummary reference_summary(const simnet::RecordStore& records,
+                                       Pred pred) {
+  simnet::TraceSummary s;
+  std::vector<std::pair<std::int32_t, std::uint64_t>> epochs;
+  double first_issue = 0;
+  double last_arrival = 0;
+  double lat_sum = 0;
+  for (const simnet::MsgRecord& r : records) {
+    if (!pred(r)) continue;
+    if (s.num_msgs == 0) {
+      first_issue = r.t_issue;
+      last_arrival = r.t_arrival;
+      s.min_msg_bytes = static_cast<double>(r.bytes);
+      s.max_msg_bytes = s.min_msg_bytes;
+    }
+    ++s.num_msgs;
+    s.total_bytes += static_cast<double>(r.bytes);
+    lat_sum += r.t_arrival - r.t_issue;
+    first_issue = std::min(first_issue, r.t_issue);
+    last_arrival = std::max(last_arrival, r.t_arrival);
+    s.min_msg_bytes = std::min(s.min_msg_bytes, static_cast<double>(r.bytes));
+    s.max_msg_bytes = std::max(s.max_msg_bytes, static_cast<double>(r.bytes));
+    s.total_drops += static_cast<std::uint64_t>(r.drops);
+    epochs.emplace_back(r.src_rank, r.epoch);
+  }
+  if (s.num_msgs == 0) return s;
+  std::sort(epochs.begin(), epochs.end());
+  s.num_epochs = static_cast<std::uint64_t>(
+      std::unique(epochs.begin(), epochs.end()) - epochs.begin());
+  s.avg_msg_bytes = s.total_bytes / static_cast<double>(s.num_msgs);
+  s.avg_msgs_per_sync =
+      static_cast<double>(s.num_msgs) / static_cast<double>(s.num_epochs);
+  s.avg_latency_us = lat_sum / static_cast<double>(s.num_msgs);
+  s.span_us = last_arrival - first_issue;
+  s.sustained_gbs =
+      s.span_us > 0 ? bytes_per_us_to_gbs(s.total_bytes, s.span_us) : 0.0;
+  return s;
+}
+
+void expect_bitwise_equal(const simnet::TraceSummary& a,
+                          const simnet::TraceSummary& b,
+                          const std::string& what) {
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  EXPECT_EQ(a.num_msgs, b.num_msgs) << what;
+  EXPECT_EQ(a.num_epochs, b.num_epochs) << what;
+  EXPECT_EQ(bits(a.total_bytes), bits(b.total_bytes)) << what;
+  EXPECT_EQ(bits(a.avg_msg_bytes), bits(b.avg_msg_bytes)) << what;
+  EXPECT_EQ(bits(a.avg_msgs_per_sync), bits(b.avg_msgs_per_sync)) << what;
+  EXPECT_EQ(bits(a.avg_latency_us), bits(b.avg_latency_us)) << what;
+  EXPECT_EQ(bits(a.min_msg_bytes), bits(b.min_msg_bytes)) << what;
+  EXPECT_EQ(bits(a.max_msg_bytes), bits(b.max_msg_bytes)) << what;
+  EXPECT_EQ(bits(a.span_us), bits(b.span_us)) << what;
+  EXPECT_EQ(bits(a.sustained_gbs), bits(b.sustained_gbs)) << what;
+  EXPECT_EQ(a.total_drops, b.total_drops) << what;
+}
+
+// Every summary of `tr`: index k is OpKind k, the last entry all kinds.
+std::vector<simnet::TraceSummary> all_summaries(const simnet::Trace& tr) {
+  std::vector<simnet::TraceSummary> out;
+  for (std::size_t k = 0; k < simnet::kNumOpKinds; ++k) {
+    out.push_back(tr.summarize(static_cast<simnet::OpKind>(k)));
+  }
+  out.push_back(tr.summarize());
+  return out;
+}
+
+void expect_matches_reference(const simnet::Trace& tr) {
+  const std::vector<simnet::TraceSummary> online = all_summaries(tr);
+  for (std::size_t k = 0; k < simnet::kNumOpKinds; ++k) {
+    const auto kind = static_cast<simnet::OpKind>(k);
+    expect_bitwise_equal(
+        online[k],
+        reference_summary(tr.records(),
+                          [kind](const simnet::MsgRecord& r) {
+                            return r.kind == kind;
+                          }),
+        simnet::to_string(kind));
+  }
+  expect_bitwise_equal(
+      online.back(),
+      reference_summary(tr.records(), [](const simnet::MsgRecord&) {
+        return true;
+      }),
+      "all kinds");
+}
+
+// Three rounds of two-sided ring exchange plus fenced put/get/CAS epochs.
+void mixed_mpi(mpi::Comm& c) {
+  const int next = (c.rank() + 1) % c.size();
+  const int prev = (c.rank() + c.size() - 1) % c.size();
+  std::vector<double> in(64);
+  std::vector<double> out(64, 1.0 + c.rank());
+  std::vector<std::uint64_t> window(64, 0);
+  mpi::WinHandle win =
+      c.create_win(window.data(), window.size() * sizeof(std::uint64_t));
+  win.fence();
+  for (int round = 0; round < 3; ++round) {
+    const std::uint64_t bytes = 8u << (round + c.rank());
+    std::array<mpi::Request, 2> reqs = {
+        c.irecv(in.data(), 8u << (round + prev), prev, round),
+        c.isend(out.data(), bytes, next, round)};
+    c.waitall(reqs);
+    win.put(out.data(), bytes, next, 0);
+    win.put(out.data(), 16, prev, 256);
+    win.fence();
+    std::uint64_t got = 0;
+    win.get(&got, sizeof(got), prev, 8);
+    win.compare_and_swap(0, static_cast<std::uint64_t>(c.rank()) + 1, 0, 480);
+    win.fence();
+  }
+}
+
+// Three rounds of put-with-signal to the next PE plus atomics on PE 0.
+void mixed_shmem(shmem::Ctx& s) {
+  const int next = (s.pe() + 1) % s.n_pes();
+  auto data = s.allocate<double>(64);
+  auto aux = s.allocate<double>(2);
+  auto sig = s.allocate<std::uint64_t>(1);
+  auto counter = s.allocate<std::uint64_t>(1);
+  std::vector<double> src(64, 0.5 * s.pe());
+  s.barrier_all();
+  for (std::uint64_t round = 1; round <= 3; ++round) {
+    s.put_signal_nbi(data, src.data(), 4u << s.pe(), sig, round, next);
+    s.put_nbi(aux, src.data(), 2, next);
+    s.wait_until(sig, round);
+    s.atomic_fetch_add(counter, 1, 0);
+    s.atomic_compare_swap(counter, 0, 7, 0);
+    s.quiet();
+    s.barrier_all();
+  }
+}
+
+runtime::RunResult run_mixed_shmem(runtime::Engine& eng) {
+  shmem::World::Options wopt;
+  wopt.heap_bytes = 1u << 16;
+  return shmem::World::run(eng, mixed_shmem, wopt);
+}
+
+TEST(TraceSummary, OnlineFoldMatchesSortUniqueReference) {
+  const int nranks = 4;
+  runtime::EngineOptions opt;
+  opt.trace = true;
+  runtime::Engine eng(simnet::Platform::perlmutter_gpu(), nranks, opt);
+
+  ASSERT_TRUE(mpi::World::run(eng, mixed_mpi).ok());
+  const simnet::TraceSummary mpi_all = eng.trace().summarize();
+  EXPECT_GT(eng.trace().summarize(simnet::OpKind::kSend).num_msgs, 0u);
+  EXPECT_GT(eng.trace().summarize(simnet::OpKind::kPut).num_msgs, 0u);
+  EXPECT_GT(eng.trace().summarize(simnet::OpKind::kAtomic).num_msgs, 0u);
+  EXPECT_GT(mpi_all.num_epochs, 2u * nranks);  // several epochs per sender
+  expect_matches_reference(eng.trace());
+
+  ASSERT_TRUE(run_mixed_shmem(eng).ok());
+  const simnet::TraceSummary shmem_all = eng.trace().summarize();
+  EXPECT_GT(eng.trace().summarize(simnet::OpKind::kPutSignal).num_msgs, 0u);
+  EXPECT_GT(eng.trace().summarize(simnet::OpKind::kAtomic).num_msgs, 0u);
+  EXPECT_EQ(eng.trace().summarize(simnet::OpKind::kSend).num_msgs, 0u);
+  EXPECT_GT(shmem_all.num_epochs, 2u * nranks);
+  expect_matches_reference(eng.trace());
+}
+
+TEST(TraceSummary, TraceOffSummariesMatchTraceOn) {
+  // The workload runners read summaries from untraced engines: they must be
+  // the very bits a traced run reports, with no records kept.
+  const auto summaries = [](bool trace) {
+    runtime::EngineOptions opt;
+    opt.trace = trace;
+    runtime::Engine eng(simnet::Platform::perlmutter_gpu(), 4, opt);
+    std::vector<simnet::TraceSummary> out;
+    EXPECT_TRUE(mpi::World::run(eng, mixed_mpi).ok());
+    EXPECT_EQ(eng.trace().records().empty(), !trace);
+    for (const auto& s : all_summaries(eng.trace())) out.push_back(s);
+    EXPECT_TRUE(run_mixed_shmem(eng).ok());
+    EXPECT_EQ(eng.trace().records().empty(), !trace);
+    for (const auto& s : all_summaries(eng.trace())) out.push_back(s);
+    return out;
+  };
+  const std::vector<simnet::TraceSummary> on = summaries(true);
+  const std::vector<simnet::TraceSummary> off = summaries(false);
+  ASSERT_EQ(on.size(), off.size());
+  for (std::size_t i = 0; i < on.size(); ++i) {
+    expect_bitwise_equal(off[i], on[i], "summary " + std::to_string(i));
+  }
+  EXPECT_GT(off.back().num_msgs, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -269,9 +269,16 @@ TEST(Engine, TraceResetsBetweenRuns) {
   };
   ASSERT_TRUE(eng.run(record_one).ok());
   EXPECT_EQ(eng.trace().records().size(), 1u);
-  // A second run starts a fresh trace instead of accumulating.
+  EXPECT_EQ(eng.trace().summarize().num_msgs, 1u);
+  // A second run starts a fresh trace instead of accumulating, and so do
+  // the summaries folded alongside it.
   ASSERT_TRUE(eng.run(record_one).ok());
   EXPECT_EQ(eng.trace().records().size(), 1u);
+  const simnet::TraceSummary s = eng.trace().summarize();
+  EXPECT_EQ(s.num_msgs, 1u);
+  EXPECT_EQ(s.num_epochs, 1u);
+  EXPECT_DOUBLE_EQ(s.total_bytes, 8.0);
+  EXPECT_EQ(eng.trace().summarize(simnet::OpKind::kSend).num_msgs, 1u);
 }
 
 TEST(Engine, RepeatedRunsAreDeterministicWithBlockingWaits) {

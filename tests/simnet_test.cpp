@@ -424,6 +424,48 @@ TEST(Trace, DisabledTraceRecordsNothing) {
   EXPECT_TRUE(tr.records().empty());
 }
 
+TEST(Trace, DisabledTraceStillSummarizes) {
+  Trace tr;
+  tr.record({0, 1, 100, 0.0, 1.0, OpKind::kPut, 0});
+  tr.record({1, 0, 300, 0.5, 2.5, OpKind::kPut, 0});
+  tr.record({0, 1, 8, 1.0, 1.5, OpKind::kSignal, 0});
+  tr.record({0, 1, 200, 3.0, 4.0, OpKind::kPut, 1});
+  EXPECT_TRUE(tr.records().empty());
+  const TraceSummary put = tr.summarize(OpKind::kPut);
+  EXPECT_EQ(put.num_msgs, 3u);
+  EXPECT_EQ(put.num_epochs, 3u);  // (0,0), (1,0), (0,1)
+  EXPECT_DOUBLE_EQ(put.total_bytes, 600.0);
+  EXPECT_DOUBLE_EQ(put.min_msg_bytes, 100.0);
+  EXPECT_DOUBLE_EQ(put.max_msg_bytes, 300.0);
+  EXPECT_DOUBLE_EQ(put.span_us, 4.0);
+  EXPECT_DOUBLE_EQ(put.avg_latency_us, (1.0 + 2.0 + 1.0) / 3.0);
+  EXPECT_EQ(tr.summarize(OpKind::kSignal).num_msgs, 1u);
+  EXPECT_EQ(tr.summarize(OpKind::kSend).num_msgs, 0u);
+  EXPECT_EQ(tr.summarize().num_msgs, 4u);
+  EXPECT_EQ(tr.summarize().num_epochs, 3u);
+  tr.clear();
+  EXPECT_EQ(tr.summarize().num_msgs, 0u);
+  EXPECT_EQ(tr.summarize(OpKind::kPut).num_epochs, 0u);
+}
+
+TEST(Trace, RecordRejectsMissingSender) {
+  Trace tr;
+  EXPECT_DEATH(tr.record(MsgRecord{}), "src_rank >= 0");
+}
+
+TEST(Trace, RecordRejectsSenderEpochGoingBackwards) {
+  Trace tr;
+  tr.record({3, 0, 8, 0.0, 1.0, OpKind::kPut, 2});
+  tr.record({3, 0, 8, 1.0, 2.0, OpKind::kPut, 2});  // same epoch: fine
+  // Another kind from the same sender shares the all-kinds fold.
+  EXPECT_DEATH(tr.record({3, 0, 8, 2.0, 3.0, OpKind::kAtomic, 1}),
+               "epoch went backwards");
+  // clear() starts every sender over.
+  tr.clear();
+  tr.record({3, 0, 8, 0.0, 1.0, OpKind::kPut, 0});
+  EXPECT_EQ(tr.summarize().num_epochs, 1u);
+}
+
 TEST(Trace, RecordStoreSurvivesChunkBoundariesAndClear) {
   // The chunked store must behave exactly like the vector it replaced:
   // indexed reads, in-order iteration, deep copies, and clear()+refill — all
@@ -450,7 +492,7 @@ TEST(Trace, RecordStoreSurvivesChunkBoundariesAndClear) {
   // Copies are deep: mutating the original must not show through.
   RecordStore copy = rs;
   ASSERT_EQ(copy.size(), n);
-  tr.record({5, 6, 7777, 0.0, 1.0, OpKind::kSend, 0});
+  tr.record({5, 6, 7777, 0.0, 1.0, OpKind::kSend, n});
   EXPECT_EQ(copy.size(), n);
   EXPECT_EQ(copy[n - 1].bytes, n - 1);
   // clear() resets the logical size; refilled records land at index 0.
