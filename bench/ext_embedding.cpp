@@ -47,44 +47,19 @@ int main(int argc, char** argv) {
   namespace emb = workloads::embedding;
 
   ExtraOpts eo;
-  bench::ExtraFlags extra;
-  extra.usage =
-      "  --rows N       embedding-table rows (N >= 64; default 4096, "
-      "--full 65536)\n"
-      "  --dim N        floats per row (N >= 1; default 32, --full 64)\n"
-      "  --queries N    queries per rank (N >= 1; default 16, --full 64)\n"
-      "  --seed S       query-stream seed (S >= 0; default 1234)\n";
-  extra.handler = [&eo, &extra](int ac, char** av, int& i) {
-    auto value = [&](const char* flag, std::size_t len) -> const char* {
-      const char* arg = av[i];
-      if (std::strncmp(arg, flag, len) == 0 && arg[len] == '=') {
-        return arg + len + 1;
-      }
-      if (std::strcmp(arg, flag) != 0) return nullptr;
-      if (i + 1 >= ac) {
-        std::fprintf(stderr, "%s: %s requires a value\n", av[0], flag);
-        bench::Args::usage(av[0], stderr, &extra);
-        std::exit(2);
-      }
-      return av[++i];
-    };
-    auto take = [&](const char* flag, std::size_t len, long long min_v,
-                    long long* dst) -> bool {
-      const char* val = value(flag, len);
-      if (val == nullptr) return false;
-      const std::optional<long long> n = parse_cli_int(val, min_v, flag);
-      if (!n) {
-        bench::Args::usage(av[0], stderr, &extra);
-        std::exit(2);
-      }
-      *dst = *n;
-      return true;
-    };
-    return take("--rows", 6, 64, &eo.rows) || take("--dim", 5, 1, &eo.dim) ||
-           take("--queries", 9, 1, &eo.queries) ||
-           take("--seed", 6, 0, &eo.seed);
+  auto opt = [](const char* name, const char* help, long long min,
+                long long* dst) {
+    return util::int_flag(name, help, min, [dst](long long n) { *dst = n; });
   };
-  const auto args = bench::Args::parse(argc, argv, &extra);
+  const auto args = bench::Args::parse(
+      argc, argv,
+      {opt("--rows",
+           "embedding-table rows (N >= 64; default 4096, --full 65536)", 64,
+           &eo.rows),
+       opt("--dim", "floats per row (default 32, --full 64)", 1, &eo.dim),
+       opt("--queries", "queries per rank (default 16, --full 64)", 1,
+           &eo.queries),
+       opt("--seed", "query-stream seed (default 1234)", 0, &eo.seed)});
   bench::banner("ext_embedding — distributed embedding-lookup serving",
                 "extension: DLRM-style serving (QPS vs p99) on the paper's "
                 "one-sided model");

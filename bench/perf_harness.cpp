@@ -41,21 +41,21 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bench/bench_common.hpp"
+#include "core/cli.hpp"
+#include "core/parallel.hpp"
 #include "core/sweep.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/fiber.hpp"
 #include "runtime/metrics.hpp"
 #include "simnet/fault.hpp"
 #include "simnet/platform.hpp"
-#include "util/parse.hpp"
+#include "util/flags.hpp"
 #include "workloads/embedding/embedding.hpp"
 #include "workloads/hashtable/hashtable.hpp"
 #include "workloads/sptrsv/sptrsv.hpp"
@@ -292,17 +292,6 @@ int compare_baseline(const std::string& path,
   return 0;
 }
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--out PATH] [--baseline PATH] [--tolerance PCT] "
-               "[--rss-tolerance PCT] [--jobs N] "
-               "[--scheduler heap|linear] [--stack-pool on|off] "
-               "[--stack-pool-slab-mb N] [--skip-1m | --only-1m] "
-               "[--skip-embedding | --only-embedding]\n",
-               argv0);
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -316,71 +305,45 @@ int main(int argc, char** argv) {
   bool skip_embedding = false;
   bool only_embedding = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s requires a value\n", argv[0], flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(arg, "--out") == 0) {
-      out_path = value("--out");
-    } else if (std::strcmp(arg, "--baseline") == 0) {
-      baseline_path = value("--baseline");
-    } else if (std::strcmp(arg, "--tolerance") == 0) {
-      const auto v = parse_f64(value("--tolerance"));
-      if (!v || *v < 0) return usage(argv[0]);
-      tol_pct = *v;
-    } else if (std::strcmp(arg, "--rss-tolerance") == 0) {
-      const auto v = parse_f64(value("--rss-tolerance"));
-      if (!v || *v < 0) return usage(argv[0]);
-      rss_tol_pct = *v;
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      const auto v = parse_cli_int(value("--jobs"), 1, "--jobs");
-      if (!v) return usage(argv[0]);
-      jobs = static_cast<int>(*v);
-    } else if (std::strcmp(arg, "--scheduler") == 0) {
-      const char* v = value("--scheduler");
-      if (std::strcmp(v, "linear") == 0) {
-        runtime::set_default_scheduler(runtime::SchedulerKind::kLinearScan);
-      } else if (std::strcmp(v, "heap") == 0) {
-        runtime::set_default_scheduler(runtime::SchedulerKind::kIndexedHeap);
-      } else {
-        return usage(argv[0]);
-      }
-    } else if (std::strcmp(arg, "--stack-pool") == 0) {
-      const char* v = value("--stack-pool");
-      if (std::strcmp(v, "on") == 0) {
-        runtime::set_default_stack_pool(true);
-      } else if (std::strcmp(v, "off") == 0) {
-        runtime::set_default_stack_pool(false);
-      } else {
-        return usage(argv[0]);
-      }
-    } else if (std::strcmp(arg, "--stack-pool-slab-mb") == 0) {
-      const auto v =
-          parse_cli_int(value("--stack-pool-slab-mb"), 1, "--stack-pool-slab-mb");
-      if (!v) return usage(argv[0]);
-      runtime::set_stack_pool_slab_bytes(static_cast<std::size_t>(*v) << 20);
-    } else if (std::strcmp(arg, "--skip-1m") == 0) {
-      skip_1m = true;
-    } else if (std::strcmp(arg, "--only-1m") == 0) {
-      only_1m = true;
-    } else if (std::strcmp(arg, "--skip-embedding") == 0) {
-      skip_embedding = true;
-    } else if (std::strcmp(arg, "--only-embedding") == 0) {
-      only_embedding = true;
-    } else {
-      return usage(argv[0]);
-    }
+  util::FlagSet fs;
+  auto set = [](bool* b) { return [b] { *b = true; }; };
+  auto path = [](std::string* dst) {
+    return [dst](const std::string& p) { *dst = p; };
+  };
+  fs.add(util::path_flag("--out", "result JSON (default BENCH_engine.json)",
+                         path(&out_path)));
+  fs.add(util::path_flag("--baseline", "compare against this committed JSON",
+                         path(&baseline_path)));
+  fs.add(util::real_flag("--tolerance", "PCT",
+                         "allowed ops/s regression vs --baseline (default 25)",
+                         0, [&tol_pct](double v) { tol_pct = v; }));
+  fs.add(util::real_flag("--rss-tolerance", "PCT",
+                         "allowed RSS regression vs --baseline (default 25)",
+                         0, [&rss_tol_pct](double v) { rss_tol_pct = v; }));
+  fs.add(cli::jobs_flag(&jobs));
+  fs.add(cli::scheduler_flag());
+  fs.add(cli::stack_pool_flag());
+  fs.add(cli::stack_pool_slab_mb_flag());
+  fs.add(util::switch_flag("--skip-1m", "omit the stencil_1m section",
+                           set(&skip_1m)));
+  fs.add(util::switch_flag("--only-1m", "run only the stencil_1m section",
+                           set(&only_1m)));
+  fs.add(util::switch_flag("--skip-embedding", "omit the embedding section",
+                           set(&skip_embedding)));
+  fs.add(util::switch_flag("--only-embedding",
+                           "run only the embedding section",
+                           set(&only_embedding)));
+  const std::vector<std::string> rest = fs.parse(argc, argv);
+  if (!rest.empty()) fs.fail("unrecognized argument '" + rest.front() + "'");
+  if (skip_1m && only_1m) fs.fail("--skip-1m contradicts --only-1m");
+  if (skip_embedding && only_embedding) {
+    fs.fail("--skip-embedding contradicts --only-embedding");
   }
-  if (skip_1m && only_1m) return usage(argv[0]);
-  if (skip_embedding && only_embedding) return usage(argv[0]);
   // The two --only modes are each "run exactly this section": combining
   // them would run nothing, so reject the contradiction up front.
-  if (only_1m && only_embedding) return usage(argv[0]);
+  if (only_1m && only_embedding) {
+    fs.fail("--only-1m contradicts --only-embedding");
+  }
   if (only_embedding) skip_1m = true;
   if (only_1m) skip_embedding = true;
   const bool core_sections = !only_1m && !only_embedding;

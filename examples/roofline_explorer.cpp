@@ -3,58 +3,59 @@
 // and a bound lookup for your application's (message size, msg/sync) point.
 //
 // Usage: ./examples/roofline_explorer [platform] [runtime] [bytes] [msgsync]
-//   platform: perlmutter-cpu | frontier-cpu | summit-cpu |
-//             perlmutter-gpu | summit-gpu
-//   runtime:  two-sided | one-sided | shmem
+//   platform, runtime: a name from msgroof_cli's table (core/cli.hpp);
+//   defaults perlmutter-cpu, and shmem on GPU platforms, two-sided on CPU
+//   bytes > 0 (default 4096), msgsync >= 1 (default 4)
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "core/cli.hpp"
 #include "core/fit.hpp"
 #include "core/model.hpp"
 #include "core/report.hpp"
 #include "core/sweep.hpp"
 #include "simnet/platform.hpp"
+#include "util/flags.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
-namespace {
-
-mrl::simnet::Platform pick_platform(const std::string& name) {
-  using mrl::simnet::Platform;
-  if (name == "perlmutter-cpu") return Platform::perlmutter_cpu();
-  if (name == "frontier-cpu") return Platform::frontier_cpu();
-  if (name == "summit-cpu") return Platform::summit_cpu();
-  if (name == "perlmutter-gpu") return Platform::perlmutter_gpu();
-  if (name == "summit-gpu") return Platform::summit_gpu();
-  std::fprintf(stderr, "unknown platform '%s'\n", name.c_str());
-  std::exit(1);
-}
-
-mrl::core::SweepKind pick_runtime(const std::string& name) {
-  using mrl::core::SweepKind;
-  if (name == "two-sided") return SweepKind::kTwoSided;
-  if (name == "one-sided") return SweepKind::kOneSidedMpi;
-  if (name == "shmem") return SweepKind::kShmemPutSignal;
-  std::fprintf(stderr, "unknown runtime '%s'\n", name.c_str());
-  std::exit(1);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace mrl;
-  const std::string plat_name = argc > 1 ? argv[1] : "perlmutter-cpu";
+  util::FlagSet fs(
+      "[platform] [runtime] [bytes] [msgsync]",
+      "platforms: " + cli::platform_names() +
+          "\nruntimes: " + cli::runtime_names() +
+          "\nbytes > 0 (default 4096), msgsync >= 1 (default 4)\n");
+  const std::vector<std::string> pos = fs.parse(argc, argv);
+  if (pos.size() > 4) fs.fail("unexpected argument '" + pos[4] + "'");
+  const std::string plat_name = pos.size() > 0 ? pos[0] : "perlmutter-cpu";
+  const bool gpu = plat_name.find("gpu") != std::string::npos;
   const std::string rt_name =
-      argc > 2 ? argv[2] : (plat_name.find("gpu") != std::string::npos
-                                ? "shmem"
-                                : "two-sided");
-  const double bytes = argc > 3 ? std::atof(argv[3]) : 4096.0;
-  const double msync = argc > 4 ? std::atof(argv[4]) : 4.0;
+      pos.size() > 1 ? pos[1] : (gpu ? "shmem" : "two-sided");
+  auto number = [&pos](std::size_t i, double fallback) {
+    return i < pos.size() ? parse_f64(pos[i]) : std::optional<double>(fallback);
+  };
+  const std::optional<double> bytes_arg = number(2, 4096.0);
+  if (!bytes_arg || *bytes_arg <= 0) {
+    fs.fail("invalid bytes '" + pos[2] + "' (need a number > 0)");
+  }
+  const std::optional<double> msync_arg = number(3, 4.0);
+  if (!msync_arg || *msync_arg < 1) {
+    fs.fail("invalid msgs/sync '" + pos[3] + "' (need a number >= 1)");
+  }
+  const double bytes = *bytes_arg;
+  const double msync = *msync_arg;
 
-  const simnet::Platform plat = pick_platform(plat_name);
-  const core::SweepKind kind = pick_runtime(rt_name);
+  Result<simnet::Platform> found = cli::platform_by_name(plat_name);
+  if (!found.is_ok()) fs.fail(found.status().message());
+  const simnet::Platform plat = std::move(found).value();
+  const Result<core::SweepKind> kind_r = cli::sweep_kind_by_name(rt_name);
+  if (!kind_r.is_ok()) fs.fail(kind_r.status().message());
+  const core::SweepKind kind = kind_r.value();
 
   std::printf("calibrating %s / %s (running sweeps on the simulated fabric)"
               "...\n\n", plat.name().c_str(), core::to_string(kind).c_str());

@@ -217,9 +217,10 @@ void set_default_metrics(bool on) {
 }
 
 MetricsRegistry& MetricsRegistry::instance() {
-  // Intentionally leaked: atexit-registered dumpers (bench --metrics) may
-  // run after function-local statics are destroyed, so the registry must
-  // never be torn down.
+  // Intentionally leaked: the --metrics publish seam (core/cli.cpp) writes
+  // the aggregate from an atexit handler registered at flag-parse time,
+  // which runs after function-local statics constructed later are
+  // destroyed, so the registry must never be torn down.
   static MetricsRegistry* reg = new MetricsRegistry;
   return *reg;
 }

@@ -50,14 +50,23 @@ std::optional<double> parse_f64(std::string_view s) {
   return v;
 }
 
-std::optional<long long> parse_cli_int(const char* s, long long min,
-                                       const char* what) {
-  const auto v = s != nullptr ? parse_i64(s) : std::nullopt;
+std::optional<long long> parse_min_int(std::string_view s, long long min,
+                                       std::string_view what,
+                                       std::string* error) {
+  const auto v = parse_i64(s);
   if (!v || *v < min) {
-    std::fprintf(stderr, "invalid %s '%s' (need an integer >= %lld)\n", what,
-                 s != nullptr ? s : "", min);
+    *error = "invalid " + std::string(what) + " '" + std::string(s) +
+             "' (need an integer >= " + std::to_string(min) + ")";
     return std::nullopt;
   }
+  return v;
+}
+
+std::optional<long long> parse_cli_int(const char* s, long long min,
+                                       const char* what) {
+  std::string error;
+  const auto v = parse_min_int(s != nullptr ? s : "", min, what, &error);
+  if (!v) std::fprintf(stderr, "%s\n", error.c_str());
   return v;
 }
 

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
 
 namespace mrl {
@@ -21,6 +22,13 @@ namespace mrl {
 
 /// Finite floating-point number (rejects "nan"/"inf" and trailing junk).
 [[nodiscard]] std::optional<double> parse_f64(std::string_view s);
+
+/// Parses `s` as an integer >= `min`. On failure returns nullopt and sets
+/// `*error` to "invalid <what> '<s>' (need an integer >= <min>)".
+[[nodiscard]] std::optional<long long> parse_min_int(std::string_view s,
+                                                     long long min,
+                                                     std::string_view what,
+                                                     std::string* error);
 
 /// CLI convenience: parses `s` as an integer >= `min`, printing
 /// "invalid <what> '<s>' ..." to stderr on failure. Callers just need

@@ -11,6 +11,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -395,6 +397,31 @@ TEST(FlagParsing, GarbageIsRejectedWithRc2) {
               "--check-report requires a path");
   EXPECT_EXIT(parse_flags({"--check-report="}), ::testing::ExitedWithCode(2),
               "--check-report requires a non-empty path");
+}
+
+// --- the publish seam -------------------------------------------------------
+
+TEST(PublishSeam, RepeatedDumpFlagRegistersAndPrintsOnce) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // The death-test child re-runs this body, so the paths must not depend
+  // on the process.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "msgroof_publish_seam";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string first = (dir / "first.csv").string();
+  const std::string last = (dir / "last.csv").string();
+  // One atexit registration however many dump flags are given: the exit
+  // writes the last path once and prints exactly one notice.
+  EXPECT_EXIT(
+      {
+        parse_flags({"--metrics", first, "--metrics", last});
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "^\\[metrics\\] " + last + "\n$");
+  EXPECT_TRUE(std::filesystem::exists(last));
+  EXPECT_FALSE(std::filesystem::exists(first));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

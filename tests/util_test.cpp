@@ -1,14 +1,23 @@
-// util: stats, rng, units, table, csv, histogram.
+// util: stats, rng, units, table, csv, histogram, flags.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include <unistd.h>
+
+#include "core/cli.hpp"
 #include "util/arena.hpp"
 #include "util/csv.hpp"
+#include "util/flags.hpp"
 #include "util/histogram.hpp"
 #include "util/indexed_heap.hpp"
 #include "util/pair_map.hpp"
@@ -502,6 +511,154 @@ TEST(PairMap, HashModeReferencesSurviveGrowth) {
     EXPECT_EQ(*addrs[static_cast<std::size_t>(i)],
               1000u + static_cast<std::uint64_t>(i))
         << i;
+  }
+}
+
+// --- FlagSet -----------------------------------------------------------------
+
+/// Every value kind, registered on one table.
+struct ToyFlags {
+  bool verbose = false;
+  long long count = 0;
+  std::string out;
+  std::string mode;
+  double rate = 0;
+  util::FlagSet fs;
+
+  ToyFlags() {
+    fs.add(util::switch_flag("--verbose", "talk more",
+                             [this] { verbose = true; }));
+    fs.add(util::int_flag("--count", "how many", 1,
+                          [this](long long n) { count = n; }));
+    fs.add(util::path_flag("--out", "where",
+                           [this](const std::string& p) { out = p; }));
+    fs.add(util::choice_flag("--mode", "M", "which", {"a", "b"},
+                             [this](const std::string& m) { mode = m; }));
+    fs.add(util::real_flag("--rate", "R", "how fast", 0,
+                           [this](double r) { rate = r; }));
+  }
+
+  std::vector<std::string> parse(std::vector<std::string> args) {
+    std::vector<char*> argv{const_cast<char*>("prog")};
+    for (std::string& a : args) argv.push_back(a.data());
+    return fs.parse(static_cast<int>(argv.size()), argv.data());
+  }
+};
+
+TEST(FlagSet, SpaceAndEqualsSpellingsParseAlike) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--count", "7"}, {"--out", "a.csv"}, {"--mode", "b"}, {"--rate", "2.5"}};
+  for (const auto& [flag, value] : cases) {
+    ToyFlags spaced, joined;
+    EXPECT_TRUE(spaced.parse({flag, value}).empty());
+    EXPECT_TRUE(joined.parse({flag + "=" + value}).empty());
+    EXPECT_EQ(spaced.count, joined.count) << flag;
+    EXPECT_EQ(spaced.out, joined.out) << flag;
+    EXPECT_EQ(spaced.mode, joined.mode) << flag;
+    EXPECT_EQ(spaced.rate, joined.rate) << flag;
+  }
+  ToyFlags t;
+  t.parse({"--count=7", "--out", "a.csv", "--mode=b", "--rate", "2.5",
+           "--verbose"});
+  EXPECT_EQ(t.count, 7);
+  EXPECT_EQ(t.out, "a.csv");
+  EXPECT_EQ(t.mode, "b");
+  EXPECT_EQ(t.rate, 2.5);
+  EXPECT_TRUE(t.verbose);
+}
+
+TEST(FlagSet, UsageErrorsExitWithRc2AndNameTheFlag) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"--count"}, "prog: --count requires a value"},
+      {{"--out"}, "prog: --out requires a path"},
+      {{"--out="}, "prog: --out requires a non-empty path"},
+      {{"--out", ""}, "prog: --out requires a non-empty path"},
+      {{"--count", "0"}, "prog: invalid --count value '0'"},
+      {{"--count=x"}, "prog: invalid --count value 'x'"},
+      {{"--mode", "c"},
+       "prog: invalid --mode value 'c' \\(expected 'a' or 'b'\\)"},
+      {{"--rate=-1"}, "prog: invalid --rate value '-1'"},
+      {{"--verbose=1"}, "prog: --verbose takes no value"},
+      {{"--frobnicate"}, "prog: unrecognized argument '--frobnicate'"},
+      {{"x", "--frob=1"}, "prog: unrecognized argument '--frob=1'"},
+  };
+  for (const auto& [args, diagnostic] : cases) {
+    EXPECT_EXIT(ToyFlags().parse(args), ::testing::ExitedWithCode(2),
+                diagnostic + ".*usage: prog \\[flags\\]")
+        << args.front();
+  }
+}
+
+TEST(FlagSet, HelpPrintsUsageToStdoutAndExits0) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* help : {"--help", "-h"}) {
+    // Point stdout at the captured stderr and silence stderr itself, so only
+    // what reaches stdout can match.
+    EXPECT_EXIT(
+        {
+          ::dup2(2, 1);
+          if (std::freopen("/dev/null", "w", stderr) == nullptr) std::abort();
+          ToyFlags().parse({"--count", "3", help, "--frobnicate"});
+        },
+        ::testing::ExitedWithCode(0), "usage: prog \\[flags\\]\n");
+  }
+}
+
+TEST(FlagSet, PositionalsKeepTheirOrderAroundFlags) {
+  ToyFlags t;
+  const std::vector<std::string> pos = t.parse(
+      {"a", "--count", "3", "b", "--verbose", "c", "--out", "-x", "-", "d"});
+  EXPECT_EQ(pos, (std::vector<std::string>{"a", "b", "c", "-", "d"}));
+  EXPECT_EQ(t.count, 3);
+  EXPECT_EQ(t.out, "-x");  // a value is taken whole, even with a leading '-'
+  EXPECT_TRUE(t.verbose);
+}
+
+/// How many usage lines start with `name` as their first word.
+int usage_lines_for(const util::FlagSet& fs, const std::string& name) {
+  std::FILE* f = std::tmpfile();
+  fs.usage(f);
+  std::rewind(f);
+  std::string text;
+  for (int ch = std::fgetc(f); ch != EOF; ch = std::fgetc(f)) {
+    text.push_back(static_cast<char>(ch));
+  }
+  std::fclose(f);
+  int n = 0;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream words(line);
+    std::string first;
+    words >> first;
+    n += first == name ? 1 : 0;
+  }
+  return n;
+}
+
+TEST(FlagSet, UsageListsEveryRegisteredFlagOnce) {
+  ToyFlags t;
+  for (const char* name :
+       {"--verbose", "--count", "--out", "--mode", "--rate"}) {
+    EXPECT_EQ(usage_lines_for(t.fs, name), 1) << name;
+  }
+  // The shared flags all fit in one table (add() rejects a duplicate name).
+  util::FlagSet shared;
+  int jobs = 0;
+  std::uint64_t seed = 0;
+  shared.add(cli::jobs_flag(&jobs));
+  shared.add(cli::scheduler_flag());
+  shared.add(cli::fault_seed_flag(&seed));
+  shared.add(cli::stack_bytes_flag());
+  shared.add(cli::stack_pool_flag());
+  shared.add(cli::stack_pool_slab_mb_flag());
+  cli::add_observer_flags(shared, /*link_summary=*/false);
+  for (const char* name :
+       {"--jobs", "--scheduler", "--fault-seed", "--stack-bytes",
+        "--stack-pool", "--stack-pool-slab-mb", "--metrics", "--check",
+        "--check-history", "--check-report", "--trace", "--trace-format",
+        "--trace-ranks", "--profile"}) {
+    EXPECT_EQ(usage_lines_for(shared, name), 1) << name;
   }
 }
 
