@@ -6,6 +6,7 @@
 #include "shmem/shmem.hpp"
 #include "util/status.hpp"
 #include "util/units.hpp"
+#include "util/zero_bytes.hpp"
 
 namespace mrl::core {
 
@@ -39,7 +40,7 @@ std::vector<SplitPoint> run_split_sweep(const simnet::Platform& platform,
             auto data = s.allocate<std::byte>(volume);
             auto sig = s.allocate<std::uint64_t>(
                 static_cast<std::uint64_t>(ways));
-            std::vector<std::byte> origin(chunk);
+            util::ZeroBytes origin(s.pe() == cfg.sender ? chunk : 0);
             s.barrier_all();
             const double t0 = s.now();
             if (s.pe() == cfg.sender) {

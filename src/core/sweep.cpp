@@ -13,6 +13,7 @@
 #include "shmem/shmem.hpp"
 #include "util/status.hpp"
 #include "util/units.hpp"
+#include "util/zero_bytes.hpp"
 
 namespace mrl::core {
 
@@ -47,7 +48,9 @@ Result<double> run_two_sided_point(runtime::Engine& eng, const SweepConfig& cfg,
   double elapsed = 0;
   const auto res = mpi::World::run(eng, [&](mpi::Comm& c) {
     c.world().capture_payloads = false;  // timing-only transfers
-    std::vector<std::byte> buf(bytes * slots);
+    // Sized by role: ranks that neither send nor receive hold no buffer.
+    const bool talks = c.rank() == cfg.sender || c.rank() == cfg.receiver;
+    util::ZeroBytes buf(talks ? bytes * slots : 0);
     std::byte ack{};
     c.barrier();
     const double t0 = c.now();
@@ -87,8 +90,10 @@ Result<double> run_one_sided_point(runtime::Engine& eng, const SweepConfig& cfg,
   double elapsed = 0;
   const auto res = mpi::World::run(eng, [&](mpi::Comm& c) {
     c.world().capture_payloads = false;  // timing-only transfers
-    std::vector<std::byte> exposure(bytes * slots);
-    std::vector<std::byte> origin(bytes * slots);
+    // Sized by role: the sender needs only an origin buffer, the receiver
+    // only an exposure; every other rank exposes an empty window.
+    util::ZeroBytes exposure(c.rank() == cfg.receiver ? bytes * slots : 0);
+    util::ZeroBytes origin(c.rank() == cfg.sender ? bytes * slots : 0);
     mpi::WinHandle win = c.create_win(exposure.data(), exposure.size());
     c.barrier();
     const double t0 = c.now();
@@ -121,7 +126,7 @@ Result<double> run_shmem_point(runtime::Engine& eng, const SweepConfig& cfg,
       [&](shmem::Ctx& s) {
         auto data = s.allocate<std::byte>(bytes * slots);
         auto sig = s.allocate<std::uint64_t>(slots);
-        std::vector<std::byte> origin(bytes);
+        util::ZeroBytes origin(s.pe() == cfg.sender ? bytes : 0);
         s.barrier_all();
         const double t0 = s.now();
         if (s.pe() == cfg.sender) {

@@ -11,8 +11,8 @@ namespace mrl::shmem {
 
 World::World(runtime::Engine& engine, Options opt)
     : engine_(engine), opt_(opt), npes_(engine.nranks()) {
-  heap_.resize(static_cast<std::size_t>(npes_));
-  for (auto& h : heap_) h.assign(opt_.heap_bytes, std::byte{0});
+  heap_.reserve(static_cast<std::size_t>(npes_));
+  for (int pe = 0; pe < npes_; ++pe) heap_.emplace_back(opt_.heap_bytes);
   pending_.resize(static_cast<std::size_t>(npes_));
   delivery_pushes_.resize(static_cast<std::size_t>(npes_), 0);
   outstanding_.resize(static_cast<std::size_t>(npes_));

@@ -18,6 +18,7 @@
 #include "simnet/loggp.hpp"
 #include "simnet/trace.hpp"
 #include "util/pair_map.hpp"
+#include "util/zero_bytes.hpp"
 
 namespace mrl::shmem {
 
@@ -96,7 +97,7 @@ class World {
   runtime::Engine& engine_;
   Options opt_;
   int npes_;
-  std::vector<std::vector<std::byte>> heap_;        // per PE arena
+  std::vector<util::ZeroBytes> heap_;               // per PE arena
   std::uint64_t heap_used_ = 0;                     // symmetric bump pointer
   // Allocation log: the k-th collective allocate() on every PE must return
   // the same offset; entries are (bytes, offset).

@@ -2,8 +2,14 @@
 // waits, quiet, atomics, and the paper's GPU CAS latency calibration.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 #include <vector>
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
 
 #include "shmem/shmem.hpp"
 #include "simnet/platform.hpp"
@@ -325,6 +331,126 @@ TEST(Shmem, HeapExhaustionAborts) {
       },
       "heap exhausted");
 }
+
+TEST(Shmem, ZeroByteHeapRunsCollectives) {
+  Engine eng(simnet::Platform::perlmutter_gpu(), 2);
+  World::Options opt;
+  opt.heap_bytes = 0;
+  const auto r = World::run(
+      eng,
+      [](Ctx& s) {
+        EXPECT_DOUBLE_EQ(s.sum_all(1.0), 2.0);
+        s.barrier_all();
+      },
+      opt);
+  ASSERT_TRUE(r.ok()) << r.status.to_string();
+}
+
+TEST(Shmem, GetNearEndOfUntouchedHeapReadsZeros) {
+  Engine eng(simnet::Platform::perlmutter_gpu(), 2);
+  const World::Options opt;  // the default 64 MiB heap
+  const std::uint64_t n = opt.heap_bytes / sizeof(std::uint64_t);
+  const auto r = World::run(
+      eng,
+      [n](Ctx& s) {
+        auto all = s.allocate<std::uint64_t>(n);
+        s.barrier_all();
+        if (s.pe() == 0) {
+          std::uint64_t got[4] = {1, 1, 1, 1};
+          s.get(got, all.at(n - 4), 4, 1);
+          for (std::uint64_t v : got) EXPECT_EQ(v, 0u);
+        }
+        s.barrier_all();
+      },
+      opt);
+  ASSERT_TRUE(r.ok()) << r.status.to_string();
+}
+
+TEST(Shmem, SecondRunOnSameEngineStartsFromZeroedHeap) {
+  // Each World owns fresh zero memory: a later run must never see what an
+  // earlier run on the same engine wrote (locally or by a put).
+  Engine eng(simnet::Platform::perlmutter_gpu(), 2);
+  World::Options opt;
+  opt.heap_bytes = 64 << 10;  // small enough to come from reused heap chunks
+  constexpr std::uint64_t kWords = 1024;
+  const auto first = World::run(
+      eng,
+      [](Ctx& s) {
+        auto data = s.allocate<std::uint64_t>(kWords);
+        std::uint64_t* d = s.local(data);
+        for (std::uint64_t i = 0; i < kWords; ++i) d[i] = ~0ULL;
+        const std::uint64_t v = 0xA5A5A5A5A5A5A5A5ULL;
+        s.put_nbi(data.at(kWords - 1), &v, 1, 1 - s.pe());
+        s.quiet();
+        s.barrier_all();
+      },
+      opt);
+  ASSERT_TRUE(first.ok()) << first.status.to_string();
+  const auto second = World::run(
+      eng,
+      [](Ctx& s) {
+        auto data = s.allocate<std::uint64_t>(kWords);
+        const std::uint64_t* d = s.local(data);
+        for (std::uint64_t i = 0; i < kWords; ++i) EXPECT_EQ(d[i], 0u) << i;
+        std::uint64_t got = 1;
+        s.get(&got, data.at(kWords - 1), 1, 1 - s.pe());
+        EXPECT_EQ(got, 0u);
+        s.barrier_all();
+      },
+      opt);
+  ASSERT_TRUE(second.ok()) << second.status.to_string();
+}
+
+#if defined(__linux__)
+TEST(Shmem, UntouchedHeapPagesAreNotResident) {
+  // TSan's calloc zero-fills eagerly, so residency says nothing there.
+#if defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+  GTEST_SKIP() << "TSan's calloc commits every page";
+#endif
+#elif defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "TSan's calloc commits every page";
+#endif
+  // A 4-PE world with 256 MiB heaps: each PE touches one byte every 32 MiB
+  // of its heap, then asks the kernel which pages of it are resident.
+  constexpr std::uint64_t kHeap = 256ull << 20;
+  constexpr std::uint64_t kStride = 32ull << 20;
+  constexpr std::uint64_t kTouches = kHeap / kStride;
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  Engine eng(simnet::Platform::perlmutter_gpu(), 4);
+  World::Options opt;
+  opt.heap_bytes = kHeap;
+  std::vector<std::uint64_t> resident(4, ~0ULL);
+  const auto r = World::run(
+      eng,
+      [&](Ctx& s) {
+        auto arena = s.allocate<std::byte>(kHeap);
+        std::byte* base = s.local(arena);
+        for (std::uint64_t off = 0; off < kHeap; off += kStride) {
+          base[off] = std::byte{1};
+        }
+        const auto lo = reinterpret_cast<std::uintptr_t>(base) / page * page;
+        const auto hi = reinterpret_cast<std::uintptr_t>(base) + kHeap;
+        std::vector<unsigned char> vec((hi - lo + page - 1) / page);
+        EXPECT_EQ(mincore(reinterpret_cast<void*>(lo), hi - lo, vec.data()),
+                  0);
+        std::uint64_t n = 0;
+        for (unsigned char v : vec) n += v & 1u;
+        resident[static_cast<std::size_t>(s.pe())] = n;
+        s.barrier_all();
+      },
+      opt);
+  ASSERT_TRUE(r.ok()) << r.status.to_string();
+  // With transparent huge pages set to "always" one touch may commit a
+  // whole 2 MiB page; the slack covers the allocator's chunk header.
+  const std::uint64_t touched_pages = kTouches * ((2u << 20) / page);
+  const std::uint64_t slack_pages = 16;
+  for (std::uint64_t n : resident) {
+    EXPECT_LE(n, touched_pages + slack_pages);
+    EXPECT_GE(n, kTouches);
+  }
+}
+#endif
 
 TEST(Shmem, CasRetrySpinUnderDropsTripsWatchdog) {
   // A CAS spin-loop that can never succeed (the expected value is never
