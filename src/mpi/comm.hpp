@@ -28,6 +28,36 @@ class Comm;
 class Win;
 class WinHandle;
 
+/// One rank's unmatched messages: a FIFO queue per sending rank.
+///
+/// World::clamp_fifo makes arrival non-decreasing in push order on every
+/// (src, dst) pair, so the first tag-matching message in a source's queue is
+/// that source's earliest match, and the match order — earliest arrival,
+/// then lower source, then push order — needs no scan past the first
+/// matching message of each queue (DESIGN.md §12). Only sources with a
+/// pending message hold a queue, so an idle mailbox is one empty vector.
+class Mailbox {
+ public:
+  /// Appends `m` to the queue of `m.src`; its arrival must not precede the
+  /// previous push from the same source.
+  void push(Msg m);
+  /// The message a receive for (`src`, `tag`) matches (either may be
+  /// kAnySource / kAnyTag), or nullptr. Valid until the next push or take.
+  [[nodiscard]] const Msg* find(int src, int tag) const;
+  /// Removes `m`, which find() returned since the last push or take.
+  void take(const Msg* m);
+
+ private:
+  struct SourceQueue {
+    int src = -1;
+    std::size_t head = 0;  ///< msgs[0, head) are consumed
+    std::vector<Msg> msgs;
+  };
+  std::vector<SourceQueue> queues_;  ///< non-empty queues, ascending src
+};
+static_assert(sizeof(Mailbox) == sizeof(std::vector<Msg>),
+              "an idle mailbox must cost one vector header per rank");
+
 /// Shared state for one communicator world: mailboxes, FIFO clamps,
 /// collective rendezvous, and RMA windows. Created by World::run().
 class World {
@@ -56,10 +86,10 @@ class World {
 
   runtime::Engine& engine_;
   int nranks_;
-  // Per-dst mailboxes. Plain vectors, not deques: matching erases from the
-  // middle anyway, and an empty libstdc++ deque preallocates ~half a KiB —
-  // which is ~650 MB of dead weight at a million ranks.
-  std::vector<std::vector<Msg>> mailbox_;         // per dst rank
+  // Per-dst mailboxes. An idle one is a single empty vector; per-source
+  // queues are vectors with a head index, not deques, because an empty
+  // libstdc++ deque preallocates ~half a KiB (~650 MB at a million ranks).
+  std::vector<Mailbox> mailbox_;                  // per dst rank
   // Keyed (src, dst); sparse above PairMap::kDenseRanks so large worlds
   // don't materialize O(P^2) channel state. at() references are stable until
   // reset(), which lets fifo_seq_ entries double as WaitGate counters for
@@ -140,6 +170,10 @@ class Comm {
 
   [[nodiscard]] const simnet::LogGP& p2p_params() const;
   [[nodiscard]] const simnet::LogGP& rma_params() const;
+
+  /// Aborts unless `src` is kAnySource or a rank and `tag` is kAnyTag or a
+  /// tag isend accepts; shared by irecv and recv.
+  void check_recv_selectors(int src, int tag) const;
 
   /// Blocks until a matching message exists, consumes it, copies the payload
   /// and returns its info; rank clock advances to the arrival time.

@@ -1,5 +1,6 @@
 // Two-sided point-to-point: eager-protocol Isend/Irecv with FIFO delivery
 // and MPI-style (source, tag) matching including ANY_SOURCE / ANY_TAG.
+#include <algorithm>
 #include <cstring>
 
 #include "mpi/comm.hpp"
@@ -8,11 +9,71 @@
 namespace mrl::mpi {
 
 namespace {
-bool matches(const Msg& m, int src, int tag) {
-  return (src == kAnySource || m.src == src) &&
-         (tag == kAnyTag || m.tag == tag);
+bool tag_matches(const Msg& m, int tag) {
+  return tag == kAnyTag || m.tag == tag;
+}
+
+// The queue of `src`, or where it would be inserted (queues ascend by src).
+template <class Queues>
+auto lower_bound_src(Queues& queues, int src) {
+  return std::lower_bound(
+      queues.begin(), queues.end(), src,
+      [](const auto& q, int s) { return q.src < s; });
 }
 }  // namespace
+
+void Mailbox::push(Msg m) {
+  auto q = lower_bound_src(queues_, m.src);
+  if (q == queues_.end() || q->src != m.src) {
+    q = queues_.insert(q, SourceQueue{m.src, 0, {}});
+  }
+  q->msgs.push_back(std::move(m));
+}
+
+const Msg* Mailbox::find(int src, int tag) const {
+  if (src != kAnySource) {
+    const auto q = lower_bound_src(queues_, src);
+    if (q == queues_.end() || q->src != src) return nullptr;
+    for (std::size_t i = q->head; i < q->msgs.size(); ++i) {
+      if (tag_matches(q->msgs[i], tag)) return &q->msgs[i];
+    }
+    return nullptr;
+  }
+  // Queues ascend by source, so a later queue wins only with a strictly
+  // earlier arrival; arrivals ascend within a queue, so each scan stops at
+  // the first message that can no longer win.
+  const Msg* best = nullptr;
+  for (const SourceQueue& q : queues_) {
+    for (std::size_t i = q.head; i < q.msgs.size(); ++i) {
+      const Msg& m = q.msgs[i];
+      if (best != nullptr && m.arrival_us >= best->arrival_us) break;
+      if (tag_matches(m, tag)) {
+        best = &m;
+        break;
+      }
+    }
+  }
+  return best;
+}
+
+void Mailbox::take(const Msg* m) {
+  const auto q = lower_bound_src(queues_, m->src);
+  const auto i = static_cast<std::size_t>(m - q->msgs.data());
+  if (i == q->head) {
+    ++q->head;
+  } else {
+    q->msgs.erase(q->msgs.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+  if (q->head == q->msgs.size()) {
+    queues_.erase(q);
+  } else if (2 * q->head >= q->msgs.size()) {
+    // Drop the consumed prefix once it is half the queue: each move is paid
+    // for by an earlier consume, so taking stays O(1) amortized.
+    q->msgs.erase(q->msgs.begin(),
+                  q->msgs.begin() + static_cast<std::ptrdiff_t>(q->head));
+    q->head = 0;
+  }
+}
 
 Request Comm::isend(const void* buf, std::uint64_t bytes, int dst, int tag) {
   MRL_CHECK(dst >= 0 && dst < size());
@@ -54,7 +115,7 @@ Request Comm::isend(const void* buf, std::uint64_t bytes, int dst, int tag) {
     // message, keyed by the per-pair FIFO seq (matching can be tag-filtered
     // and consume out of FIFO order, so the join is seq-keyed too).
     eng.checker().on_send(rank(), dst, m.seq);
-    world_->mailbox_[static_cast<std::size_t>(dst)].push_back(std::move(m));
+    world_->mailbox_[static_cast<std::size_t>(dst)].push(std::move(m));
     // Advance dst's inbox gate counter: a receiver parked in a gated recv
     // wait is only re-evaluated when this moves (match_and_consume).
     ++world_->inbox_pushes_[static_cast<std::size_t>(dst)];
@@ -64,8 +125,13 @@ Request Comm::isend(const void* buf, std::uint64_t bytes, int dst, int tag) {
   return req;
 }
 
-Request Comm::irecv(void* buf, std::uint64_t bytes, int src, int tag) {
+void Comm::check_recv_selectors(int src, int tag) const {
   MRL_CHECK(src == kAnySource || (src >= 0 && src < size()));
+  MRL_CHECK(tag == kAnyTag || tag >= 0);
+}
+
+Request Comm::irecv(void* buf, std::uint64_t bytes, int src, int tag) {
+  check_recv_selectors(src, tag);
   Request req;
   req.kind_ = Request::Kind::kRecv;
   req.buf = buf;
@@ -79,20 +145,6 @@ RecvInfo Comm::match_and_consume(void* buf, std::uint64_t max_bytes, int src,
                                  int tag) {
   auto& eng = world_->engine_;
   auto& box = world_->mailbox_[static_cast<std::size_t>(rank())];
-
-  // Earliest-arriving matching message; FIFO clamping already guarantees
-  // per-sender non-overtaking, so min-arrival is a valid MPI match order.
-  auto find_best = [&]() -> std::vector<Msg>::iterator {
-    auto best = box.end();
-    for (auto it = box.begin(); it != box.end(); ++it) {
-      if (!matches(*it, src, tag)) continue;
-      if (best == box.end() || it->arrival_us < best->arrival_us ||
-          (it->arrival_us == best->arrival_us && it->src < best->src)) {
-        best = it;
-      }
-    }
-    return best;
-  };
 
   // Gate the wait on the message-arrival counter for the channel(s) this
   // receive can match (DESIGN.md §12): a specific-source receive can only
@@ -115,24 +167,24 @@ RecvInfo Comm::match_and_consume(void* buf, std::uint64_t max_bytes, int src,
   eng.wait(
       *rank_, "recv",
       [&]() -> std::optional<double> {
-        auto best = find_best();
-        if (best == box.end()) return std::nullopt;
-        return best->arrival_us;
+        const Msg* m = box.find(src, tag);
+        if (m == nullptr) return std::nullopt;
+        return m->arrival_us;
       },
       [&] {
-        auto best = find_best();
-        MRL_CHECK(best != box.end());
-        MRL_CHECK_MSG(best->bytes <= max_bytes,
+        const Msg* m = box.find(src, tag);
+        MRL_CHECK(m != nullptr);
+        MRL_CHECK_MSG(m->bytes <= max_bytes,
                       "receive buffer too small for matched message");
-        if (!best->payload.empty()) {
-          std::memcpy(buf, best->payload.data(), best->payload.size());
+        if (!m->payload.empty()) {
+          std::memcpy(buf, m->payload.data(), m->payload.size());
         }
-        info.src = best->src;
-        info.tag = best->tag;
-        info.bytes = best->bytes;
-        info.arrival_us = best->arrival_us;
-        eng.checker().on_recv(rank(), best->src, best->seq);
-        box.erase(best);
+        info.src = m->src;
+        info.tag = m->tag;
+        info.bytes = m->bytes;
+        info.arrival_us = m->arrival_us;
+        eng.checker().on_recv(rank(), m->src, m->seq);
+        box.take(m);
       },
       gate);
   rank_->advance(p2p_params().o_us);  // receiver overhead
@@ -178,6 +230,7 @@ void Comm::send(const void* buf, std::uint64_t bytes, int dst, int tag) {
 }
 
 RecvInfo Comm::recv(void* buf, std::uint64_t bytes, int src, int tag) {
+  check_recv_selectors(src, tag);
   RecvInfo info = match_and_consume(buf, bytes, src, tag);
   rank_->bump_epoch();
   return info;

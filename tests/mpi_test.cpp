@@ -1,8 +1,10 @@
 // minimpi semantics: matching, FIFO, timing, windows, atomics, collectives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <random>
 #include <vector>
 
 #include "mpi/comm.hpp"
@@ -429,6 +431,132 @@ TEST(P2P, ReceiveBufferTooSmallAborts) {
         (void)res;
       },
       "receive buffer too small");
+}
+
+TEST(P2P, RecvRejectsInvalidSelectors) {
+  // A negative tag other than kAnyTag can never match (isend requires
+  // tag >= 0) and a source outside [0, size) names no rank: both abort at
+  // the receive instead of parking until the engine reports a deadlock.
+  auto run_recv = [](int src, int tag) {
+    Engine eng(plat(), 2);
+    auto res = World::run(eng, [&](Comm& c) {
+      int x = 0;
+      if (c.rank() == 1) c.recv(&x, sizeof(x), src, tag);
+    });
+    (void)res;
+  };
+  EXPECT_DEATH(run_recv(0, -7), "MRL_CHECK failed: tag == kAnyTag");
+  EXPECT_DEATH(run_recv(-2, 0), "MRL_CHECK failed: src == kAnySource");
+  EXPECT_DEATH(run_recv(2, kAnyTag), "MRL_CHECK failed: src == kAnySource");
+}
+
+TEST(P2P, IrecvRejectsInvalidSelectors) {
+  auto run_irecv = [](int src, int tag) {
+    Engine eng(plat(), 2);
+    auto res = World::run(eng, [&](Comm& c) {
+      int x = 0;
+      if (c.rank() == 1) (void)c.irecv(&x, sizeof(x), src, tag);
+    });
+    (void)res;
+  };
+  EXPECT_DEATH(run_irecv(kAnySource, -7), "MRL_CHECK failed: tag == kAnyTag");
+  EXPECT_DEATH(run_irecv(-2, 0), "MRL_CHECK failed: src == kAnySource");
+  EXPECT_DEATH(run_irecv(2, 0), "MRL_CHECK failed: src == kAnySource");
+}
+
+// The linear mailbox scan minimpi matched with before per-source queues,
+// kept verbatim as the reference the Mailbox must agree with.
+bool matches(const Msg& m, int src, int tag) {
+  return (src == kAnySource || m.src == src) &&
+         (tag == kAnyTag || m.tag == tag);
+}
+
+std::vector<Msg>::iterator oracle_find_best(std::vector<Msg>& box, int src,
+                                            int tag) {
+  // Earliest-arriving matching message; FIFO clamping already guarantees
+  // per-sender non-overtaking, so min-arrival is a valid MPI match order.
+  auto find_best = [&]() -> std::vector<Msg>::iterator {
+    auto best = box.end();
+    for (auto it = box.begin(); it != box.end(); ++it) {
+      if (!matches(*it, src, tag)) continue;
+      if (best == box.end() || it->arrival_us < best->arrival_us ||
+          (it->arrival_us == best->arrival_us && it->src < best->src)) {
+        best = it;
+      }
+    }
+    return best;
+  };
+  return find_best();
+}
+
+TEST(P2P, MailboxMatchesLinearScanOracle) {
+  // Seeded random push/match streams into the mailbox of rank 2: five
+  // sources (rank 2 is a self-send), three tags, selectors mixing specific
+  // sources with kAnySource and tags with kAnyTag. Arrivals follow
+  // clamp_fifo (non-decreasing per source) on a coarse 0.5 us grid, so
+  // equal arrivals are common within one source and across sources.
+  constexpr int kSources = 5;
+  constexpr int kTags = 3;
+  int matched = 0;
+  int missed = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937_64 rng(seed);
+    auto pick = [&](int n) {
+      return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+    };
+    Mailbox box;
+    std::vector<Msg> oracle;
+    std::vector<double> last(kSources, 0.0);
+    std::vector<std::uint64_t> seq(kSources, 0);
+    double clock = 0;
+    auto match = [&](int src, int tag) {
+      const Msg* got = box.find(src, tag);
+      const auto want = oracle_find_best(oracle, src, tag);
+      if (want == oracle.end()) {
+        ASSERT_EQ(got, nullptr) << "seed " << seed;
+        ++missed;
+        return;
+      }
+      ASSERT_NE(got, nullptr) << "seed " << seed;
+      EXPECT_EQ(got->src, want->src) << "seed " << seed;
+      EXPECT_EQ(got->tag, want->tag) << "seed " << seed;
+      EXPECT_EQ(got->seq, want->seq) << "seed " << seed;
+      EXPECT_EQ(got->arrival_us, want->arrival_us) << "seed " << seed;
+      box.take(got);
+      oracle.erase(want);
+      ++matched;
+    };
+    for (int op = 0; op < 3000; ++op) {
+      // Alternate filling and draining phases, so the stream sees deep
+      // queues as well as an empty mailbox.
+      if (pick(100) < ((op / 250) % 2 == 0 ? 70 : 30)) {
+        Msg m;
+        m.src = pick(kSources);
+        m.tag = pick(kTags);
+        m.seq = seq[static_cast<std::size_t>(m.src)]++;
+        clock += 0.5 * pick(3);
+        // The network may deliver late (arrival past the clock); clamping
+        // then holds this source's later pushes back to that arrival.
+        double& prev = last[static_cast<std::size_t>(m.src)];
+        prev = std::max(prev, clock + 0.5 * pick(4));
+        m.arrival_us = prev;
+        m.bytes = static_cast<std::uint64_t>(op);
+        oracle.push_back(m);
+        box.push(std::move(m));
+      } else {
+        match(pick(kSources + 1) - 1, pick(kTags + 1) - 1);
+        if (testing::Test::HasFatalFailure()) return;
+      }
+    }
+    while (!oracle.empty()) {
+      match(kAnySource, kAnyTag);
+      if (testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_EQ(box.find(kAnySource, kAnyTag), nullptr) << "seed " << seed;
+  }
+  // The streams exercised both outcomes, not just one.
+  EXPECT_GT(matched, 40 * 1000);
+  EXPECT_GT(missed, 40 * 20);
 }
 
 TEST(Rma, GetReadsCommittedMemory) {
