@@ -195,9 +195,11 @@ int cmd_trace(const simnet::Platform& plat, int ranks, const std::string& out) {
   runtime::EngineOptions opt;
   opt.trace = true;
   runtime::Engine eng(plat, ranks, opt);
+  int px = 0, py = 0;
+  workloads::stencil::choose_grid(ranks, &px, &py);
   const auto res = mpi::World::run(eng, [&](mpi::Comm& c) {
     const auto d =
-        workloads::stencil::make_decomp(cfg.n, c.size(), c.rank(), 0, 0);
+        workloads::stencil::make_decomp(cfg.n, c.size(), c.rank(), px, py);
     workloads::stencil::LocalBlock blk(cfg, d);
     // One quick round of real halo traffic for the trace.
     const int peers[4] = {d.west, d.east, d.north, d.south};

@@ -93,7 +93,7 @@ Engine::Engine(simnet::Platform platform, int nranks, EngineOptions opt)
   rank_wake_.resize(n, 0);
   rank_state_.resize(n, RankState::kReady);
   rank_slot_.resize(n, kSlotNone);
-  rank_cond_.resize(n, nullptr);
+  rank_cond_.resize(n);
   rank_what_.resize(n, "");
   if (opt_.spans) {
     rank_cause_rank_.resize(n, -1);
@@ -208,6 +208,8 @@ void Engine::reset_run_state_locked(const std::function<void(Rank&)>& body) {
   metrics_.reset(nranks_);
   if (checker_.enabled()) checker_.reset(nranks_);
   const bool heap = opt_.scheduler == SchedulerKind::kIndexedHeap;
+  counters_ = EngineCounters{};
+  counters_.ready_pushes = static_cast<std::uint64_t>(nranks_);
   ready_.clear();
   blocked_.clear();
   if (heap) {
@@ -225,7 +227,7 @@ void Engine::reset_run_state_locked(const std::function<void(Rank&)>& body) {
     rank_wake_[s] = 0;
     rank_state_[s] = RankState::kReady;
     rank_slot_[s] = kSlotNone;
-    rank_cond_[s] = nullptr;
+    rank_cond_[s] = {};
     rank_what_[s] = "";
     if (heap) {
       ready_heap_.push(i, 0);
@@ -234,8 +236,12 @@ void Engine::reset_run_state_locked(const std::function<void(Rank&)>& body) {
     }
   }
   blocked_count_ = 0;
-  gates_.clear();
-  gate_index_.clear();
+  // A clean run drains every channel; an aborted one may leave some live.
+  for (std::size_t g = 0; g < live_gates_; ++g) gates_[g].waiters.clear();
+  live_gates_ = 0;
+  while (!gate_index_.empty()) {
+    spare_gate_nodes_.push_back(gate_index_.extract(gate_index_.begin()));
+  }
   gated_count_ = 0;
   granted_ = -1;
   finalize_rank_ = -1;
@@ -267,6 +273,7 @@ void Engine::set_state_locked(int id, RankState s) {
   if (rank_state_[i] == s) return;
   const bool heap = opt_.scheduler == SchedulerKind::kIndexedHeap;
   if (rank_state_[i] == RankState::kReady) {
+    ++counters_.ready_erases;
     if (heap) {
       ready_heap_.erase(id);
     } else {
@@ -297,6 +304,7 @@ void Engine::set_state_locked(int id, RankState s) {
   if (s == RankState::kReady) {
     // rank_wake_ is always finalized before a rank is (re)queued, so the
     // heap key never changes while the rank sits in the heap.
+    ++counters_.ready_pushes;
     if (heap) {
       ready_heap_.push(id, rank_wake_[i]);
     } else {
@@ -314,6 +322,17 @@ void Engine::set_state_locked(int id, RankState s) {
       blocked_.push_back(id);
     }
   }
+}
+
+bool Engine::keeps_baton_locked(int id, simnet::TimeUs wake) const {
+  // Pushing (wake, id) and picking the heap minimum grants the caller iff it
+  // orders before the current top — the heap's own strict (key, id) order,
+  // so this is exactly the grant the push-then-pick path makes. The linear
+  // scan always takes the full path (it is the oracle).
+  if (opt_.scheduler != SchedulerKind::kIndexedHeap) return false;
+  if (ready_heap_.empty()) return true;
+  const simnet::TimeUs top_wake = ready_heap_.top_key();
+  return wake < top_wake || (!(top_wake < wake) && id < ready_heap_.top());
 }
 
 int Engine::pick_min_ready_locked() const {
@@ -435,8 +454,9 @@ void Engine::wake_satisfied_locked() {
     for (std::size_t i = 0; i < blocked_.size();) {
       const int id = blocked_[i];
       const auto s = static_cast<std::size_t>(id);
-      MRL_CHECK(rank_cond_[s] != nullptr);
-      if (auto w = (*rank_cond_[s])()) {
+      MRL_CHECK(rank_cond_[s]);
+      ++counters_.cond_evals;
+      if (auto w = rank_cond_[s]()) {
         rank_wake_[s] = std::max(rank_clock_[s], *w);
         note_wake_cause_locked(s);
         set_state_locked(id, RankState::kReady);
@@ -451,8 +471,9 @@ void Engine::wake_satisfied_locked() {
     const auto s = static_cast<std::size_t>(id);
     if (rank_state_[s] != RankState::kBlocked) continue;
     --remaining;
-    MRL_CHECK(rank_cond_[s] != nullptr);
-    if (auto w = (*rank_cond_[s])()) {
+    MRL_CHECK(rank_cond_[s]);
+    ++counters_.cond_evals;
+    if (auto w = rank_cond_[s]()) {
       rank_wake_[s] = std::max(rank_clock_[s], *w);
       note_wake_cause_locked(s);
       set_state_locked(id, RankState::kReady);
@@ -460,16 +481,45 @@ void Engine::wake_satisfied_locked() {
   }
 }
 
+namespace {
+
+using GateWaiter = std::pair<std::uint64_t, int>;
+
+void push_gate_waiter(std::vector<GateWaiter>& h, std::uint64_t threshold,
+                      int id) {
+  h.emplace_back(threshold, id);
+  std::push_heap(h.begin(), h.end(), std::greater<>());
+}
+
+void pop_gate_waiter(std::vector<GateWaiter>& h) {
+  std::pop_heap(h.begin(), h.end(), std::greater<>());
+  h.pop_back();
+}
+
+}  // namespace
+
 void Engine::register_gated_waiter_locked(int id, WaitGate gate) {
-  const auto [it, inserted] = gate_index_.try_emplace(gate.counter, 0);
-  if (inserted) {
-    it->second = gates_.size();
-    GateChannel& ch = gates_.emplace_back();
-    ch.counter = gate.counter;
-    ch.waiters.emplace(gate.threshold, id);
+  const auto it = gate_index_.find(gate.counter);
+  if (it != gate_index_.end()) {
+    push_gate_waiter(gates_[it->second].waiters, gate.threshold, id);
     return;
   }
-  gates_[it->second].waiters.emplace(gate.threshold, id);
+  // New live channel: reuse a drained channel's storage and a spare index
+  // node when there are any.
+  if (live_gates_ == gates_.size()) gates_.emplace_back();
+  const std::size_t g = live_gates_++;
+  GateChannel& ch = gates_[g];
+  ch.counter = gate.counter;
+  push_gate_waiter(ch.waiters, gate.threshold, id);
+  if (spare_gate_nodes_.empty()) {
+    gate_index_.emplace(gate.counter, g);
+    return;
+  }
+  GateIndex::node_type node = std::move(spare_gate_nodes_.back());
+  spare_gate_nodes_.pop_back();
+  node.key() = gate.counter;
+  node.mapped() = g;
+  gate_index_.insert(std::move(node));
 }
 
 void Engine::wake_gated_locked() {
@@ -479,19 +529,21 @@ void Engine::wake_gated_locked() {
   // instead of O(P²). Channel visit order never affects results: waking
   // only pushes into the ready heap, whose (wake, id) order is
   // insertion-order independent.
-  for (std::size_t g = 0; g < gates_.size();) {
+  for (std::size_t g = 0; g < live_gates_;) {
     GateChannel& ch = gates_[g];
-    while (!ch.waiters.empty() && *ch.counter >= ch.waiters.top().first) {
-      const int id = ch.waiters.top().second;
-      ch.waiters.pop();
+    while (!ch.waiters.empty() && *ch.counter >= ch.waiters.front().first) {
+      const int id = ch.waiters.front().second;
+      pop_gate_waiter(ch.waiters);
       const auto s = static_cast<std::size_t>(id);
       // Stale entries (rank already unwound by an abort, or re-parked and
       // woken via a fresher entry) are skipped.
       if (rank_state_[s] != RankState::kBlocked || rank_slot_[s] != kSlotGated) {
         continue;
       }
-      MRL_CHECK(rank_cond_[s] != nullptr);
-      if (const auto w = (*rank_cond_[s])()) {
+      MRL_CHECK(rank_cond_[s]);
+      ++counters_.gate_crossings;
+      ++counters_.cond_evals;
+      if (const auto w = rank_cond_[s]()) {
         rank_wake_[s] = std::max(rank_clock_[s], *w);
         note_wake_cause_locked(s);
         set_state_locked(id, RankState::kReady);
@@ -503,18 +555,20 @@ void Engine::wake_gated_locked() {
         // in a perform that advances the counter, so nothing is missed.
         // (The new threshold exceeds the current counter value, so this
         // entry is not re-popped by the drain loop above.)
-        ch.waiters.emplace(*ch.counter + 1, id);
+        ++counters_.reparks;
+        push_gate_waiter(ch.waiters, *ch.counter + 1, id);
       }
     }
     if (ch.waiters.empty()) {
-      // Swap-remove the drained channel so dead counters are not loaded
-      // (and cannot dangle) on later passes.
-      gate_index_.erase(ch.counter);
-      if (g + 1 != gates_.size()) {
-        gates_[g] = std::move(gates_.back());
-        gate_index_[gates_[g].counter] = g;
+      // Swap the drained channel past the live range so dead counters are
+      // not loaded (and cannot dangle) on later passes; its storage and
+      // index node are kept for reuse.
+      spare_gate_nodes_.push_back(gate_index_.extract(ch.counter));
+      const std::size_t last = --live_gates_;
+      if (g != last) {
+        std::swap(gates_[g], gates_[last]);
+        gate_index_.find(gates_[g].counter)->second = g;
       }
-      gates_.pop_back();
     } else {
       ++g;
     }
@@ -580,21 +634,25 @@ void Engine::abort_run(Rank&, ErrorCode code, std::string reason) {
 // Public protocol.
 // ---------------------------------------------------------------------------
 
-void Engine::perform(Rank& r, const std::function<void()>& fn) {
+void Engine::perform(Rank& r, Action fn) {
   const auto s = static_cast<std::size_t>(r.id_);
   check_abort_locked(r);
   check_watchdog_locked(r);
+  ++counters_.performs;
   rank_wake_[s] = rank_clock_[s];
-  set_state_locked(r.id_, RankState::kReady);
-  fiber_yield(r);
-  set_state_locked(r.id_, RankState::kRunning);
+  if (keeps_baton_locked(r.id_, rank_wake_[s])) {
+    ++counters_.keep_baton;
+  } else {
+    set_state_locked(r.id_, RankState::kReady);
+    fiber_yield(r);
+    set_state_locked(r.id_, RankState::kRunning);
+  }
   fn();
   wake_satisfied_locked();
 }
 
-void Engine::wait(Rank& r, const char* what,
-                  const std::function<std::optional<double>()>& cond,
-                  const std::function<void()>& finalize, WaitGate gate) {
+void Engine::wait(Rank& r, const char* what, WaitCond cond, Action finalize,
+                  WaitGate gate) {
   // Blocked duration is measured in virtual time (the rank clock), so it is
   // identical across schedulers and job counts by construction.
   const auto s = static_cast<std::size_t>(r.id_);
@@ -670,7 +728,7 @@ RunResult Engine::run_fibers(const std::function<void(Rank&)>& body) {
   const int first = pick_min_ready_locked();
   MRL_CHECK(first != -1);
   granted_ = first;
-  Fiber::switch_to(main_fiber_, *fibers_[static_cast<std::size_t>(first)]);
+  switch_fiber_locked(main_fiber_, *fibers_[static_cast<std::size_t>(first)]);
   if (abort_) {
     // Fibers suspended mid-wait still hold live frames (user code with
     // destructors). Resume each one so it observes abort_, throws
@@ -678,7 +736,7 @@ RunResult Engine::run_fibers(const std::function<void(Rank&)>& body) {
     for (int i = 0; i < nranks_; ++i) {
       while (rank_state_[static_cast<std::size_t>(i)] != RankState::kDone) {
         granted_ = i;
-        Fiber::switch_to(main_fiber_, *fibers_[static_cast<std::size_t>(i)]);
+        switch_fiber_locked(main_fiber_, *fibers_[static_cast<std::size_t>(i)]);
       }
     }
   }
@@ -721,16 +779,16 @@ void Engine::fiber_worker(int id) {
 void Engine::fiber_exit_run(Rank& r) {
   Fiber& self = *fibers_[static_cast<std::size_t>(r.id_)];
   if (abort_ || done_count_ == nranks_) {
-    Fiber::switch_to(self, main_fiber_);
+    switch_fiber_locked(self, main_fiber_);
   } else {
     const int next = pick_min_ready_locked();
     if (next != -1) {
       granted_ = next;
-      Fiber::switch_to(self, *fibers_[static_cast<std::size_t>(next)]);
+      switch_fiber_locked(self, *fibers_[static_cast<std::size_t>(next)]);
     } else {
       // Everyone left alive is blocked.
       note_deadlock_locked();
-      Fiber::switch_to(self, main_fiber_);
+      switch_fiber_locked(self, main_fiber_);
     }
   }
   // Resumed: granted at the start of a subsequent run().
@@ -752,16 +810,15 @@ void Engine::fiber_yield(Rank& r) {
     throw AbortException{};
   }
   granted_ = next;
-  Fiber::switch_to(*fibers_[static_cast<std::size_t>(r.id_)],
-                   *fibers_[static_cast<std::size_t>(next)]);
+  switch_fiber_locked(*fibers_[static_cast<std::size_t>(r.id_)],
+                      *fibers_[static_cast<std::size_t>(next)]);
   // Resumed: either granted, or being unwound after an abort elsewhere.
   check_abort_locked(r);
   MRL_CHECK(granted_ == r.id_);
 }
 
-void Engine::fiber_wait(Rank& r, const char* what,
-                        const std::function<std::optional<double>()>& cond,
-                        const std::function<void()>& finalize, WaitGate gate) {
+void Engine::fiber_wait(Rank& r, const char* what, WaitCond cond,
+                        Action finalize, WaitGate gate) {
   const int id = r.id_;
   const auto s = static_cast<std::size_t>(id);
   check_abort_locked(r);
@@ -772,12 +829,20 @@ void Engine::fiber_wait(Rank& r, const char* what,
   // and change the grant order.
   bool holding = true;
   for (;;) {
+    ++counters_.cond_evals;
     if (auto w = cond()) {
       rank_wake_[s] = std::max(rank_clock_[s], *w);
-      set_state_locked(id, RankState::kReady);
-      if (holding) fiber_yield(r);
-      MRL_CHECK(granted_ == id);
-      set_state_locked(id, RankState::kRunning);
+      if (holding && keeps_baton_locked(id, rank_wake_[s])) {
+        // Satisfiable at entry and still the minimum: the push-yield-erase
+        // round trip below would grant this rank straight back.
+        ++counters_.keep_baton;
+      } else {
+        set_state_locked(id, RankState::kReady);
+        if (holding) fiber_yield(r);
+        MRL_CHECK(granted_ == id);
+        set_state_locked(id, RankState::kRunning);
+      }
+      ++counters_.cond_evals;
       auto w2 = cond();
       MRL_CHECK_MSG(w2.has_value(),
                     "wait condition became unsatisfiable (must be monotonic)");
@@ -790,7 +855,7 @@ void Engine::fiber_wait(Rank& r, const char* what,
       }
       return;
     }
-    rank_cond_[s] = &cond;
+    rank_cond_[s] = cond;
     rank_what_[s] = what;
     if (gate.counter != nullptr) {
       rank_slot_[s] = kSlotGated;
@@ -802,7 +867,7 @@ void Engine::fiber_wait(Rank& r, const char* what,
     // deadlock synchronously if no rank is runnable.
     fiber_yield(r);
     holding = false;
-    rank_cond_[s] = nullptr;
+    rank_cond_[s] = {};
     // Re-evaluate cond via the satisfiable path (monotonic ⇒ it holds now).
   }
 }

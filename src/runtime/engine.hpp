@@ -30,6 +30,19 @@
 //     wait condition becomes satisfiable is re-queued but stays suspended
 //     until actually granted), and a rank that remains the min-clock
 //     runnable rank continues with no switch at all;
+//   * keep-baton fast path (kIndexedHeap): perform() and a wait satisfiable
+//     at entry compare the caller's (wake, id) with the ready-heap top
+//     first; if the caller is still the minimum it keeps the baton with no
+//     heap push, erase or state change — exactly the grant the
+//     push-then-pick path would make (kLinearScan keeps the full path as
+//     the oracle);
+//   * the per-operation protocol allocates nothing: perform/wait take their
+//     action, condition and finalize as util::FunctionRef (two pointers,
+//     non-owning), so a `[&]` lambda at the call site is never copied into
+//     a heap-allocated std::function. Lifetime rule: the callable must
+//     outlive the call that receives it, and the engine never keeps a ref
+//     past the wait that received it (rank_cond_ holds one only while that
+//     rank is parked inside the wait);
 //   * the scheduler selects the min-clock rank from an indexed binary
 //     min-heap keyed (wake time, rank id) — push/erase/top are O(log n) with
 //     a per-rank position index, so dispatch cost no longer scales with the
@@ -59,7 +72,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -74,6 +86,7 @@
 #include "simnet/spans.hpp"
 #include "simnet/time.hpp"
 #include "simnet/trace.hpp"
+#include "util/function_ref.hpp"
 #include "util/indexed_heap.hpp"
 #include "util/status.hpp"
 
@@ -254,6 +267,22 @@ struct EngineOptions {
   std::uint64_t check_history = check::default_check_history();
 };
 
+/// Host-side self-counters of one run (always on; one increment each; reset
+/// at the start of every run()). They describe the simulator's own work,
+/// not the simulated machine: they depend on the scheduler kind (the linear
+/// scan ignores gates and never takes the keep-baton path) but are exactly
+/// reproducible for a given scheduler and workload.
+struct EngineCounters {
+  std::uint64_t performs = 0;        ///< Engine::perform calls
+  std::uint64_t keep_baton = 0;      ///< grants taken on the keep-baton path
+  std::uint64_t switches = 0;        ///< fiber context switches (incl. main)
+  std::uint64_t ready_pushes = 0;    ///< ready-queue inserts (incl. run start)
+  std::uint64_t ready_erases = 0;    ///< ready-queue removals
+  std::uint64_t gate_crossings = 0;  ///< gated waiters popped at threshold
+  std::uint64_t reparks = 0;         ///< crossed gates whose cond still failed
+  std::uint64_t cond_evals = 0;      ///< wait-condition evaluations
+};
+
 struct RunResult {
   Status status;
   simnet::TimeUs makespan_us = 0;  ///< max final rank clock
@@ -289,6 +318,8 @@ class Engine {
   [[nodiscard]] const Metrics& metrics() const { return metrics_; }
   [[nodiscard]] check::Checker& checker() { return checker_; }
   [[nodiscard]] const check::Checker& checker() const { return checker_; }
+  /// Self-counters of the current (or last completed) run.
+  [[nodiscard]] const EngineCounters& counters() const { return counters_; }
 
   /// Records one fabric-visible message into the trace AND the metrics
   /// collector (the single choke point that keeps the two in agreement).
@@ -330,12 +361,21 @@ class Engine {
   [[nodiscard]] std::vector<std::size_t> stack_high_water_bytes() const;
 
   // --- protocol for communication layers (called from rank contexts) ---
+  //
+  // Callables are passed as non-owning util::FunctionRef: the caller's
+  // lambda (or other callable) must outlive the call. The engine never
+  // keeps one past the call that received it; a parked wait's condition is
+  // referenced only until that same wait returns.
+
+  using Action = util::FunctionRef<void()>;
+  using WaitCond = util::FunctionRef<std::optional<double>()>;
 
   /// Executes `fn` under the global virtual-time ordering: the calling rank
   /// yields, is re-granted when it has the minimum clock among runnable
-  /// ranks, and runs `fn` while the engine is quiescent. After `fn`, blocked
+  /// ranks (or, still being the minimum, keeps the baton without yielding),
+  /// and runs `fn` while the engine is quiescent. After `fn`, blocked
   /// ranks' wait conditions are re-evaluated.
-  void perform(Rank& r, const std::function<void()>& fn);
+  void perform(Rank& r, Action fn);
 
   /// Blocks until `cond` returns a wake time; advances the rank clock to
   /// max(clock, wake). `cond` is evaluated while the engine is quiescent and
@@ -345,9 +385,7 @@ class Engine {
   /// atomically with the wake decision). `gate`, when non-null, is a
   /// monotone-counter re-evaluation hint (see WaitGate): the engine will not
   /// re-test `cond` until `*gate.counter >= gate.threshold`.
-  void wait(Rank& r, const char* what,
-            const std::function<std::optional<double>()>& cond,
-            const std::function<void()>& finalize = {},
+  void wait(Rank& r, const char* what, WaitCond cond, Action finalize = {},
             WaitGate gate = {});
 
   /// Aborts the current run with `code` from inside a perform body or rank
@@ -407,9 +445,16 @@ class Engine {
   void fiber_worker(int id);
   void fiber_yield(Rank& r);
   void fiber_exit_run(Rank& r);
-  void fiber_wait(Rank& r, const char* what,
-                  const std::function<std::optional<double>()>& cond,
-                  const std::function<void()>& finalize, WaitGate gate);
+  void fiber_wait(Rank& r, const char* what, WaitCond cond, Action finalize,
+                  WaitGate gate);
+  /// Keep-baton test: under kIndexedHeap, would pushing the running caller
+  /// with key `wake` and picking the heap minimum grant the caller itself?
+  /// Always false under kLinearScan.
+  [[nodiscard]] bool keeps_baton_locked(int id, simnet::TimeUs wake) const;
+  void switch_fiber_locked(Fiber& from, Fiber& to) {
+    ++counters_.switches;
+    Fiber::switch_to(from, to);
+  }
 
   // WaitGate registration (kIndexedHeap only; the linear scan ignores
   // gates). One channel per distinct counter pointer with live waiters;
@@ -438,7 +483,7 @@ class Engine {
   /// kBlocked bookkeeping: >= 0 is this rank's slot in blocked_, kSlotGated
   /// means parked in a gate channel (NOT in blocked_), kSlotNone otherwise.
   std::vector<std::int32_t> rank_slot_;
-  std::vector<const std::function<std::optional<double>()>*> rank_cond_;
+  std::vector<WaitCond> rank_cond_;  ///< set only while parked in a wait
   std::vector<const char*> rank_what_;  ///< wait label for deadlock reports
   /// Causal wake edge per rank (spans enabled only, else unsized): who
   /// satisfied this rank's current wait, at what virtual time, and how many
@@ -472,20 +517,27 @@ class Engine {
   int blocked_count_ = 0;
   // Gated waiters (WaitGate, kIndexedHeap only): one channel per distinct
   // monotone counter, waiters ordered by (threshold, rank id) so equal
-  // thresholds drain in ascending rank order. Channels with no waiters are
-  // swap-removed; the whole registry is cleared per run. Gated ranks are
-  // kBlocked and counted in blocked_count_ but are NOT in blocked_ — they
-  // are re-evaluated only when their counter crosses their threshold.
+  // thresholds drain in ascending rank order. Gated ranks are kBlocked and
+  // counted in blocked_count_ but are NOT in blocked_ — they are
+  // re-evaluated only when their counter crosses their threshold. The
+  // registry is cleared per run. A drained channel is not destroyed: it is
+  // swapped past live_gates_ and keeps its waiter storage, and its index
+  // node is parked in spare_gate_nodes_ for the next new counter, so
+  // steady-state gate traffic allocates nothing.
   struct GateChannel {
     const std::uint64_t* counter = nullptr;
-    std::priority_queue<std::pair<std::uint64_t, int>,
-                        std::vector<std::pair<std::uint64_t, int>>,
-                        std::greater<>>
-        waiters;
+    /// Min-heap on (threshold, rank id) kept with std::push_heap/pop_heap
+    /// and std::greater — std::priority_queue's exact order, but clear()
+    /// keeps the capacity.
+    std::vector<std::pair<std::uint64_t, int>> waiters;
   };
-  std::vector<GateChannel> gates_;
-  std::unordered_map<const std::uint64_t*, std::size_t> gate_index_;
+  using GateIndex = std::unordered_map<const std::uint64_t*, std::size_t>;
+  std::vector<GateChannel> gates_;  ///< [0, live_gates_) are live
+  std::size_t live_gates_ = 0;
+  GateIndex gate_index_;
+  std::vector<GateIndex::node_type> spare_gate_nodes_;
   int gated_count_ = 0;
+  EngineCounters counters_;
   int granted_ = -1;
   /// Rank currently executing a wait-finalize (engine quiescent; -1 outside
   /// finalizes). Only read by note_wake_cause_locked, see there.

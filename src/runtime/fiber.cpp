@@ -357,11 +357,11 @@ void Fiber::init_context(char* lo, std::size_t usable) {
   // from the parked rsp: [fcw|mxcsr] r15 r14 r13 r12 rbx rbp [ret addr].
   // Alignment: top is page-aligned; after the thunk address is popped by
   // ret, rsp == top-8, i.e. the standard rsp%16==8 function-entry state.
-  std::uint64_t fpu = 0;
-  asm volatile("fnstcw %0" : "=m"(*reinterpret_cast<std::uint16_t*>(&fpu)));
+  std::uint16_t fcw = 0;
+  asm volatile("fnstcw %0" : "=m"(fcw));
   std::uint32_t mxcsr = 0;
   asm volatile("stmxcsr %0" : "=m"(mxcsr));
-  fpu |= static_cast<std::uint64_t>(mxcsr) << 32;
+  const std::uint64_t fpu = fcw | (static_cast<std::uint64_t>(mxcsr) << 32);
 
   auto* sp = static_cast<std::uint64_t*>(static_cast<void*>(lo + usable));
   *--sp = 0;  // fake caller frame; terminates backtraces

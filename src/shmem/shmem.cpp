@@ -203,7 +203,7 @@ void Ctx::get_bytes(void* dest, std::uint64_t src_off, std::uint64_t bytes,
                           bytes, q_us, s_us);
 }
 
-void Ctx::wait_local(const char* what, const std::function<bool()>& pred) {
+void Ctx::wait_local(const char* what, util::FunctionRef<bool()> pred) {
   auto& eng = world_->engine_;
   auto& pend = world_->pending_[static_cast<std::size_t>(pe())];
   // Gate counter for this PE's signal waits (DESIGN.md §12): while I am

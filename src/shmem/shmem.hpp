@@ -17,6 +17,7 @@
 #include "runtime/engine.hpp"
 #include "simnet/loggp.hpp"
 #include "simnet/trace.hpp"
+#include "util/function_ref.hpp"
 #include "util/pair_map.hpp"
 #include "util/zero_bytes.hpp"
 
@@ -238,7 +239,7 @@ class Ctx {
                            std::uint64_t compare, bool is_cas, int target_pe);
 
   /// Shared wait loop: re-applies arrivals until `pred` holds locally.
-  void wait_local(const char* what, const std::function<bool()>& pred);
+  void wait_local(const char* what, util::FunctionRef<bool()> pred);
 
   double sum_all_kind(const char* kind, double v);
   void local_access(std::uint64_t off, std::uint64_t bytes, bool is_write);

@@ -20,8 +20,8 @@
 #define MRL_ARENA_POISON(addr, size) ASAN_POISON_MEMORY_REGION(addr, size)
 #define MRL_ARENA_UNPOISON(addr, size) ASAN_UNPOISON_MEMORY_REGION(addr, size)
 #else
-#define MRL_ARENA_POISON(addr, size) ((void)0)
-#define MRL_ARENA_UNPOISON(addr, size) ((void)0)
+#define MRL_ARENA_POISON(addr, size) ((void)(addr), (void)(size))
+#define MRL_ARENA_UNPOISON(addr, size) ((void)(addr), (void)(size))
 #endif
 
 namespace mrl::util {

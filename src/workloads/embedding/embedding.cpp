@@ -3,6 +3,10 @@
 // SHMEM runners.
 #include "workloads/embedding/embedding.hpp"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <cmath>
 
@@ -153,6 +157,7 @@ std::uint64_t build_spans(ShardPolicy policy, int nranks, std::uint64_t rows,
   out.clear();
   std::uint64_t naive = 0;
   for (const std::uint64_t row : batch_rows) {
+    MRL_CHECK(row < rows);
     const int gr = static_cast<int>(row % static_cast<std::uint64_t>(g.pr));
     for (int cp = 0; cp < g.pc; ++cp) {
       const std::uint64_t len = cols_of(cp, dim, g.pc);
@@ -188,6 +193,12 @@ std::uint64_t build_spans(ShardPolicy policy, int nranks, std::uint64_t rows,
   }
   out.resize(w);
   return naive;
+}
+
+void release_freed_heap() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
 }
 
 }  // namespace mrl::workloads::embedding

@@ -142,6 +142,14 @@ std::uint64_t build_spans(ShardPolicy policy, int nranks, std::uint64_t rows,
                           const std::vector<std::uint64_t>& batch_rows,
                           bool combine, std::vector<GetSpan>& out);
 
+/// Hands the heap pages freed by a finished run back to the kernel.
+/// glibc keeps freed chunks resident, and after a run's 64 rank shards,
+/// span lists and staging buffers are freed how much of them stays resident
+/// depends on which runs came before; the next run's peak then stacks on
+/// that remainder. Both runners call this after their World::run, so a
+/// process serving many query streams peaks at the largest single run.
+void release_freed_heap();
+
 Result run_mpi(const simnet::Platform& platform, int nranks,
                const Config& cfg);
 Result run_shmem(const simnet::Platform& platform, int nranks,

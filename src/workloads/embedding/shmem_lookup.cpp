@@ -133,6 +133,7 @@ Result run_shmem(const simnet::Platform& platform, int nranks,
         std::none_of(bad.begin(), bad.end(), [](std::uint8_t b) { return b; });
   }
   out.msgs = eng.trace().summarize();
+  release_freed_heap();
   return out;
 }
 

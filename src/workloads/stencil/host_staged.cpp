@@ -30,9 +30,12 @@ Result run_host_staged_gpu(const simnet::Platform& platform, int nranks,
   std::vector<double> errs(static_cast<std::size_t>(nranks), 0.0);
   double t0 = 0, t1 = 0;
 
+  int px = cfg.px, py = cfg.py;
+  if (px <= 0 || py <= 0) choose_grid(nranks, &px, &py);
+
   const auto run = mpi::World::run(eng, [&](mpi::Comm& c) {
     // Host-initiated two-sided MPI is the p2p flavor on GPU platforms.
-    const Decomp d = make_decomp(cfg.n, nranks, c.rank(), cfg.px, cfg.py);
+    const Decomp d = make_decomp(cfg.n, nranks, c.rank(), px, py);
     LocalBlock blk(cfg, d);
     const int peers[4] = {d.west, d.east, d.north, d.south};
     auto opposite = [](int side) { return side ^ 1; };

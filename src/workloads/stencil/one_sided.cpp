@@ -21,13 +21,23 @@ Result run_one_sided(const simnet::Platform& platform, int nranks,
   std::vector<double> errs(static_cast<std::size_t>(nranks), 0.0);
   double t0 = 0, t1 = 0;
 
+  int px = cfg.px, py = cfg.py;
+  if (px <= 0 || py <= 0) choose_grid(nranks, &px, &py);
+
   const auto run = mpi::World::run(eng, [&](mpi::Comm& c) {
-    const Decomp d = make_decomp(cfg.n, nranks, c.rank(), cfg.px, cfg.py);
+    const Decomp d = make_decomp(cfg.n, nranks, c.rank(), px, py);
     LocalBlock blk(cfg, d);
     mpi::WinHandle win = c.create_win(blk.in_region(), blk.in_region_bytes());
 
+    // My out[side] lands in the peer's in[side ^ 1] (W<->E, N<->S); its
+    // offset depends only on the peer's decomposition, so resolve it once.
     const int peers[4] = {d.west, d.east, d.north, d.south};
-    auto opposite = [](int side) { return side ^ 1; };
+    std::uint64_t peer_in_off[4] = {0, 0, 0, 0};
+    for (int s = 0; s < 4; ++s) {
+      if (peers[s] < 0) continue;
+      peer_in_off[s] = LocalBlock::in_offset_bytes(
+          make_decomp(cfg.n, nranks, peers[s], px, py), s ^ 1);
+    }
 
     c.barrier();
     if (c.rank() == 0) t0 = c.now();
@@ -38,9 +48,8 @@ Result run_one_sided(const simnet::Platform& platform, int nranks,
       win.fence();
       for (int s = 0; s < 4; ++s) {
         if (peers[s] < 0) continue;
-        const Decomp pd = make_decomp(cfg.n, nranks, peers[s], cfg.px, cfg.py);
         win.put(blk.out(s), blk.edge_count(s) * sizeof(double), peers[s],
-                LocalBlock::in_offset_bytes(pd, opposite(s)));
+                peer_in_off[s]);
       }
       win.fence();
       blk.sweep();

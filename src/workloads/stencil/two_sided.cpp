@@ -18,8 +18,11 @@ Result run_two_sided(const simnet::Platform& platform, int nranks,
   std::vector<double> errs(static_cast<std::size_t>(nranks), 0.0);
   double t0 = 0, t1 = 0;
 
+  int px = cfg.px, py = cfg.py;
+  if (px <= 0 || py <= 0) choose_grid(nranks, &px, &py);
+
   const auto run = mpi::World::run(eng, [&](mpi::Comm& c) {
-    const Decomp d = make_decomp(cfg.n, nranks, c.rank(), cfg.px, cfg.py);
+    const Decomp d = make_decomp(cfg.n, nranks, c.rank(), px, py);
     LocalBlock blk(cfg, d);
     // (neighbor, my outgoing side, my incoming side); the tag names the side
     // the message lands on at the RECEIVER.

@@ -1,0 +1,159 @@
+// Zero-allocation guard for the engine's per-operation protocol
+// (DESIGN.md §10): on a warmed, reused engine, Engine::perform, plain waits
+// and gated waits must not touch the heap. This executable replaces the
+// global operator new with a counting one and checks that a run of 10^3
+// operations and a run of 10^4 operations allocate exactly as often — so
+// the count is independent of the operation count — without timing
+// anything.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <optional>
+
+#include "runtime/engine.hpp"
+#include "simnet/platform.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t n, std::size_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (n == 0) n = 1;
+  void* p = nullptr;
+  if (align <= alignof(std::max_align_t)) {
+    p = std::malloc(n);
+  } else {
+    // aligned_alloc wants a size that is a multiple of the alignment.
+    p = std::aligned_alloc(align, (n + align - 1) / align * align);
+  }
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n, 0); }
+void* operator new[](std::size_t n) { return counted_alloc(n, 0); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(n, 0);
+  } catch (...) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(n, 0);
+  } catch (...) {
+    return nullptr;
+  }
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
+namespace mrl::runtime {
+namespace {
+
+enum class Ops { kPerforms, kPlainWaits, kGatedWaits };
+
+// Two ranks, `n` operations of one kind each. The wait workloads are a
+// ping-pong, so every wait parks (a plain wait in the blocked-rank index, a
+// gated one in a gate channel that drains and is recycled per round). The
+// lambdas capture several locals by reference — more than a std::function's
+// small buffer holds — as the communication layers' call sites do.
+RunResult run_ops(Engine& eng, Ops ops, int n) {
+  std::uint64_t ping = 0, pong = 0;
+  double t_ping = 0, t_pong = 0;
+  std::uint64_t sum = 0;
+  const RunResult r = eng.run([&](Rank& rank) {
+    const bool first = rank.id() == 0;
+    std::uint64_t& mine = first ? ping : pong;
+    std::uint64_t& theirs = first ? pong : ping;
+    double& t_mine = first ? t_ping : t_pong;
+    double& t_theirs = first ? t_pong : t_ping;
+    for (int i = 0; i < n; ++i) {
+      rank.advance(0.25 + 0.5 * rank.id());
+      eng.perform(rank, [&] {
+        ++mine;
+        t_mine = rank.now();
+        sum += mine + theirs;
+      });
+      if (ops == Ops::kPerforms) continue;
+      const auto want = static_cast<std::uint64_t>(i) + 1;
+      auto cond = [&]() -> std::optional<double> {
+        if (theirs < want) return std::nullopt;
+        return t_theirs + 1.0;
+      };
+      if (ops == Ops::kPlainWaits) {
+        eng.wait(rank, "alloc.plain", cond);
+      } else {
+        eng.wait(rank, "alloc.gated", cond, [&] { sum += want; },
+                 WaitGate{&theirs, want});
+      }
+    }
+  });
+  EXPECT_GT(sum, 0u);
+  return r;
+}
+
+std::uint64_t allocations_for(Engine& eng, Ops ops, int n) {
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const RunResult r = run_ops(eng, ops, n);
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_TRUE(r.ok()) << r.status.to_string();
+  return after - before;
+}
+
+void expect_allocation_free(Ops ops) {
+  EngineOptions opt;
+  opt.scheduler = SchedulerKind::kIndexedHeap;
+  opt.trace = false;
+  opt.spans = false;
+  opt.metrics = false;
+  opt.check = false;
+  Engine eng(simnet::Platform::perlmutter_cpu(), 2, opt);
+  // Warm-up: fibers, the ready heap, the blocked index and the gate
+  // registry reach their steady-state capacity.
+  (void)allocations_for(eng, ops, 10000);
+  const std::uint64_t small = allocations_for(eng, ops, 1000);
+  const std::uint64_t large = allocations_for(eng, ops, 10000);
+  EXPECT_EQ(small, large) << "allocations grow with the operation count";
+  // The counter is live: each run still makes its fixed per-run
+  // allocations (the body's std::function, the result's clock vector).
+  EXPECT_GT(small, 0u);
+}
+
+TEST(EngineAllocations, PerformsAllocateNothingPerOperation) {
+  expect_allocation_free(Ops::kPerforms);
+}
+
+TEST(EngineAllocations, PlainWaitsAllocateNothingPerOperation) {
+  expect_allocation_free(Ops::kPlainWaits);
+}
+
+TEST(EngineAllocations, GatedWaitsAllocateNothingPerOperation) {
+  expect_allocation_free(Ops::kGatedWaits);
+}
+
+}  // namespace
+}  // namespace mrl::runtime

@@ -296,7 +296,9 @@ TEST(Rma, CompareAndSwapSemantics) {
       EXPECT_EQ(win.compare_and_swap(9, 1, 1, 0), 9u);
     }
     c.barrier();
-    if (c.rank() == 1) EXPECT_EQ(window[0], 1u);
+    if (c.rank() == 1) {
+      EXPECT_EQ(window[0], 1u);
+    }
   });
   ASSERT_TRUE(r.ok());
 }
@@ -311,7 +313,9 @@ TEST(Rma, FetchAddAccumulatesAcrossRanks) {
       win.fetch_add(static_cast<std::uint64_t>(c.rank()), 0, 0);
     }
     c.barrier();
-    if (c.rank() == 0) EXPECT_EQ(window[0], 28u);  // 1+..+7
+    if (c.rank() == 0) {
+      EXPECT_EQ(window[0], 28u);  // 1+..+7
+    }
   });
   ASSERT_TRUE(r.ok());
 }

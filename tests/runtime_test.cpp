@@ -604,6 +604,89 @@ TEST(EngineWaitGate, UnreachedGateStillReportsDeadlock) {
       << r.status.to_string();
 }
 
+// Small deterministic 4-rank run touching every self-counter: performs that
+// keep the baton and performs that switch, a plain wait, and a gated wait
+// whose first crossing fails and is re-parked.
+RunResult run_counter_workload(Engine& eng) {
+  std::uint64_t ctr = 0;
+  bool flag = false;
+  int arrived = 0;
+  return eng.run([&](Rank& rank) {
+    rank.advance(1.0 * rank.id());
+    eng.perform(rank, [&] { ++arrived; });
+    if (rank.id() == 0) {
+      eng.wait(
+          rank, "test.gated",
+          [&]() -> std::optional<double> {
+            if (!flag) return std::nullopt;
+            return 10.0;
+          },
+          {}, WaitGate{&ctr, 1});
+    } else if (rank.id() == 1) {
+      eng.perform(rank, [&] { ++ctr; });  // crossing, cond still false
+      rank.advance(2.0);
+      eng.perform(rank, [&] {
+        flag = true;
+        ++ctr;
+      });
+    } else {
+      eng.wait(rank, "test.plain", [&]() -> std::optional<double> {
+        if (arrived < 4) return std::nullopt;
+        return 5.0;
+      });
+    }
+    eng.perform(rank, [] {});
+  });
+}
+
+TEST(EngineCounters, PinnedOnSmallRunAndRepeatAcrossRuns) {
+  EngineOptions opt;
+  opt.scheduler = SchedulerKind::kIndexedHeap;
+  Engine eng(plat(), 4, opt);
+  ASSERT_TRUE(run_counter_workload(eng).ok());
+  const EngineCounters c = eng.counters();
+  // Hand-traced: ranks 0..3 start at clocks 0..3; rank 1's two ctr bumps
+  // cross rank 0's gate twice (the first re-parks it); rank 2 blocks on the
+  // plain wait until rank 3's arrival, and rank 3 finds it satisfied.
+  EXPECT_EQ(c.performs, 10u);
+  EXPECT_EQ(c.keep_baton, 6u);  // each rank's last, rank 0's first, 1's bump
+  EXPECT_EQ(c.switches, 12u);   // 11 grants + the final return to run()
+  EXPECT_EQ(c.ready_pushes, 11u);
+  EXPECT_EQ(c.ready_erases, 11u);
+  EXPECT_EQ(c.gate_crossings, 2u);
+  EXPECT_EQ(c.reparks, 1u);
+  EXPECT_EQ(c.cond_evals, 13u);
+  // Every rank entered the ready queue at run start and left it when it
+  // last ran; nothing is queued after a clean run.
+  EXPECT_EQ(c.ready_pushes, c.ready_erases);
+  // Reset per run, and exactly reproducible.
+  for (int rep = 0; rep < 3; ++rep) {
+    ASSERT_TRUE(run_counter_workload(eng).ok());
+    const EngineCounters& again = eng.counters();
+    EXPECT_EQ(again.performs, c.performs);
+    EXPECT_EQ(again.keep_baton, c.keep_baton);
+    EXPECT_EQ(again.switches, c.switches);
+    EXPECT_EQ(again.ready_pushes, c.ready_pushes);
+    EXPECT_EQ(again.ready_erases, c.ready_erases);
+    EXPECT_EQ(again.gate_crossings, c.gate_crossings);
+    EXPECT_EQ(again.reparks, c.reparks);
+    EXPECT_EQ(again.cond_evals, c.cond_evals);
+  }
+  // The linear-scan oracle runs the same simulation without the heap-only
+  // fast paths: no keep-baton grants and no gates.
+  EngineOptions lin_opt;
+  lin_opt.scheduler = SchedulerKind::kLinearScan;
+  Engine lin(plat(), 4, lin_opt);
+  const RunResult lr = run_counter_workload(lin);
+  ASSERT_TRUE(lr.ok());
+  EXPECT_EQ(lr.rank_end_us, run_counter_workload(eng).rank_end_us);
+  EXPECT_EQ(lin.counters().performs, 10u);
+  EXPECT_EQ(lin.counters().keep_baton, 0u);
+  EXPECT_EQ(lin.counters().gate_crossings, 0u);
+  EXPECT_EQ(lin.counters().reparks, 0u);
+  EXPECT_EQ(lin.counters().ready_pushes, lin.counters().ready_erases);
+}
+
 TEST(EngineSchedulerDefaults, ProcessWideDefaultIsHonored) {
   const SchedulerKind saved = default_scheduler();
   set_default_scheduler(SchedulerKind::kLinearScan);

@@ -142,7 +142,9 @@ TEST(Shmem, FetchAddAccumulates) {
     s.barrier_all();
     s.atomic_fetch_add(counter, 1, 0);
     s.barrier_all();
-    if (s.pe() == 0) EXPECT_EQ(*s.local(counter), 6u);
+    if (s.pe() == 0) {
+      EXPECT_EQ(*s.local(counter), 6u);
+    }
   });
   ASSERT_TRUE(r.ok());
 }
@@ -158,7 +160,9 @@ TEST(Shmem, CasReturnsOldValueAndSwaps) {
       EXPECT_EQ(s.atomic_compare_swap(word, 11, 22, 0), 11u);
     }
     s.barrier_all();
-    if (s.pe() == 0) EXPECT_EQ(*s.local(word), 22u);
+    if (s.pe() == 0) {
+      EXPECT_EQ(*s.local(word), 22u);
+    }
   });
   ASSERT_TRUE(r.ok());
 }

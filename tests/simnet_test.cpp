@@ -356,13 +356,13 @@ TEST_P(PlatformTest, FabricConstructs) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPlatforms, PlatformTest, ::testing::Range(0, 6),
-                         [](const auto& info) {
+                         [](const auto& p) {
                            return Platform::all()[static_cast<std::size_t>(
-                                      info.param)]
+                                      p.param)]
                                       .name()
                                       .find("GPU") != std::string::npos
-                                      ? "gpu" + std::to_string(info.param)
-                                      : "cpu" + std::to_string(info.param);
+                                      ? "gpu" + std::to_string(p.param)
+                                      : "cpu" + std::to_string(p.param);
                          });
 
 TEST(PlatformCalibration, PerlmutterCpuPairBandwidthIs32) {

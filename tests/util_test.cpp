@@ -6,9 +6,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "util/arena.hpp"
 #include "util/csv.hpp"
 #include "util/flags.hpp"
+#include "util/function_ref.hpp"
 #include "util/histogram.hpp"
 #include "util/indexed_heap.hpp"
 #include "util/pair_map.hpp"
@@ -412,6 +415,81 @@ TEST(IndexedMinHeap, MatchesLinearScanOracle) {
     }
     EXPECT_EQ(h.top(), best) << "step " << step;
   }
+}
+
+// ---------------------------------------------------------------------------
+// FunctionRef — the engine's non-owning callable (DESIGN.md §10)
+// ---------------------------------------------------------------------------
+
+static_assert(std::is_trivially_copyable_v<util::FunctionRef<void()>>);
+static_assert(std::is_trivially_copyable_v<util::FunctionRef<int(int, int)>>);
+static_assert(sizeof(util::FunctionRef<void()>) == 2 * sizeof(void*));
+static_assert(sizeof(util::FunctionRef<double(const std::string&)>) ==
+              2 * sizeof(void*));
+
+int add3(int x) { return x + 3; }
+
+TEST(FunctionRef, CallsCapturingLambdaByReference) {
+  int calls = 0;
+  std::string log;
+  const std::string suffix = "!";
+  // Captures well past any small-buffer size: still two pointers.
+  auto fn = [&calls, &log, &suffix, a = 1, b = 2.0, c = 3LL](int x) {
+    ++calls;
+    log += std::to_string(x + a) + suffix;
+    return static_cast<double>(x) * b + static_cast<double>(c);
+  };
+  const util::FunctionRef<double(int)> ref = fn;
+  ASSERT_TRUE(ref);
+  EXPECT_EQ(ref(4), 11.0);
+  EXPECT_EQ(ref(0), 3.0);
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(log, "5!1!");
+  // Copies refer to the same target, never to a copy of it.
+  const util::FunctionRef<double(int)> copy = ref;
+  copy(1);
+  EXPECT_EQ(calls, 3);
+}
+
+TEST(FunctionRef, MutableLambdaStateIsTheCallersObject) {
+  auto counter = [n = 0]() mutable { return ++n; };
+  const util::FunctionRef<int()> ref = counter;
+  EXPECT_EQ(ref(), 1);
+  EXPECT_EQ(ref(), 2);
+  EXPECT_EQ(counter(), 3);  // the ref advanced the caller's lambda itself
+}
+
+TEST(FunctionRef, CallsStdFunctionTarget) {
+  int hits = 0;
+  const std::function<void(int)> f = [&hits](int k) { hits += k; };
+  const util::FunctionRef<void(int)> ref = f;
+  ref(2);
+  ref(5);
+  EXPECT_EQ(hits, 7);
+}
+
+TEST(FunctionRef, CallsFunctionPointersAndReferences) {
+  int (*fp)(int) = &add3;
+  const util::FunctionRef<int(int)> from_ptr = fp;
+  fp = nullptr;  // the ref holds the pointer's value, not its address
+  EXPECT_EQ(from_ptr(1), 4);
+  const util::FunctionRef<int(int)> from_ref = add3;
+  EXPECT_EQ(from_ref(-3), 0);
+  // A narrower-signature ref may discard the target's result.
+  const util::FunctionRef<void(int)> discard = &add3;
+  discard(7);
+}
+
+TEST(FunctionRef, EmptyRefsTestFalse) {
+  const util::FunctionRef<void()> none;
+  EXPECT_FALSE(none);
+  const util::FunctionRef<void()> braced = {};
+  EXPECT_FALSE(braced);
+  int (*null_fp)(int) = nullptr;
+  const util::FunctionRef<int(int)> from_null = null_fp;
+  EXPECT_FALSE(from_null);
+  auto lambda = [] {};
+  EXPECT_TRUE(util::FunctionRef<void()>(lambda));
 }
 
 // ---------------------------------------------------------------------------
