@@ -203,9 +203,11 @@ int cmd_trace(const simnet::Platform& plat, int ranks, const std::string& out) {
     workloads::stencil::LocalBlock blk(cfg, d);
     // One quick round of real halo traffic for the trace.
     const int peers[4] = {d.west, d.east, d.north, d.south};
+    std::vector<mpi::Request> reqs;
+    reqs.reserve(8);  // a send and a receive per peer, reused per iteration
     for (int it = 0; it < cfg.iters; ++it) {
       blk.pack_edges();
-      std::vector<mpi::Request> reqs;
+      reqs.clear();
       for (int s2 = 0; s2 < 4; ++s2) {
         if (peers[s2] < 0) continue;
         reqs.push_back(c.isend(blk.out(s2),

@@ -13,6 +13,7 @@ namespace mrl::mpi {
 Win::Win(World* world, int nranks) : world_(world), nranks_(nranks) {
   region_.resize(static_cast<std::size_t>(nranks_));
   pending_.resize(static_cast<std::size_t>(nranks_));
+  payload_.resize(static_cast<std::size_t>(nranks_));
   outstanding_.resize(static_cast<std::size_t>(nranks_));
   put_pushes_.resize(static_cast<std::size_t>(nranks_), 0);
 }
@@ -46,9 +47,11 @@ void Win::put(Comm& c, const void* origin, std::uint64_t bytes, int target,
     PendingPut pp2;
     pp2.off = target_off;
     pp2.bytes = bytes;
-    if (world_->capture_payloads) {
+    if (world_->capture_payloads && bytes > 0) {
+      auto& buf = payload_[static_cast<std::size_t>(target)];
       const auto* p = static_cast<const std::byte*>(origin);
-      pp2.data.assign(p, p + bytes);
+      pp2.data = buf.size();
+      buf.insert(buf.end(), p, p + bytes);
     }
     pp2.arrival = arrival;
     pp2.seq = put_seq_++;
@@ -61,7 +64,7 @@ void Win::put(Comm& c, const void* origin, std::uint64_t bytes, int target,
           0, c.now());
       pp2.chk_data = h.data;
     }
-    pending_[static_cast<std::size_t>(target)].push_back(std::move(pp2));
+    pending_[static_cast<std::size_t>(target)].push_back(pp2);
     // Advance the target's put-arrival gate counter: a rank parked in
     // wait_any_unapplied is only re-evaluated when this moves.
     ++put_pushes_[static_cast<std::size_t>(target)];
@@ -182,23 +185,24 @@ void Win::flush_local_all(Comm& c) { flush_local(c, -1); }
 void Win::apply_pending_locked(int rank, simnet::TimeUs cutoff) {
   auto& pend = pending_[static_cast<std::size_t>(rank)];
   if (pend.empty()) return;
-  std::vector<PendingPut> ready;
-  auto it = std::partition(pend.begin(), pend.end(), [&](const PendingPut& p) {
-    return p.arrival > cutoff;  // keep not-yet-arrived in place
+  // Arrived puts move to the tail and are sorted there, in place: seq is
+  // unique, so (arrival, seq) is a total order and the application order
+  // does not depend on the partition's.
+  const auto ready = std::partition(
+      pend.begin(), pend.end(), [&](const PendingPut& p) {
+        return p.arrival > cutoff;  // keep not-yet-arrived in place
+      });
+  std::sort(ready, pend.end(), [](const PendingPut& a, const PendingPut& b) {
+    return a.arrival != b.arrival ? a.arrival < b.arrival : a.seq < b.seq;
   });
-  ready.assign(std::make_move_iterator(it), std::make_move_iterator(pend.end()));
-  pend.erase(it, pend.end());
-  std::sort(ready.begin(), ready.end(),
-            [](const PendingPut& a, const PendingPut& b) {
-              return a.arrival != b.arrival ? a.arrival < b.arrival
-                                            : a.seq < b.seq;
-            });
   const Region& reg = region_[static_cast<std::size_t>(rank)];
+  const std::byte* bytes = payload_[static_cast<std::size_t>(rank)].data();
   auto& metrics = world_->engine_.metrics();
   auto& chk = world_->engine_.checker();
-  for (const PendingPut& p : ready) {
-    if (!p.data.empty()) {
-      std::memcpy(reg.base + p.off, p.data.data(), p.data.size());
+  for (auto it = ready; it != pend.end(); ++it) {
+    const PendingPut& p = *it;
+    if (p.data != kNoData) {
+      std::memcpy(reg.base + p.off, bytes + p.data, p.bytes);
     }
     metrics.on_recv(rank, p.bytes);
     if (chk.enabled() && chk_space_ >= 0) {
@@ -208,6 +212,37 @@ void Win::apply_pending_locked(int rank, simnet::TimeUs cutoff) {
                      check::PutHandles{p.chk_data, check::kNoRec});
     }
   }
+  pend.erase(ready, pend.end());
+  trim_payload_locked(rank);
+}
+
+void Win::trim_payload_locked(int rank) {
+  auto& buf = payload_[static_cast<std::size_t>(rank)];
+  auto& pend = pending_[static_cast<std::size_t>(rank)];
+  if (pend.empty()) {
+    buf.clear();
+    return;
+  }
+  if (buf.empty()) return;
+  std::uint64_t live = 0;
+  for (const PendingPut& p : pend) {
+    if (p.data != kNoData) live += p.bytes;
+  }
+  if (2 * live > buf.size()) return;
+  // Slide the pending bytes to the front in buffer order: each moves to an
+  // offset at or below its own, so no unread byte is overwritten.
+  std::sort(pend.begin(), pend.end(),
+            [](const PendingPut& a, const PendingPut& b) {
+              return a.data < b.data;
+            });
+  std::uint64_t w = 0;
+  for (PendingPut& p : pend) {
+    if (p.data == kNoData) continue;
+    std::memmove(buf.data() + w, buf.data() + p.data, p.bytes);
+    p.data = w;
+    w += p.bytes;
+  }
+  buf.resize(w);
 }
 
 void Win::sync(Comm& c) {

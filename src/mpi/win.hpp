@@ -95,10 +95,14 @@ class Win {
     std::byte* base = nullptr;
     std::uint64_t size = 0;
   };
+  /// PendingPut::data value when the put carries no captured bytes.
+  static constexpr std::uint64_t kNoData = ~0ULL;
   struct PendingPut {
     std::uint64_t off = 0;
     std::uint64_t bytes = 0;
-    std::vector<std::byte> data;  ///< empty when payload capture is off
+    /// Offset of the captured bytes in the target's payload_ buffer, or
+    /// kNoData (payload capture off, or a zero-byte put).
+    std::uint64_t data = kNoData;
     simnet::TimeUs arrival = 0;
     std::uint64_t seq = 0;
     /// Checker shadow-record handle; reported back when the put applies.
@@ -117,6 +121,9 @@ class Win {
   /// Applies (in arrival,seq order) all pending puts for `rank` with
   /// arrival <= cutoff. Engine lock must be held.
   void apply_pending_locked(int rank, simnet::TimeUs cutoff);
+  /// Drops the applied puts' bytes from `rank`'s payload buffer once they
+  /// outweigh the pending ones (an empty pending list clears it).
+  void trim_payload_locked(int rank);
 
   std::uint64_t atomic_rmw(Comm& c, int target, std::uint64_t target_off,
                            std::uint64_t operand, std::uint64_t compare,
@@ -126,6 +133,10 @@ class Win {
   int nranks_;
   std::vector<Region> region_;
   std::vector<std::vector<PendingPut>> pending_;      // per target rank
+  /// Captured put bytes per target rank, appended at put time. Cleared (not
+  /// freed) once the target has applied everything, so a warm window's
+  /// puts and fences allocate nothing.
+  std::vector<std::vector<std::byte>> payload_;
   std::vector<std::vector<Outstanding>> outstanding_; // per origin rank
   /// Total puts ever pushed toward each target — the WaitGate counter for
   /// wait_any_unapplied (DESIGN.md §12). Sized once, so entries have stable

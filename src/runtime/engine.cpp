@@ -210,10 +210,11 @@ void Engine::reset_run_state_locked(const std::function<void(Rank&)>& body) {
   const bool heap = opt_.scheduler == SchedulerKind::kIndexedHeap;
   counters_ = EngineCounters{};
   counters_.ready_pushes = static_cast<std::uint64_t>(nranks_);
+  fabric_transfers_at_start_ = fabric_->total_msgs();
   ready_.clear();
   blocked_.clear();
   if (heap) {
-    ready_heap_.reset(nranks_);
+    ready_queue_.reset(nranks_);
   } else {
     ready_.reserve(static_cast<std::size_t>(nranks_));
   }
@@ -230,7 +231,7 @@ void Engine::reset_run_state_locked(const std::function<void(Rank&)>& body) {
     rank_cond_[s] = {};
     rank_what_[s] = "";
     if (heap) {
-      ready_heap_.push(i, 0);
+      if (ready_queue_.push(i, 0)) ++counters_.ready_run_pushes;
     } else {
       ready_.push_back(i);
     }
@@ -275,7 +276,7 @@ void Engine::set_state_locked(int id, RankState s) {
   if (rank_state_[i] == RankState::kReady) {
     ++counters_.ready_erases;
     if (heap) {
-      ready_heap_.erase(id);
+      ready_queue_.erase(id);
     } else {
       const auto it = std::find(ready_.begin(), ready_.end(), id);
       MRL_CHECK(it != ready_.end());
@@ -303,10 +304,10 @@ void Engine::set_state_locked(int id, RankState s) {
   rank_state_[i] = s;
   if (s == RankState::kReady) {
     // rank_wake_ is always finalized before a rank is (re)queued, so the
-    // heap key never changes while the rank sits in the heap.
+    // queue key never changes while the rank sits in the queue.
     ++counters_.ready_pushes;
     if (heap) {
-      ready_heap_.push(id, rank_wake_[i]);
+      if (ready_queue_.push(id, rank_wake_[i])) ++counters_.ready_run_pushes;
     } else {
       ready_.push_back(id);
     }
@@ -325,21 +326,21 @@ void Engine::set_state_locked(int id, RankState s) {
 }
 
 bool Engine::keeps_baton_locked(int id, simnet::TimeUs wake) const {
-  // Pushing (wake, id) and picking the heap minimum grants the caller iff it
-  // orders before the current top — the heap's own strict (key, id) order,
-  // so this is exactly the grant the push-then-pick path makes. The linear
-  // scan always takes the full path (it is the oracle).
+  // Pushing (wake, id) and picking the queue minimum grants the caller iff
+  // it orders before the current top — the queue's own strict (key, id)
+  // order, so this is exactly the grant the push-then-pick path makes. The
+  // linear scan always takes the full path (it is the oracle).
   if (opt_.scheduler != SchedulerKind::kIndexedHeap) return false;
-  if (ready_heap_.empty()) return true;
-  const simnet::TimeUs top_wake = ready_heap_.top_key();
-  return wake < top_wake || (!(top_wake < wake) && id < ready_heap_.top());
+  if (ready_queue_.empty()) return true;
+  const simnet::TimeUs top_wake = ready_queue_.top_key();
+  return wake < top_wake || (!(top_wake < wake) && id < ready_queue_.top());
 }
 
 int Engine::pick_min_ready_locked() const {
   if (opt_.scheduler == SchedulerKind::kIndexedHeap) {
-    // Heap top IS the (wake, id)-lexicographic minimum: same pick, same
+    // The queue top IS the (wake, id)-lexicographic minimum: same pick, same
     // lowest-rank-id tie-break as the linear scan below, in O(1).
-    return ready_heap_.top();
+    return ready_queue_.top();
   }
   // Min (wake, id) over the incrementally maintained ready list — for the
   // dominant 2-rank sweeps this inspects one or two entries, never all
@@ -481,27 +482,10 @@ void Engine::wake_satisfied_locked() {
   }
 }
 
-namespace {
-
-using GateWaiter = std::pair<std::uint64_t, int>;
-
-void push_gate_waiter(std::vector<GateWaiter>& h, std::uint64_t threshold,
-                      int id) {
-  h.emplace_back(threshold, id);
-  std::push_heap(h.begin(), h.end(), std::greater<>());
-}
-
-void pop_gate_waiter(std::vector<GateWaiter>& h) {
-  std::pop_heap(h.begin(), h.end(), std::greater<>());
-  h.pop_back();
-}
-
-}  // namespace
-
 void Engine::register_gated_waiter_locked(int id, WaitGate gate) {
   const auto it = gate_index_.find(gate.counter);
   if (it != gate_index_.end()) {
-    push_gate_waiter(gates_[it->second].waiters, gate.threshold, id);
+    gates_[it->second].waiters.push({gate.threshold, id});
     return;
   }
   // New live channel: reuse a drained channel's storage and a spare index
@@ -510,7 +494,7 @@ void Engine::register_gated_waiter_locked(int id, WaitGate gate) {
   const std::size_t g = live_gates_++;
   GateChannel& ch = gates_[g];
   ch.counter = gate.counter;
-  push_gate_waiter(ch.waiters, gate.threshold, id);
+  ch.waiters.push({gate.threshold, id});
   if (spare_gate_nodes_.empty()) {
     gate_index_.emplace(gate.counter, g);
     return;
@@ -527,13 +511,13 @@ void Engine::wake_gated_locked() {
   // threshold the counter has reached. Waiters whose threshold is still
   // ahead are never visited — this is what keeps a P-rank wave O(P log P)
   // instead of O(P²). Channel visit order never affects results: waking
-  // only pushes into the ready heap, whose (wake, id) order is
+  // only pushes into the ready queue, whose (wake, id) order is
   // insertion-order independent.
   for (std::size_t g = 0; g < live_gates_;) {
     GateChannel& ch = gates_[g];
-    while (!ch.waiters.empty() && *ch.counter >= ch.waiters.front().first) {
-      const int id = ch.waiters.front().second;
-      pop_gate_waiter(ch.waiters);
+    while (!ch.waiters.empty() && *ch.counter >= ch.waiters.top().first) {
+      const int id = ch.waiters.top().second;
+      ch.waiters.pop();
       const auto s = static_cast<std::size_t>(id);
       // Stale entries (rank already unwound by an abort, or re-parked and
       // woken via a fresher entry) are skipped.
@@ -556,7 +540,7 @@ void Engine::wake_gated_locked() {
         // (The new threshold exceeds the current counter value, so this
         // entry is not re-popped by the drain loop above.)
         ++counters_.reparks;
-        push_gate_waiter(ch.waiters, *ch.counter + 1, id);
+        ch.waiters.push({*ch.counter + 1, id});
       }
     }
     if (ch.waiters.empty()) {

@@ -31,9 +31,9 @@
 //     until actually granted), and a rank that remains the min-clock
 //     runnable rank continues with no switch at all;
 //   * keep-baton fast path (kIndexedHeap): perform() and a wait satisfiable
-//     at entry compare the caller's (wake, id) with the ready-heap top
+//     at entry compare the caller's (wake, id) with the ready-queue top
 //     first; if the caller is still the minimum it keeps the baton with no
-//     heap push, erase or state change — exactly the grant the
+//     queue push, erase or state change — exactly the grant the
 //     push-then-pick path would make (kLinearScan keeps the full path as
 //     the oracle);
 //   * the per-operation protocol allocates nothing: perform/wait take their
@@ -43,14 +43,16 @@
 //     outlive the call that receives it, and the engine never keeps a ref
 //     past the wait that received it (rank_cond_ holds one only while that
 //     rank is parked inside the wait);
-//   * the scheduler selects the min-clock rank from an indexed binary
-//     min-heap keyed (wake time, rank id) — push/erase/top are O(log n) with
-//     a per-rank position index, so dispatch cost no longer scales with the
-//     number of runnable ranks (DESIGN.md §10). Ties break toward the lowest
-//     rank id, exactly the order the legacy linear scan produced, so output
-//     is bit-identical to it (SchedulerKind::kLinearScan keeps the legacy
-//     structure selectable for the abl_design ablation and as a
-//     differential-testing oracle);
+//   * the scheduler selects the min-clock rank from a ready queue keyed
+//     (wake time, rank id) with a sorted-run front (util/sorted_run.hpp):
+//     a push that orders after the last appended entry — every push of a
+//     same-time wave, whose ranks re-queue in rank-id order — is a FIFO
+//     append and the grant pops the front, both O(1); any other push goes
+//     to an indexed binary min-heap, O(log n) (DESIGN.md §10). Ties break
+//     toward the lowest rank id, exactly the order the legacy linear scan
+//     produced, so output is bit-identical to it (SchedulerKind::kLinearScan
+//     keeps the legacy structure selectable for the abl_design ablation and
+//     as a differential-testing oracle);
 //   * blocked-condition re-evaluation walks a dedicated blocked-rank index —
 //     only actual waiters are visited, never all ranks — and is skipped
 //     entirely while no rank is blocked;
@@ -59,7 +61,9 @@
 //     and their conditions are not re-evaluated at all until the counter
 //     reaches the threshold. Without this, a P-rank barrier/fence wave costs
 //     Σ|blocked| ≈ P²/2 condition closures (minutes of wall time at 100k
-//     ranks); with it a wave is O(P log P) (DESIGN.md §10, §12);
+//     ranks); with it a wave is O(P log P) (DESIGN.md §10, §12), and O(P)
+//     when the wave parks in rank order, as fences and barriers do: the
+//     threshold heap has the same sorted-run fast path as the ready queue;
 //   * the scheduler's per-rank hot fields (clock, wake, state, gate slot,
 //     wait condition) live in parallel flat arrays indexed by rank id — a
 //     structure-of-arrays layout — instead of pointer-chased per-rank
@@ -87,7 +91,7 @@
 #include "simnet/time.hpp"
 #include "simnet/trace.hpp"
 #include "util/function_ref.hpp"
-#include "util/indexed_heap.hpp"
+#include "util/sorted_run.hpp"
 #include "util/status.hpp"
 
 namespace mrl::runtime {
@@ -103,7 +107,7 @@ inline void set_default_backend(EngineBackend) {}
 
 /// Ready-queue data structure (DESIGN.md §10).
 enum class SchedulerKind {
-  kIndexedHeap,  ///< indexed binary min-heap over (wake, id); O(log n) dispatch
+  kIndexedHeap,  ///< sorted run + indexed heap on (wake, id); O(1) per wave op
   kLinearScan,   ///< legacy O(ranks) scan + std::find removal (ablation oracle)
 };
 
@@ -273,14 +277,16 @@ struct EngineOptions {
 /// scan ignores gates and never takes the keep-baton path) but are exactly
 /// reproducible for a given scheduler and workload.
 struct EngineCounters {
-  std::uint64_t performs = 0;        ///< Engine::perform calls
-  std::uint64_t keep_baton = 0;      ///< grants taken on the keep-baton path
-  std::uint64_t switches = 0;        ///< fiber context switches (incl. main)
-  std::uint64_t ready_pushes = 0;    ///< ready-queue inserts (incl. run start)
-  std::uint64_t ready_erases = 0;    ///< ready-queue removals
-  std::uint64_t gate_crossings = 0;  ///< gated waiters popped at threshold
-  std::uint64_t reparks = 0;         ///< crossed gates whose cond still failed
-  std::uint64_t cond_evals = 0;      ///< wait-condition evaluations
+  std::uint64_t performs = 0;          ///< Engine::perform calls
+  std::uint64_t keep_baton = 0;        ///< grants taken on the keep-baton path
+  std::uint64_t switches = 0;          ///< fiber context switches (incl. main)
+  std::uint64_t ready_pushes = 0;      ///< ready-queue inserts (incl. start)
+  std::uint64_t ready_run_pushes = 0;  ///< of those, appended to the sorted run
+  std::uint64_t ready_erases = 0;      ///< ready-queue removals
+  std::uint64_t gate_crossings = 0;    ///< gated waiters popped at threshold
+  std::uint64_t reparks = 0;           ///< crossed gates, cond still false
+  std::uint64_t cond_evals = 0;        ///< wait-condition evaluations
+  std::uint64_t fabric_transfers = 0;  ///< Fabric::transfer calls this run
 };
 
 struct RunResult {
@@ -319,7 +325,13 @@ class Engine {
   [[nodiscard]] check::Checker& checker() { return checker_; }
   [[nodiscard]] const check::Checker& checker() const { return checker_; }
   /// Self-counters of the current (or last completed) run.
-  [[nodiscard]] const EngineCounters& counters() const { return counters_; }
+  [[nodiscard]] EngineCounters counters() const {
+    EngineCounters c = counters_;
+    // The fabric counts its own transfers (one increment each); a fabric
+    // kept across runs keeps counting, so take this run's share.
+    c.fabric_transfers = fabric_->total_msgs() - fabric_transfers_at_start_;
+    return c;
+  }
 
   /// Records one fabric-visible message into the trace AND the metrics
   /// collector (the single choke point that keeps the two in agreement).
@@ -507,11 +519,11 @@ class Engine {
   std::vector<FiberStart> fiber_start_;
 
   // Scheduler state, reset per run. Exactly the ids whose state is kReady
-  // live in ready_heap_ (kIndexedHeap) or ready_ (kLinearScan); exactly the
+  // live in ready_queue_ (kIndexedHeap) or ready_ (kLinearScan); exactly the
   // kBlocked ids live in blocked_ (kIndexedHeap — the blocked-rank index
   // that wake_satisfied_locked walks instead of all ranks), and
   // blocked_count_ counts them under either scheduler.
-  util::IndexedMinHeap<simnet::TimeUs> ready_heap_;
+  util::SortedRunQueue<simnet::TimeUs> ready_queue_;
   std::vector<int> ready_;
   std::vector<int> blocked_;
   int blocked_count_ = 0;
@@ -526,10 +538,11 @@ class Engine {
   // steady-state gate traffic allocates nothing.
   struct GateChannel {
     const std::uint64_t* counter = nullptr;
-    /// Min-heap on (threshold, rank id) kept with std::push_heap/pop_heap
-    /// and std::greater — std::priority_queue's exact order, but clear()
+    /// Min-heap on (threshold, rank id) — std::priority_queue's exact pop
+    /// order — that appends and pops in O(1) while waiters park in order
+    /// (a fence wave parks (gen + 1, id) in ascending id), and clear()
     /// keeps the capacity.
-    std::vector<std::pair<std::uint64_t, int>> waiters;
+    util::SortedRunHeap<std::pair<std::uint64_t, int>> waiters;
   };
   using GateIndex = std::unordered_map<const std::uint64_t*, std::size_t>;
   std::vector<GateChannel> gates_;  ///< [0, live_gates_) are live
@@ -538,6 +551,7 @@ class Engine {
   std::vector<GateIndex::node_type> spare_gate_nodes_;
   int gated_count_ = 0;
   EngineCounters counters_;
+  std::uint64_t fabric_transfers_at_start_ = 0;
   int granted_ = -1;
   /// Rank currently executing a wait-finalize (engine quiescent; -1 outside
   /// finalizes). Only read by note_wake_cause_locked, see there.

@@ -1,9 +1,10 @@
 // Indexed binary min-heap over a dense id universe [0, n).
 //
-// The scheduler-grade priority queue used by the engine's ready queue
-// (runtime/engine.cpp, DESIGN.md §10) and the fabric's per-link lane picker
-// (simnet/link.cpp). Both need the same three things a plain
-// std::priority_queue cannot give:
+// The scheduler-grade priority queue behind the fabric's per-link lane
+// picker (simnet/link.cpp) and the engine's ready queue, where it holds the
+// entries that miss util::SortedRunQueue's O(1) sorted run
+// (util/sorted_run.hpp, runtime/engine.cpp, DESIGN.md §10). Both need the
+// same three things a plain std::priority_queue cannot give:
 //
 //   * O(log n) removal of an ARBITRARY id (a rank leaving the ready queue
 //     because it was granted or blocked; never via lazy deletion, which

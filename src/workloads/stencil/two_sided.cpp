@@ -1,6 +1,8 @@
 // Two-sided stencil: four MPI_Isend/MPI_Irecv pairs + MPI_Waitall per
 // iteration (the paper's baseline BSP implementation).
 #include <algorithm>
+#include <iterator>
+#include <vector>
 
 #include "mpi/comm.hpp"
 #include "workloads/stencil/stencil.hpp"
@@ -39,11 +41,14 @@ Result run_two_sided(const simnet::Platform& platform, int nranks,
     };
     auto opposite = [](int side) { return side ^ 1; };  // W<->E, N<->S
 
+    // At most one send and one receive per edge; reused every iteration.
+    std::vector<mpi::Request> reqs;
+    reqs.reserve(2 * std::size(edges));
     c.barrier();
     if (c.rank() == 0) t0 = c.now();
     for (int it = 0; it < cfg.iters; ++it) {
       blk.pack_edges();
-      std::vector<mpi::Request> reqs;
+      reqs.clear();
       for (const Edge& e : edges) {
         if (e.peer < 0) continue;
         // My out[side] becomes the peer's in[opposite(side)].

@@ -1,10 +1,10 @@
 // Zero-allocation guard for the engine's per-operation protocol
-// (DESIGN.md §10): on a warmed, reused engine, Engine::perform, plain waits
-// and gated waits must not touch the heap. This executable replaces the
-// global operator new with a counting one and checks that a run of 10^3
-// operations and a run of 10^4 operations allocate exactly as often — so
-// the count is independent of the operation count — without timing
-// anything.
+// (DESIGN.md §10): on a warmed, reused engine, Engine::perform, plain waits,
+// gated waits and MPI RMA put + fence epochs must not touch the heap. This
+// executable replaces the global operator new with a counting one and
+// checks that a run of 10^3 operations and a run of 10^4 operations
+// allocate exactly as often — so the count is independent of the operation
+// count — without timing anything.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +13,8 @@
 #include <new>
 #include <optional>
 
+#include "mpi/comm.hpp"
+#include "mpi/win.hpp"
 #include "runtime/engine.hpp"
 #include "simnet/platform.hpp"
 
@@ -124,14 +126,19 @@ std::uint64_t allocations_for(Engine& eng, Ops ops, int n) {
   return after - before;
 }
 
-void expect_allocation_free(Ops ops) {
+// The engine configuration users run: heap scheduler, every observer off.
+EngineOptions quiet_options() {
   EngineOptions opt;
   opt.scheduler = SchedulerKind::kIndexedHeap;
   opt.trace = false;
   opt.spans = false;
   opt.metrics = false;
   opt.check = false;
-  Engine eng(simnet::Platform::perlmutter_cpu(), 2, opt);
+  return opt;
+}
+
+void expect_allocation_free(Ops ops) {
+  Engine eng(simnet::Platform::perlmutter_cpu(), 2, quiet_options());
   // Warm-up: fibers, the ready heap, the blocked index and the gate
   // registry reach their steady-state capacity.
   (void)allocations_for(eng, ops, 10000);
@@ -153,6 +160,41 @@ TEST(EngineAllocations, PlainWaitsAllocateNothingPerOperation) {
 
 TEST(EngineAllocations, GatedWaitsAllocateNothingPerOperation) {
   expect_allocation_free(Ops::kGatedWaits);
+}
+
+// Two ranks, `n` fence epochs of two puts each (a double and a 3-double
+// edge, captured: payload capture is on by default) into the other rank's
+// window. Each run builds a fresh mpi::World and window, a fixed number of
+// allocations per run; the puts and fences themselves must add none.
+std::uint64_t put_fence_allocations(Engine& eng, int n) {
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  double sum = 0;
+  const RunResult r = mpi::World::run(eng, [&](mpi::Comm& c) {
+    double window[4] = {};
+    double edge[3] = {1.0, 2.0, 3.0};
+    mpi::WinHandle win = c.create_win(window, sizeof(window));
+    const int peer = 1 - c.rank();
+    for (int i = 0; i < n; ++i) {
+      edge[0] = i;
+      win.put(edge, sizeof(double), peer, 0);
+      win.put(edge, sizeof(edge), peer, sizeof(double));
+      win.fence();
+    }
+    sum += window[0] + window[3];
+  });
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_TRUE(r.ok()) << r.status.to_string();
+  EXPECT_DOUBLE_EQ(sum, 2.0 * (n - 1 + 3.0));  // the last epoch's bytes landed
+  return after - before;
+}
+
+TEST(EngineAllocations, PutsAndFencesAllocateNothingPerOperation) {
+  Engine eng(simnet::Platform::perlmutter_cpu(), 2, quiet_options());
+  (void)put_fence_allocations(eng, 10000);
+  const std::uint64_t small = put_fence_allocations(eng, 1000);
+  const std::uint64_t large = put_fence_allocations(eng, 10000);
+  EXPECT_EQ(small, large) << "allocations grow with the put/fence count";
+  EXPECT_GT(small, 0u);
 }
 
 }  // namespace

@@ -90,6 +90,46 @@ TEST(Schedulers, StencilMakespanIdenticalAt256Ranks) {
   EXPECT_EQ(h.msgs.span_us, l.msgs.span_us);
 }
 
+TEST(Schedulers, StencilWavesIdenticalAt2304Ranks) {
+  // Wave scale for the sorted-run ready queue and gate channels: 2304 ranks
+  // put (one-sided) or send (two-sided) their halos at one virtual time per
+  // step and fence or wait together. Boundary ranks have fewer neighbours,
+  // so they fall out of step and the heap fallback runs beside the FIFO
+  // path. Makespan, message summary and numerics must match the
+  // linear-scan oracle bit for bit.
+  workloads::stencil::Config cfg;
+  cfg.n = 192;  // 48 x 48 process grid, 4 x 4 cells per rank
+  cfg.iters = 2;
+  const auto plat = simnet::Platform::perlmutter_cpu(/*nodes=*/18);
+  const int nranks = 2304;
+  const auto saved = runtime::default_scheduler();
+  for (const bool one_sided : {true, false}) {
+    std::vector<workloads::stencil::Result> res;
+    for (const auto sched : {runtime::SchedulerKind::kIndexedHeap,
+                             runtime::SchedulerKind::kLinearScan}) {
+      runtime::set_default_scheduler(sched);
+      res.push_back(one_sided
+                        ? workloads::stencil::run_one_sided(plat, nranks, cfg)
+                        : workloads::stencil::run_two_sided(plat, nranks, cfg));
+    }
+    runtime::set_default_scheduler(saved);
+    const auto& h = res[0];
+    const auto& l = res[1];
+    ASSERT_TRUE(h.status.is_ok()) << h.status.to_string();
+    ASSERT_TRUE(l.status.is_ok()) << l.status.to_string();
+    EXPECT_TRUE(h.verified);
+    EXPECT_EQ(h.max_abs_err, 0.0);
+    EXPECT_EQ(h.max_abs_err, l.max_abs_err);
+    EXPECT_GT(h.time_us, 0.0);
+    EXPECT_EQ(h.time_us, l.time_us) << "one_sided " << one_sided;
+    EXPECT_EQ(h.msgs.num_msgs, l.msgs.num_msgs);
+    EXPECT_EQ(h.msgs.num_epochs, l.msgs.num_epochs);
+    EXPECT_EQ(h.msgs.total_bytes, l.msgs.total_bytes);
+    EXPECT_EQ(h.msgs.avg_latency_us, l.msgs.avg_latency_us);
+    EXPECT_EQ(h.msgs.span_us, l.msgs.span_us);
+  }
+}
+
 TEST(Scale, FourThousandRankStencilCompletesOnFibers) {
   // The scaling headline: 4096 ranks is far past what one-OS-thread-per-rank
   // can host (default thread stacks alone would reserve ~32 GiB and typical

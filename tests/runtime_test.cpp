@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/engine.hpp"
@@ -652,10 +653,16 @@ TEST(EngineCounters, PinnedOnSmallRunAndRepeatAcrossRuns) {
   EXPECT_EQ(c.keep_baton, 6u);  // each rank's last, rank 0's first, 1's bump
   EXPECT_EQ(c.switches, 12u);   // 11 grants + the final return to run()
   EXPECT_EQ(c.ready_pushes, 11u);
+  // 8 of them append to the sorted run: the 4 run-start pushes, ranks 1-3
+  // re-queued at clocks 1, 2, 3 (a wave) and rank 0 woken at t=10. Rank 1's
+  // (3, 1) behind (3, 3) and ranks 2 and 3 woken at t=5 behind (10, 0)
+  // order before the run's last entry and go to the heap.
+  EXPECT_EQ(c.ready_run_pushes, 8u);
   EXPECT_EQ(c.ready_erases, 11u);
   EXPECT_EQ(c.gate_crossings, 2u);
   EXPECT_EQ(c.reparks, 1u);
   EXPECT_EQ(c.cond_evals, 13u);
+  EXPECT_EQ(c.fabric_transfers, 0u);  // the body never touches the fabric
   // Every rank entered the ready queue at run start and left it when it
   // last ran; nothing is queued after a clean run.
   EXPECT_EQ(c.ready_pushes, c.ready_erases);
@@ -667,6 +674,7 @@ TEST(EngineCounters, PinnedOnSmallRunAndRepeatAcrossRuns) {
     EXPECT_EQ(again.keep_baton, c.keep_baton);
     EXPECT_EQ(again.switches, c.switches);
     EXPECT_EQ(again.ready_pushes, c.ready_pushes);
+    EXPECT_EQ(again.ready_run_pushes, c.ready_run_pushes);
     EXPECT_EQ(again.ready_erases, c.ready_erases);
     EXPECT_EQ(again.gate_crossings, c.gate_crossings);
     EXPECT_EQ(again.reparks, c.reparks);
@@ -685,6 +693,144 @@ TEST(EngineCounters, PinnedOnSmallRunAndRepeatAcrossRuns) {
   EXPECT_EQ(lin.counters().gate_crossings, 0u);
   EXPECT_EQ(lin.counters().reparks, 0u);
   EXPECT_EQ(lin.counters().ready_pushes, lin.counters().ready_erases);
+  EXPECT_EQ(lin.counters().ready_run_pushes, 0u);  // no sorted run
+}
+
+TEST(EngineCounters, FabricTransfersArePerRun) {
+  // Each rank moves k messages through the fabric. The count is per run
+  // whether or not the fabric's contention state survives between runs.
+  const int n = 3;
+  const int k = 5;
+  for (const bool reset_fabric : {true, false}) {
+    EngineOptions opt;
+    opt.reset_fabric_each_run = reset_fabric;
+    Engine eng(plat(), n, opt);
+    for (int rep = 0; rep < 2; ++rep) {
+      const RunResult r = eng.run([&](Rank& rank) {
+        for (int i = 0; i < k; ++i) {
+          eng.perform(rank, [&] {
+            simnet::TransferParams p;
+            p.src_ep = rank.endpoint();
+            p.dst_ep = rank.endpoint();
+            p.src_rank = rank.id();
+            p.bytes = 64;
+            p.start_us = rank.now();
+            rank.advance(eng.fabric().transfer(p).arrival_us - rank.now());
+          });
+        }
+      });
+      ASSERT_TRUE(r.ok()) << r.status.to_string();
+      EXPECT_EQ(eng.counters().fabric_transfers,
+                static_cast<std::uint64_t>(n * k))
+          << "reset_fabric " << reset_fabric << " rep " << rep;
+    }
+  }
+}
+
+// A wave workload: every rank performs at one virtual time, in rank order,
+// for several rounds, with a barrier-style gated wait between rounds and a
+// few ranks that fall out of step (extra compute, an extra perform) so both
+// the sorted run and the heap fallback carry grants. `record` lists every
+// perform as (rank, clock), which is the grant order itself.
+RunResult run_wave_workload(Engine& eng, int rounds,
+                            std::vector<std::pair<int, double>>* record) {
+  const int n = eng.nranks();
+  std::uint64_t generation = 0;
+  int entered = 0;
+  double max_enter = 0.0;
+  std::array<double, 4> done{};
+  return eng.run([&](Rank& rank) {
+    const int id = rank.id();
+    for (int round = 0; round < rounds; ++round) {
+      const int puts = id % 7 == 3 ? 3 : 4;  // some ranks do less
+      for (int i = 0; i < puts; ++i) {
+        if (id % 11 == 5) rank.advance(0.25);  // out of step
+        eng.perform(rank, [&] { record->emplace_back(id, rank.now()); });
+        rank.advance(0.5);
+      }
+      std::uint64_t my_gen = 0;
+      eng.perform(rank, [&] {
+        record->emplace_back(id, rank.now());
+        my_gen = generation;
+        if (entered == 0) max_enter = 0.0;
+        ++entered;
+        max_enter = std::max(max_enter, rank.now());
+        if (entered == n) {
+          done[my_gen % done.size()] = max_enter + 1.0;
+          entered = 0;
+          ++generation;
+        }
+      });
+      eng.wait(
+          rank, "test.wave",
+          [&]() -> std::optional<double> {
+            if (generation <= my_gen) return std::nullopt;
+            return done[my_gen % done.size()];
+          },
+          {}, WaitGate{&generation, my_gen + 1});
+    }
+  });
+}
+
+TEST(EngineCrossScheduler, WaveGrantOrderMatchesLinearOracle) {
+  // The sorted-run ready queue and gate channels must grant exactly what
+  // the linear scan grants, in the same order, run after run on one engine.
+  const int n = 97;
+  EngineOptions heap_opt;
+  heap_opt.scheduler = SchedulerKind::kIndexedHeap;
+  Engine heap_eng(plat(), n, heap_opt);
+  EngineOptions lin_opt;
+  lin_opt.scheduler = SchedulerKind::kLinearScan;
+  Engine lin(plat(), n, lin_opt);
+  std::vector<std::pair<int, double>> oracle;
+  ASSERT_TRUE(run_wave_workload(lin, 6, &oracle).ok());
+  for (int rep = 0; rep < 2; ++rep) {
+    std::vector<std::pair<int, double>> got;
+    const RunResult r = run_wave_workload(heap_eng, 6, &got);
+    ASSERT_TRUE(r.ok()) << r.status.to_string();
+    ASSERT_EQ(got.size(), oracle.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], oracle[i]) << "grant " << i << " rep " << rep;
+    }
+    // Both queue paths carried grants.
+    const EngineCounters c = heap_eng.counters();
+    EXPECT_GT(c.ready_run_pushes, c.ready_pushes / 2);
+    EXPECT_LT(c.ready_run_pushes, c.ready_pushes);
+  }
+}
+
+TEST(EngineCrossScheduler, AbortMidWaveUnwindsEveryRank) {
+  // An abort in the middle of a wave unwinds ranks in id order, erasing
+  // queued ranks that are not the top (tombstones on the sorted run). The
+  // same engine then runs a clean wave identical to the oracle.
+  const int n = 40;
+  for (const SchedulerKind sched :
+       {SchedulerKind::kIndexedHeap, SchedulerKind::kLinearScan}) {
+    EngineOptions opt;
+    opt.scheduler = sched;
+    Engine eng(plat(), n, opt);
+    int performed = 0;
+    const RunResult aborted = eng.run([&](Rank& rank) {
+      for (int i = 0; i < 3; ++i) {
+        eng.perform(rank, [&] {
+          if (++performed == n + n / 2) {
+            eng.abort_run(rank, ErrorCode::kFailedPrecondition, "mid-wave");
+          }
+        });
+        rank.advance(1.0);
+      }
+    });
+    EXPECT_EQ(aborted.status.code(), ErrorCode::kFailedPrecondition);
+    EXPECT_EQ(performed, n + n / 2);
+    std::vector<std::pair<int, double>> got;
+    ASSERT_TRUE(run_wave_workload(eng, 2, &got).ok());
+    std::vector<std::pair<int, double>> want;
+    EngineOptions lin_opt;
+    lin_opt.scheduler = SchedulerKind::kLinearScan;
+    Engine lin(plat(), n, lin_opt);
+    ASSERT_TRUE(run_wave_workload(lin, 2, &want).ok());
+    EXPECT_EQ(got, want) << to_string(sched);
+  }
 }
 
 TEST(EngineSchedulerDefaults, ProcessWideDefaultIsHonored) {

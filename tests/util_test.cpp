@@ -8,6 +8,7 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <queue>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -26,6 +27,7 @@
 #include "util/pair_map.hpp"
 #include "util/parse.hpp"
 #include "util/rng.hpp"
+#include "util/sorted_run.hpp"
 #include "util/stats.hpp"
 #include "util/status.hpp"
 #include "util/table.hpp"
@@ -415,6 +417,178 @@ TEST(IndexedMinHeap, MatchesLinearScanOracle) {
     }
     EXPECT_EQ(h.top(), best) << "step " << step;
   }
+}
+
+// ---------------------------------------------------------------------------
+// SortedRunQueue / SortedRunHeap — sorted-run fronts for same-time waves
+// (DESIGN.md §10). Both must reproduce their heap's exact order.
+// ---------------------------------------------------------------------------
+
+TEST(SortedRunQueue, AscendingWaveStaysOnTheRun) {
+  // A wave: every id queued at one time in id order, then each granted id
+  // re-queued one step later. Every push orders after the last one.
+  util::SortedRunQueue<double> q;
+  const int n = 32;
+  q.reset(n);
+  for (int id = 0; id < n; ++id) EXPECT_TRUE(q.push(id, 0.0));
+  for (int step = 0; step < 3 * n; ++step) {
+    const int id = q.top();
+    EXPECT_EQ(id, step % n);
+    EXPECT_EQ(q.top_key(), static_cast<double>(step / n));
+    q.erase(id);
+    EXPECT_TRUE(q.push(id, static_cast<double>(step / n + 1)));
+    EXPECT_EQ(q.size(), n);
+  }
+}
+
+TEST(SortedRunQueue, OutOfOrderPushesMergeWithTheRun) {
+  util::SortedRunQueue<int> q;
+  q.reset(8);
+  EXPECT_TRUE(q.push(2, 5));
+  EXPECT_TRUE(q.push(6, 5));   // same key, higher id: still in order
+  EXPECT_FALSE(q.push(4, 5));  // same key, lower id than the last: heap
+  EXPECT_FALSE(q.push(7, 1));  // earlier key: heap
+  EXPECT_TRUE(q.push(0, 9));
+  const int want[5] = {7, 2, 4, 6, 0};
+  for (const int id : want) {
+    EXPECT_EQ(q.top(), id);
+    q.erase(id);
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.top(), -1);
+}
+
+TEST(SortedRunQueue, ErasedRunEntriesNeverSurface) {
+  // Erasing an id behind the front leaves a tombstone; a re-push of that id
+  // must not resurrect the old slot.
+  util::SortedRunQueue<int> q;
+  q.reset(8);
+  for (int id = 0; id < 8; ++id) q.push(id, 0);
+  q.erase(3);
+  q.erase(5);
+  EXPECT_FALSE(q.contains(3));
+  EXPECT_EQ(q.size(), 6);
+  q.push(3, 0);  // orders before the run's last entry: heap
+  q.push(5, 7);  // after it: appended behind its own tombstone
+  const int want[8] = {0, 1, 2, 3, 4, 6, 7, 5};
+  for (const int id : want) {
+    ASSERT_EQ(q.top(), id);
+    q.erase(id);
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(SortedRunQueue, MatchesIndexedMinHeapOracle) {
+  // Randomized push/erase streams against IndexedMinHeap, the structure the
+  // engine used before: waves (grant the top, re-queue it later), random
+  // pushes with few distinct keys (ties), erases of ids other than the top,
+  // and a reset between runs. Long waves drive the run through many
+  // compactions.
+  const int n = 48;
+  util::SortedRunQueue<std::uint64_t> q;
+  util::IndexedMinHeap<std::uint64_t> oracle;
+  SplitMix64 rng(0x5EED5EEDULL);
+  std::uint64_t run_pushes = 0;
+  std::uint64_t pushes = 0;
+  for (int run = 0; run < 4; ++run) {
+    q.reset(n);
+    oracle.reset(n);
+    std::uint64_t now = 0;
+    for (int step = 0; step < 4000; ++step) {
+      const std::uint64_t op = rng.next() % 16;
+      const int id = static_cast<int>(rng.next() % n);
+      if (op < 9 && !oracle.empty()) {
+        // Grant the minimum; usually re-queue it at or after the wave time.
+        const int top = oracle.top();
+        now = std::max(now, oracle.top_key());
+        q.erase(top);
+        oracle.erase(top);
+        if (op < 7) {
+          const std::uint64_t key = now + rng.next() % 3;
+          run_pushes += q.push(top, key) ? 1 : 0;
+          ++pushes;
+          oracle.push(top, key);
+        }
+      } else if (op < 14 && !oracle.contains(id)) {
+        const std::uint64_t key = now + rng.next() % 4;
+        run_pushes += q.push(id, key) ? 1 : 0;
+        ++pushes;
+        oracle.push(id, key);
+      } else if (oracle.contains(id)) {
+        q.erase(id);  // usually not the top
+        oracle.erase(id);
+      }
+      ASSERT_EQ(q.size(), oracle.size()) << "run " << run << " step " << step;
+      ASSERT_EQ(q.top(), oracle.top()) << "run " << run << " step " << step;
+      if (!oracle.empty()) {
+        ASSERT_EQ(q.top_key(), oracle.top_key());
+      }
+      ASSERT_EQ(q.contains(id), oracle.contains(id));
+    }
+  }
+  // Both paths ran, each on a sizable share of the pushes.
+  EXPECT_GT(run_pushes, pushes / 10);
+  EXPECT_LT(run_pushes, pushes);
+}
+
+TEST(SortedRunHeap, MatchesPriorityQueueOracle) {
+  // Pop order against std::priority_queue with std::greater — the gate
+  // channel's previous structure — over (threshold, id) pairs: in-order
+  // bursts (a fence wave parking in rank order), out-of-order pushes (p2p
+  // re-parks), duplicate ids and exact duplicate entries (stale entries the
+  // engine skips), interleaved pops and full drains.
+  using W = std::pair<std::uint64_t, int>;
+  util::SortedRunHeap<W> h;
+  std::priority_queue<W, std::vector<W>, std::greater<>> oracle;
+  SplitMix64 rng(0xC0FFEE17ULL);
+  std::uint64_t thr = 0;
+  int next_id = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t op = rng.next() % 10;
+    if (op < 5) {
+      W w;
+      if (rng.next() % 8 != 0) {
+        // In order: the same threshold with a rising id, or the next one.
+        if (rng.next() % 4 == 0) {
+          ++thr;
+          next_id = 0;
+        }
+        w = {thr, next_id};
+        next_id += static_cast<int>(rng.next() % 2);  // sometimes a duplicate
+      } else {
+        w = {thr - std::min<std::uint64_t>(thr, rng.next() % 3),
+             static_cast<int>(rng.next() % 16)};
+      }
+      h.push(w);
+      oracle.push(w);
+    } else if (!oracle.empty() && (op < 9 || rng.next() % 2 == 0)) {
+      ASSERT_EQ(h.top(), oracle.top()) << "step " << step;
+      h.pop();
+      oracle.pop();
+    } else {
+      while (!oracle.empty()) {
+        ASSERT_EQ(h.top(), oracle.top()) << "step " << step;
+        h.pop();
+        oracle.pop();
+      }
+    }
+    ASSERT_EQ(h.size(), oracle.size()) << "step " << step;
+    ASSERT_EQ(h.empty(), oracle.empty());
+  }
+}
+
+TEST(SortedRunHeap, ClearKeepsItUsable) {
+  util::SortedRunHeap<int> h;
+  h.push(3);
+  h.push(1);  // out of order: heap mode
+  h.clear();
+  EXPECT_TRUE(h.empty());
+  for (int v = 0; v < 4; ++v) h.push(v);
+  for (int v = 0; v < 4; ++v) {
+    EXPECT_EQ(h.top(), v);
+    h.pop();
+  }
+  EXPECT_TRUE(h.empty());
 }
 
 // ---------------------------------------------------------------------------
