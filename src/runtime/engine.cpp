@@ -482,10 +482,27 @@ void Engine::wake_satisfied_locked() {
   }
 }
 
+namespace {
+
+using GateWaiter = std::pair<std::uint64_t, int>;
+
+void push_gate_waiter(std::vector<GateWaiter>& h, std::uint64_t threshold,
+                      int id) {
+  h.emplace_back(threshold, id);
+  std::push_heap(h.begin(), h.end(), std::greater<>());
+}
+
+void pop_gate_waiter(std::vector<GateWaiter>& h) {
+  std::pop_heap(h.begin(), h.end(), std::greater<>());
+  h.pop_back();
+}
+
+}  // namespace
+
 void Engine::register_gated_waiter_locked(int id, WaitGate gate) {
   const auto it = gate_index_.find(gate.counter);
   if (it != gate_index_.end()) {
-    gates_[it->second].waiters.push({gate.threshold, id});
+    push_gate_waiter(gates_[it->second].waiters, gate.threshold, id);
     return;
   }
   // New live channel: reuse a drained channel's storage and a spare index
@@ -494,7 +511,7 @@ void Engine::register_gated_waiter_locked(int id, WaitGate gate) {
   const std::size_t g = live_gates_++;
   GateChannel& ch = gates_[g];
   ch.counter = gate.counter;
-  ch.waiters.push({gate.threshold, id});
+  push_gate_waiter(ch.waiters, gate.threshold, id);
   if (spare_gate_nodes_.empty()) {
     gate_index_.emplace(gate.counter, g);
     return;
@@ -515,9 +532,9 @@ void Engine::wake_gated_locked() {
   // insertion-order independent.
   for (std::size_t g = 0; g < live_gates_;) {
     GateChannel& ch = gates_[g];
-    while (!ch.waiters.empty() && *ch.counter >= ch.waiters.top().first) {
-      const int id = ch.waiters.top().second;
-      ch.waiters.pop();
+    while (!ch.waiters.empty() && *ch.counter >= ch.waiters.front().first) {
+      const int id = ch.waiters.front().second;
+      pop_gate_waiter(ch.waiters);
       const auto s = static_cast<std::size_t>(id);
       // Stale entries (rank already unwound by an abort, or re-parked and
       // woken via a fresher entry) are skipped.
@@ -540,7 +557,7 @@ void Engine::wake_gated_locked() {
         // (The new threshold exceeds the current counter value, so this
         // entry is not re-popped by the drain loop above.)
         ++counters_.reparks;
-        ch.waiters.push({*ch.counter + 1, id});
+        push_gate_waiter(ch.waiters, *ch.counter + 1, id);
       }
     }
     if (ch.waiters.empty()) {

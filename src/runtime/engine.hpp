@@ -45,14 +45,14 @@
 //     rank is parked inside the wait);
 //   * the scheduler selects the min-clock rank from a ready queue keyed
 //     (wake time, rank id) with a sorted-run front (util/sorted_run.hpp):
-//     a push that orders after the last appended entry — every push of a
-//     same-time wave, whose ranks re-queue in rank-id order — is a FIFO
-//     append and the grant pops the front, both O(1); any other push goes
-//     to an indexed binary min-heap, O(log n) (DESIGN.md §10). Ties break
-//     toward the lowest rank id, exactly the order the legacy linear scan
-//     produced, so output is bit-identical to it (SchedulerKind::kLinearScan
-//     keeps the legacy structure selectable for the abl_design ablation and
-//     as a differential-testing oracle);
+//     a push that orders after the last appended entry — a same-time
+//     wave re-queues its ranks in rank-id order, and 92% of stencil_scale's
+//     pushes qualify — is a FIFO append and the grant pops the front, both
+//     O(1); any other push goes to an indexed binary min-heap, O(log n)
+//     (DESIGN.md §10). Ties break toward the lowest rank id, exactly the
+//     order the legacy linear scan produced, so output is bit-identical to
+//     it (SchedulerKind::kLinearScan keeps the legacy structure selectable
+//     for the abl_design ablation and as a differential-testing oracle);
 //   * blocked-condition re-evaluation walks a dedicated blocked-rank index —
 //     only actual waiters are visited, never all ranks — and is skipped
 //     entirely while no rank is blocked;
@@ -61,9 +61,7 @@
 //     and their conditions are not re-evaluated at all until the counter
 //     reaches the threshold. Without this, a P-rank barrier/fence wave costs
 //     Σ|blocked| ≈ P²/2 condition closures (minutes of wall time at 100k
-//     ranks); with it a wave is O(P log P) (DESIGN.md §10, §12), and O(P)
-//     when the wave parks in rank order, as fences and barriers do: the
-//     threshold heap has the same sorted-run fast path as the ready queue;
+//     ranks); with it a wave is O(P log P) (DESIGN.md §10, §12);
 //   * the scheduler's per-rank hot fields (clock, wake, state, gate slot,
 //     wait condition) live in parallel flat arrays indexed by rank id — a
 //     structure-of-arrays layout — instead of pointer-chased per-rank
@@ -538,11 +536,10 @@ class Engine {
   // steady-state gate traffic allocates nothing.
   struct GateChannel {
     const std::uint64_t* counter = nullptr;
-    /// Min-heap on (threshold, rank id) — std::priority_queue's exact pop
-    /// order — that appends and pops in O(1) while waiters park in order
-    /// (a fence wave parks (gen + 1, id) in ascending id), and clear()
+    /// Min-heap on (threshold, rank id) kept with std::push_heap/pop_heap
+    /// and std::greater — std::priority_queue's exact order, but clear()
     /// keeps the capacity.
-    util::SortedRunHeap<std::pair<std::uint64_t, int>> waiters;
+    std::vector<std::pair<std::uint64_t, int>> waiters;
   };
   using GateIndex = std::unordered_map<const std::uint64_t*, std::size_t>;
   std::vector<GateChannel> gates_;  ///< [0, live_gates_) are live

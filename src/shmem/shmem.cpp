@@ -47,19 +47,21 @@ void World::chk_register_locked() {
 void World::apply_locked(int pe, simnet::TimeUs cutoff) {
   auto& pend = pending_[static_cast<std::size_t>(pe)];
   if (pend.empty()) return;
-  auto it = std::partition(pend.begin(), pend.end(), [&](const Delivery& d) {
-    return d.arrival > cutoff;
-  });
-  std::vector<Delivery> ready(std::make_move_iterator(it),
-                              std::make_move_iterator(pend.end()));
-  pend.erase(it, pend.end());
-  std::sort(ready.begin(), ready.end(), [](const Delivery& a, const Delivery& b) {
+  // Arrived deliveries move to the tail and are sorted there, in place (as
+  // in mpi::Win::apply_pending_locked): seq is unique, so (arrival, seq) is
+  // a total order and the application order does not depend on the
+  // partition's.
+  const auto ready = std::partition(
+      pend.begin(), pend.end(),
+      [&](const Delivery& d) { return d.arrival > cutoff; });
+  std::sort(ready, pend.end(), [](const Delivery& a, const Delivery& b) {
     return a.arrival != b.arrival ? a.arrival < b.arrival : a.seq < b.seq;
   });
   std::byte* base = heap_[static_cast<std::size_t>(pe)].data();
   auto& metrics = engine_.metrics();
   auto& chk = engine_.checker();
-  for (const Delivery& d : ready) {
+  for (auto it = ready; it != pend.end(); ++it) {
+    const Delivery& d = *it;
     if (!d.data.empty()) std::memcpy(base + d.off, d.data.data(), d.data.size());
     if (d.has_signal) {
       std::memcpy(base + d.sig_off, &d.sig_val, sizeof(d.sig_val));
@@ -69,6 +71,7 @@ void World::apply_locked(int pe, simnet::TimeUs cutoff) {
       chk.on_applied(chk_space_, pe, check::PutHandles{d.chk_data, d.chk_sig});
     }
   }
+  pend.erase(ready, pend.end());
 }
 
 const simnet::LogGP& Ctx::params() const {

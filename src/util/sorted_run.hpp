@@ -1,36 +1,25 @@
-// Priority queues with a sorted-run front, for dense same-time waves.
+// A priority queue with a sorted-run front, for dense same-time waves.
 //
-// A P-rank collective or fence wave pushes its keys in sorted order: every
-// rank performs once at the same virtual time, in rank-id order, so each
-// re-queued (key, id) orders after the previous one. A binary heap pays
-// O(log n) per push and per pop for order that is already there. Both
-// structures here keep a FIFO run of entries that arrived in order and fall
-// back to a heap only for the entries that did not:
+// A P-rank wave pushes its keys in sorted order: every rank performs once at
+// the same virtual time, in rank-id order, so each re-queued (key, id)
+// orders after the previous one. A binary heap pays O(log n) per push and
+// per erase for order that is already there. SortedRunQueue<Key> — the
+// engine's ready queue (runtime/engine.cpp, DESIGN.md §10) — is an indexed
+// (key, id) queue over ids [0, n) with arbitrary-id erase that keeps a FIFO
+// run of the entries that arrived in order. A push that orders after the
+// last appended run entry is appended in O(1); any other push goes to a
+// util::IndexedMinHeap. top() is the smaller of the run's front and the
+// heap's top.
 //
-//   * SortedRunQueue<Key> — the engine's ready queue (runtime/engine.cpp,
-//     DESIGN.md §10): an indexed (key, id) queue over ids [0, n) with
-//     arbitrary-id erase. A push that orders after the last appended run
-//     entry is appended in O(1); any other push goes to a
-//     util::IndexedMinHeap. top() is the smaller of the run's front and the
-//     heap's top.
-//   * SortedRunHeap<T> — a plain min-heap of values (the engine's per-gate
-//     (threshold, id) waiter channels). One vector, a head index and a
-//     "still sorted" flag: in-order pushes append and pops advance the head;
-//     the first out-of-order push heapifies the remainder, and the
-//     std::push_heap/pop_heap fallback stays until the heap drains.
-//
-// Neither changes the order: both always yield the strict (key, id) minimum
-// (SortedRunHeap: the minimum value under operator<), with the same
-// lowest-id tie-break as IndexedMinHeap and the linear scan, so swapping
-// them in leaves every grant bit-identical. Storage stays O(live entries):
-// a run compacts once its consumed prefix (and, in SortedRunQueue, its
-// tombstones) reach half its length, so it never grows with history.
+// The order does not change: top() is always the strict (key, id) minimum,
+// with the same lowest-id tie-break as IndexedMinHeap and the linear scan,
+// so swapping it in leaves every grant bit-identical. Storage stays
+// O(live entries): the run compacts once its consumed prefix and its
+// tombstones reach half its length, so it never grows with history.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "util/indexed_heap.hpp"
@@ -160,68 +149,6 @@ class SortedRunQueue {
   std::size_t dead_ = 0;
   std::vector<std::int32_t> run_pos_;  ///< id -> run slot, -1 when not on it
   IndexedMinHeap<Key> heap_;
-};
-
-/// Min-heap of values — std::priority_queue<T, std::vector<T>,
-/// std::greater<T>>'s exact pop order — with an O(1) path while pushes
-/// arrive in nondecreasing order. clear() keeps the capacity.
-template <typename T>
-class SortedRunHeap {
- public:
-  [[nodiscard]] bool empty() const { return v_.empty(); }
-  [[nodiscard]] std::size_t size() const { return v_.size() - head_; }
-
-  /// The minimum; the heap must be non-empty.
-  [[nodiscard]] const T& top() const { return v_[head_]; }
-
-  void push(const T& x) {
-    if (!sorted_) {
-      v_.push_back(x);
-      std::push_heap(v_.begin(), v_.end(), std::greater<>());
-      return;
-    }
-    if (v_.empty() || !(x < v_.back())) {
-      // Consumed prefix at least half the vector: drop it before growing.
-      if (head_ != 0 && 2 * head_ >= v_.size()) drop_consumed();
-      v_.push_back(x);
-      return;
-    }
-    // First out-of-order push: the unconsumed remainder becomes a heap until
-    // it drains.
-    drop_consumed();
-    v_.push_back(x);
-    std::make_heap(v_.begin(), v_.end(), std::greater<>());
-    sorted_ = false;
-  }
-
-  void pop() {
-    MRL_CHECK(!v_.empty());
-    if (sorted_) {
-      if (++head_ == v_.size()) clear();
-      return;
-    }
-    std::pop_heap(v_.begin(), v_.end(), std::greater<>());
-    v_.pop_back();
-    if (v_.empty()) sorted_ = true;
-  }
-
-  void clear() {
-    v_.clear();
-    head_ = 0;
-    sorted_ = true;
-  }
-
- private:
-  void drop_consumed() {
-    v_.erase(v_.begin(), v_.begin() + static_cast<std::ptrdiff_t>(head_));
-    head_ = 0;
-  }
-
-  // Sorted mode: [head_, size) is nondecreasing and [0, head_) is consumed.
-  // Heap mode: head_ == 0 and v_ is a std::greater heap.
-  std::vector<T> v_;
-  std::size_t head_ = 0;
-  bool sorted_ = true;
 };
 
 }  // namespace mrl::util

@@ -91,12 +91,12 @@ TEST(Schedulers, StencilMakespanIdenticalAt256Ranks) {
 }
 
 TEST(Schedulers, StencilWavesIdenticalAt2304Ranks) {
-  // Wave scale for the sorted-run ready queue and gate channels: 2304 ranks
-  // put (one-sided) or send (two-sided) their halos at one virtual time per
-  // step and fence or wait together. Boundary ranks have fewer neighbours,
-  // so they fall out of step and the heap fallback runs beside the FIFO
-  // path. Makespan, message summary and numerics must match the
-  // linear-scan oracle bit for bit.
+  // Wave scale for the sorted-run ready queue: 2304 ranks put (one-sided)
+  // or send (two-sided) their halos at one virtual time per step and fence
+  // or wait together. Boundary ranks have fewer neighbours, so they fall
+  // out of step and the heap fallback runs beside the FIFO path. Makespan,
+  // message summary and numerics must match the linear-scan oracle bit for
+  // bit.
   workloads::stencil::Config cfg;
   cfg.n = 192;  // 48 x 48 process grid, 4 x 4 cells per rank
   cfg.iters = 2;

@@ -673,6 +673,69 @@ TEST(Rma, FenceAppliesWithoutExplicitSync) {
   ASSERT_TRUE(r.ok());
 }
 
+TEST(Rma, PartialSyncCompactsCapturedPayloadsIntact) {
+  // A sync that applies only the arrived puts slides the still-pending
+  // captured bytes to the front of the target's payload buffer once the
+  // applied bytes outweigh them. The pending puts need not sit in buffer
+  // order, nor at its tail: here a near origin's puts X0, X2 arrive first
+  // while a far origin's A1, B3 (issued in between) are still in flight, so
+  // a live put at a low buffer offset (A1) follows one whose slide
+  // destination covers it (B3). Every target byte must survive.
+  const simnet::Platform p2 = simnet::Platform::perlmutter_cpu(2);
+  const int n = p2.max_ranks();
+  const int near = 1;
+  const int far = n - 1;
+  ASSERT_GT(p2.hw_rtt_us(0, far, n), p2.hw_rtt_us(0, near, n));
+  Engine eng(p2, n);
+  // Put sizes in issue order; A1 and B3 come from the far origin.
+  const std::uint64_t sz[4] = {8, 1 << 20, (1 << 20) + 64, 64};
+  std::uint64_t off[5] = {0};
+  for (int i = 0; i < 4; ++i) off[i + 1] = off[i] + sz[i];
+  const auto pattern = [](int put, std::uint64_t i) {
+    return static_cast<std::byte>((i * 7 + static_cast<std::uint64_t>(put) *
+                                              61 + 1) & 0xff);
+  };
+  std::size_t pending_after_first_sync = 0;
+  std::vector<std::byte> window(off[4]);
+  const auto r = World::run(eng, [&](Comm& c) {
+    std::vector<std::byte> mine(8);
+    std::byte* base = c.rank() == 0 ? window.data() : mine.data();
+    WinHandle win = c.create_win(base, c.rank() == 0 ? off[4] : mine.size());
+    std::vector<std::byte> src;
+    const auto put = [&](int i) {
+      src.resize(sz[i]);
+      for (std::uint64_t b = 0; b < sz[i]; ++b) src[b] = pattern(i, b);
+      win.put(src.data(), sz[i], 0, off[i]);
+    };
+    if (c.rank() == near) {
+      put(0);
+      put(2);
+      win.flush(0);
+      int go = 1;
+      c.send(&go, sizeof(go), 0, 0);  // X0 and X2 have arrived
+    } else if (c.rank() == far) {
+      put(1);
+      put(3);
+    } else if (c.rank() == 0) {
+      int go = 0;
+      c.recv(&go, sizeof(go), near, 0);
+      win.sync();
+      pending_after_first_sync = win.win().unapplied_count(0);
+    }
+    win.fence();
+  });
+  ASSERT_TRUE(r.ok()) << r.status.to_string();
+  // The partial sync really was partial: only the far origin's two puts
+  // were still pending when it compacted.
+  ASSERT_EQ(pending_after_first_sync, 2u);
+  for (int i = 0; i < 4; ++i) {
+    for (std::uint64_t b = 0; b < sz[i]; ++b) {
+      ASSERT_EQ(window[off[i] + b], pattern(i, b))
+          << "put " << i << " byte " << b;
+    }
+  }
+}
+
 TEST(MultiNode, InterNodeTrafficIsNicBound) {
   // Two Perlmutter nodes: the inter-node path crosses PCIe4 (25 GB/s) and
   // the switch, so the pair peak drops from 32 (IF) to 25 GB/s and latency

@@ -773,8 +773,8 @@ RunResult run_wave_workload(Engine& eng, int rounds,
 }
 
 TEST(EngineCrossScheduler, WaveGrantOrderMatchesLinearOracle) {
-  // The sorted-run ready queue and gate channels must grant exactly what
-  // the linear scan grants, in the same order, run after run on one engine.
+  // The sorted-run ready queue must grant exactly what the linear scan
+  // grants, in the same order, run after run on one engine.
   const int n = 97;
   EngineOptions heap_opt;
   heap_opt.scheduler = SchedulerKind::kIndexedHeap;

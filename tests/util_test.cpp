@@ -8,7 +8,6 @@
 #include <fstream>
 #include <functional>
 #include <limits>
-#include <queue>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -420,8 +419,8 @@ TEST(IndexedMinHeap, MatchesLinearScanOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// SortedRunQueue / SortedRunHeap — sorted-run fronts for same-time waves
-// (DESIGN.md §10). Both must reproduce their heap's exact order.
+// SortedRunQueue — the ready queue's sorted-run front for same-time waves
+// (DESIGN.md §10). It must reproduce IndexedMinHeap's exact order.
 // ---------------------------------------------------------------------------
 
 TEST(SortedRunQueue, AscendingWaveStaysOnTheRun) {
@@ -529,66 +528,6 @@ TEST(SortedRunQueue, MatchesIndexedMinHeapOracle) {
   // Both paths ran, each on a sizable share of the pushes.
   EXPECT_GT(run_pushes, pushes / 10);
   EXPECT_LT(run_pushes, pushes);
-}
-
-TEST(SortedRunHeap, MatchesPriorityQueueOracle) {
-  // Pop order against std::priority_queue with std::greater — the gate
-  // channel's previous structure — over (threshold, id) pairs: in-order
-  // bursts (a fence wave parking in rank order), out-of-order pushes (p2p
-  // re-parks), duplicate ids and exact duplicate entries (stale entries the
-  // engine skips), interleaved pops and full drains.
-  using W = std::pair<std::uint64_t, int>;
-  util::SortedRunHeap<W> h;
-  std::priority_queue<W, std::vector<W>, std::greater<>> oracle;
-  SplitMix64 rng(0xC0FFEE17ULL);
-  std::uint64_t thr = 0;
-  int next_id = 0;
-  for (int step = 0; step < 20000; ++step) {
-    const std::uint64_t op = rng.next() % 10;
-    if (op < 5) {
-      W w;
-      if (rng.next() % 8 != 0) {
-        // In order: the same threshold with a rising id, or the next one.
-        if (rng.next() % 4 == 0) {
-          ++thr;
-          next_id = 0;
-        }
-        w = {thr, next_id};
-        next_id += static_cast<int>(rng.next() % 2);  // sometimes a duplicate
-      } else {
-        w = {thr - std::min<std::uint64_t>(thr, rng.next() % 3),
-             static_cast<int>(rng.next() % 16)};
-      }
-      h.push(w);
-      oracle.push(w);
-    } else if (!oracle.empty() && (op < 9 || rng.next() % 2 == 0)) {
-      ASSERT_EQ(h.top(), oracle.top()) << "step " << step;
-      h.pop();
-      oracle.pop();
-    } else {
-      while (!oracle.empty()) {
-        ASSERT_EQ(h.top(), oracle.top()) << "step " << step;
-        h.pop();
-        oracle.pop();
-      }
-    }
-    ASSERT_EQ(h.size(), oracle.size()) << "step " << step;
-    ASSERT_EQ(h.empty(), oracle.empty());
-  }
-}
-
-TEST(SortedRunHeap, ClearKeepsItUsable) {
-  util::SortedRunHeap<int> h;
-  h.push(3);
-  h.push(1);  // out of order: heap mode
-  h.clear();
-  EXPECT_TRUE(h.empty());
-  for (int v = 0; v < 4; ++v) h.push(v);
-  for (int v = 0; v < 4; ++v) {
-    EXPECT_EQ(h.top(), v);
-    h.pop();
-  }
-  EXPECT_TRUE(h.empty());
 }
 
 // ---------------------------------------------------------------------------
