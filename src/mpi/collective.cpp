@@ -3,7 +3,6 @@
 // Values are reduced exactly; only the cost is modeled rather than executed
 // as a p2p fan-in (documented in DESIGN.md — the paper's workloads use
 // collectives only for window fences and end-of-run timing).
-#include <cmath>
 #include <cstring>
 
 #include "mpi/comm.hpp"
@@ -12,18 +11,13 @@
 
 namespace mrl::mpi {
 
-namespace {
-double rounds_for(int nranks) {
-  return std::ceil(std::log2(static_cast<double>(std::max(2, nranks))));
-}
-}  // namespace
-
 void Comm::barrier() { barrier_kind("barrier"); }
 
 void Comm::barrier_kind(const char* kind) {
   const simnet::LogGP& pp = p2p_params();
   rank_->advance(pp.o_us);
-  const double cost = rounds_for(size()) * (2.0 * pp.o_us + pp.L_us);
+  const double cost =
+      rma::rendezvous_rounds(size()) * (2.0 * pp.o_us + pp.L_us);
   collective(cost, 0.0, 0.0, nullptr, 0, check::CollSig{kind, -1, 0});
 }
 
@@ -32,8 +26,9 @@ double Comm::allreduce_sum(double v) {
   rank_->advance(pp.o_us);
   const double pair_bw = world_->engine_.platform().pair_peak_gbs(
       0, size() - 1, size());
-  const double cost = rounds_for(size()) *
-                      (2.0 * pp.o_us + pp.L_us + 8.0 * gbs_to_us_per_byte(pair_bw));
+  const double cost =
+      rma::rendezvous_rounds(size()) *
+      (2.0 * pp.o_us + pp.L_us + 8.0 * gbs_to_us_per_byte(pair_bw));
   return collective(cost, v, 0.0, nullptr, 0,
                     check::CollSig{"allreduce_sum", -1, 8})
       .sum;
@@ -44,8 +39,9 @@ double Comm::allreduce_max(double v) {
   rank_->advance(pp.o_us);
   const double pair_bw = world_->engine_.platform().pair_peak_gbs(
       0, size() - 1, size());
-  const double cost = rounds_for(size()) *
-                      (2.0 * pp.o_us + pp.L_us + 8.0 * gbs_to_us_per_byte(pair_bw));
+  const double cost =
+      rma::rendezvous_rounds(size()) *
+      (2.0 * pp.o_us + pp.L_us + 8.0 * gbs_to_us_per_byte(pair_bw));
   return collective(cost, 0.0, v, nullptr, 0,
                     check::CollSig{"allreduce_max", -1, 8})
       .max;
@@ -58,15 +54,15 @@ void Comm::bcast(void* buf, std::uint64_t bytes, int root) {
   const double pair_bw = world_->engine_.platform().pair_peak_gbs(
       0, size() - 1, size());
   const double cost =
-      rounds_for(size()) *
+      rma::rendezvous_rounds(size()) *
       (2.0 * pp.o_us + pp.L_us +
        static_cast<double>(bytes) * gbs_to_us_per_byte(pair_bw));
-  const World::CollSlot& slot =
+  const World::CollResult& res =
       collective(cost, 0.0, 0.0, rank() == root ? buf : nullptr, bytes,
                  check::CollSig{"bcast", root, bytes});
   if (rank() != root) {
-    MRL_CHECK_MSG(slot.payload.size() == bytes, "bcast size mismatch");
-    std::memcpy(buf, slot.payload.data(), bytes);
+    MRL_CHECK_MSG(res.payload.size() == bytes, "bcast size mismatch");
+    std::memcpy(buf, res.payload.data(), bytes);
   }
 }
 

@@ -16,12 +16,6 @@ World::World(runtime::Engine& engine)
   fifo_seq_.reset(nranks_);
 }
 
-simnet::TimeUs World::clamp_fifo(int src, int dst, simnet::TimeUs arrival) {
-  simnet::TimeUs& last = fifo_last_.at(src, dst);
-  last = std::max(last, arrival);
-  return last;
-}
-
 runtime::RunResult World::run(runtime::Engine& engine,
                               const std::function<void(Comm&)>& body) {
   World world(engine);
@@ -48,16 +42,17 @@ WinHandle Comm::create_win(void* base, std::uint64_t bytes) {
           std::make_unique<Win>(world_, world_->nranks_));
     }
     win = world_->windows_[static_cast<std::size_t>(idx)].get();
-    win->region_[static_cast<std::size_t>(rank())] =
-        Win::Region{static_cast<std::byte*>(base), bytes};
+    win->space_.region(rank()) =
+        rma::Space::Region{static_cast<std::byte*>(base), bytes};
     auto& chk = world_->engine_.checker();
-    if (chk.enabled() && win->chk_space_ < 0) {
+    if (chk.enabled() && win->space_.chk_space < 0) {
       // First rank to expose registers the window's shadow space and its
       // fence channel (fence completion is a global sync: it clears the
       // space's access history).
       const std::string name = "win" + std::to_string(idx);
-      win->chk_space_ = chk.add_space(name);
-      win->chk_chan_ = chk.add_channel(name + ".fence", win->chk_space_);
+      win->space_.chk_space = chk.add_space(name);
+      win->chk_chan_ =
+          chk.add_channel(name + ".fence", win->space_.chk_space);
     }
   });
   // Window is usable only after everyone exposed their region. Tagged
@@ -67,12 +62,12 @@ WinHandle Comm::create_win(void* base, std::uint64_t bytes) {
   return WinHandle(win, this);
 }
 
-const World::CollSlot& Comm::collective(double cost_us, double sum_contrib,
-                                        double max_contrib,
-                                        const void* payload,
-                                        std::uint64_t payload_bytes,
-                                        const check::CollSig& sig) {
-  World::Rendezvous& rv = world_->coll_;
+const World::CollResult& Comm::collective(double cost_us, double sum_contrib,
+                                          double max_contrib,
+                                          const void* payload,
+                                          std::uint64_t payload_bytes,
+                                          const check::CollSig& sig) {
+  auto& rv = world_->coll_;
   std::uint64_t my_gen = 0;
   world_->engine_.perform(*rank_, [&] {
     auto& chk = world_->engine_.checker();
@@ -89,52 +84,27 @@ const World::CollSlot& Comm::collective(double cost_us, double sum_contrib,
                                   chk.report());
       }
     }
-    if (rv.entered == 0) {
-      rv.acc_sum = 0;
-      rv.acc_max = -std::numeric_limits<double>::infinity();
-      rv.max_enter = 0;
-      rv.payload.clear();
-    }
-    my_gen = rv.generation;
-    ++rv.entered;
-    rv.max_enter = std::max(rv.max_enter, rank_->now());
-    rv.acc_sum += sum_contrib;
-    rv.acc_max = std::max(rv.acc_max, max_contrib);
+    World::CollResult& acc = rv.acc();
+    acc.sum += sum_contrib;
+    acc.max = std::max(acc.max, max_contrib);
     if (payload != nullptr && payload_bytes > 0) {
       const auto* p = static_cast<const std::byte*>(payload);
-      rv.payload.assign(p, p + payload_bytes);
+      acc.payload.assign(p, p + payload_bytes);
     }
-    if (rv.entered == world_->nranks_) {
-      World::CollSlot& slot = rv.done[my_gen % rv.done.size()];
-      slot.gen = my_gen;
-      slot.done_at = rv.max_enter + cost_us;
-      slot.sum = rv.acc_sum;
-      slot.max = rv.acc_max;
-      slot.payload = std::move(rv.payload);
-      rv.payload.clear();
-      rv.entered = 0;
-      ++rv.generation;
-    }
+    my_gen = rv.enter(world_->nranks_, rank_->now(),
+                      [&](simnet::TimeUs max_enter) {
+                        return max_enter + cost_us;
+                      });
   });
-  const World::CollSlot& slot = rv.done[my_gen % rv.done.size()];
-  // Gated wait: the condition is exactly "rv.generation > my_gen", so the
-  // generation counter doubles as a WaitGate — the engine skips this waiter
-  // until the last entrant bumps the generation (DESIGN.md §10).
-  world_->engine_.wait(
-      *rank_, "collective",
-      [&]() -> std::optional<double> {
-        if (rv.generation <= my_gen) return std::nullopt;
-        MRL_CHECK_MSG(slot.gen == my_gen, "collective result slot overwritten");
-        return slot.done_at;
-      },
-      {}, runtime::WaitGate{&rv.generation, my_gen + 1});
+  const World::CollResult& res =
+      rv.wait(world_->engine_, *rank_, "collective", my_gen);
   auto& chk = world_->engine_.checker();
   if (chk.enabled() && world_->chk_chan_ >= 0) {
     chk.on_collective_complete(world_->chk_chan_, rank(), my_gen);
   }
   rank_->bump_epoch();
   world_->engine_.metrics().on_collective(rank());
-  return slot;
+  return res;
 }
 
 }  // namespace mrl::mpi

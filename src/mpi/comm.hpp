@@ -7,17 +7,19 @@
 // fetch-add, and Barrier / Allreduce / Bcast collectives. Every operation
 // charges the issuing rank the per-op LogGP overhead `o` of its runtime
 // flavor, so the paper's "one-sided needs 4 MPI operations per message"
-// penalty is emergent, not hard-coded.
+// penalty is emergent, not hard-coded. RMA delivery and the collective
+// rendezvous are the shared RMA core (rma/rma.hpp) that minishmem uses too.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "mpi/types.hpp"
+#include "rma/rma.hpp"
 #include "runtime/engine.hpp"
 #include "simnet/loggp.hpp"
 #include "util/pair_map.hpp"
@@ -30,7 +32,7 @@ class WinHandle;
 
 /// One rank's unmatched messages: a FIFO queue per sending rank.
 ///
-/// World::clamp_fifo makes arrival non-decreasing in push order on every
+/// rma::clamp_fifo makes arrival non-decreasing in push order on every
 /// (src, dst) pair, so the first tag-matching message in a source's queue is
 /// that source's earliest match, and the match order — earliest arrival,
 /// then lower source, then push order — needs no scan past the first
@@ -80,10 +82,6 @@ class World {
 
   explicit World(runtime::Engine& engine);
 
-  /// Per-(src,dst) in-order delivery: arrivals are clamped to be
-  /// nondecreasing, modeling FIFO network paths.
-  simnet::TimeUs clamp_fifo(int src, int dst, simnet::TimeUs arrival);
-
   runtime::Engine& engine_;
   int nranks_;
   // Per-dst mailboxes. An idle one is a single empty vector; per-source
@@ -101,26 +99,15 @@ class World {
   /// fifo_seq_.at(src, dst) instead).
   std::vector<std::uint64_t> inbox_pushes_;
 
-  // Collective rendezvous state (single communicator). Results are kept in a
-  // small generation-indexed ring so late wakers of generation g can still
-  // read their result after generation g+1 has started.
-  struct CollSlot {
-    std::uint64_t gen = ~0ULL;
-    simnet::TimeUs done_at = 0;
+  /// What a collective reduces: the sum and max of the contributions and
+  /// the root's broadcast payload.
+  struct CollResult {
     double sum = 0;
-    double max = 0;
+    double max = -std::numeric_limits<double>::infinity();
     std::vector<std::byte> payload;
   };
-  struct Rendezvous {
-    std::uint64_t generation = 0;
-    int entered = 0;
-    simnet::TimeUs max_enter = 0;
-    double acc_sum = 0;
-    double acc_max = 0;
-    std::vector<std::byte> payload;
-    std::array<CollSlot, 4> done;
-  };
-  Rendezvous coll_;
+  /// Collective rendezvous (single communicator).
+  rma::Rendezvous<CollResult> coll_;
   /// RMA-checker channel for the world collective rendezvous (lazily
   /// registered on first collective when the checker is on).
   int chk_chan_ = -1;
@@ -182,13 +169,13 @@ class Comm {
 
   /// Modeled-cost collective rendezvous. Contributes the reduction values
   /// (and, for the root, the broadcast payload), blocks until every rank has
-  /// entered, and returns the completed generation's result slot. `sig` is
+  /// entered, and returns the completed generation's result. `sig` is
   /// the checker's collective signature (kind must be a string literal);
   /// mismatched signatures across ranks abort the run with a diagnostic.
-  const World::CollSlot& collective(double cost_us, double sum_contrib,
-                                    double max_contrib, const void* payload,
-                                    std::uint64_t payload_bytes,
-                                    const check::CollSig& sig);
+  const World::CollResult& collective(double cost_us, double sum_contrib,
+                                      double max_contrib, const void* payload,
+                                      std::uint64_t payload_bytes,
+                                      const check::CollSig& sig);
 
   /// barrier() with a distinct checker signature kind (create_win tags its
   /// internal barrier "win.create" so it cannot silently match a user

@@ -101,7 +101,8 @@ Request Comm::isend(const void* buf, std::uint64_t bytes, int dst, int tag) {
     m.src = rank();
     m.tag = tag;
     m.seq = world_->fifo_seq_.at(rank(), dst)++;
-    m.arrival_us = world_->clamp_fifo(rank(), dst, tr.arrival_us);
+    m.arrival_us =
+        rma::clamp_fifo(world_->fifo_last_, rank(), dst, tr.arrival_us);
     m.bytes = bytes;
     if (bytes > 0 && world_->capture_payloads) {
       const auto* p = static_cast<const std::byte*>(buf);

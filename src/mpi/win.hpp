@@ -12,14 +12,16 @@
 //     block the origin for o + atomic_L + hardware RTT (the paper's measured
 //     CAS costs: 0.8 us Perlmutter GPU, 1.0/1.6 us Summit GPU intra/cross
 //     socket, ~2 us CPU MPI).
+// The delivery queues, origin-side completion, fence rendezvous and
+// round-trip costs are the shared RMA core (rma/rma.hpp), the same code
+// minishmem runs; a window adds MPI's op costs and checker hooks.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
-#include "check/checker.hpp"
 #include "mpi/types.hpp"
+#include "rma/rma.hpp"
 #include "simnet/trace.hpp"
 
 namespace mrl::mpi {
@@ -91,69 +93,17 @@ class Win {
  private:
   friend class Comm;
 
-  struct Region {
-    std::byte* base = nullptr;
-    std::uint64_t size = 0;
-  };
-  /// PendingPut::data value when the put carries no captured bytes.
-  static constexpr std::uint64_t kNoData = ~0ULL;
-  struct PendingPut {
-    std::uint64_t off = 0;
-    std::uint64_t bytes = 0;
-    /// Offset of the captured bytes in the target's payload_ buffer, or
-    /// kNoData (payload capture off, or a zero-byte put).
-    std::uint64_t data = kNoData;
-    simnet::TimeUs arrival = 0;
-    std::uint64_t seq = 0;
-    /// Checker shadow-record handle; reported back when the put applies.
-    std::uint32_t chk_data = check::kNoRec;
-  };
-  struct Outstanding {
-    int target = -1;
-    simnet::TimeUs remote_done = 0;
-    simnet::TimeUs local_done = 0;
-  };
-  struct FenceSlot {
-    std::uint64_t gen = ~0ULL;
-    simnet::TimeUs done_at = 0;
-  };
-
-  /// Applies (in arrival,seq order) all pending puts for `rank` with
-  /// arrival <= cutoff. Engine lock must be held.
-  void apply_pending_locked(int rank, simnet::TimeUs cutoff);
-  /// Drops the applied puts' bytes from `rank`'s payload buffer once they
-  /// outweigh the pending ones (an empty pending list clears it).
-  void trim_payload_locked(int rank);
-
   std::uint64_t atomic_rmw(Comm& c, int target, std::uint64_t target_off,
-                           std::uint64_t operand, std::uint64_t compare,
-                           bool is_cas);
+                           rma::AtomicOp op);
 
   World* world_;
   int nranks_;
-  std::vector<Region> region_;
-  std::vector<std::vector<PendingPut>> pending_;      // per target rank
-  /// Captured put bytes per target rank, appended at put time. Cleared (not
-  /// freed) once the target has applied everything, so a warm window's
-  /// puts and fences allocate nothing.
-  std::vector<std::vector<std::byte>> payload_;
-  std::vector<std::vector<Outstanding>> outstanding_; // per origin rank
-  /// Total puts ever pushed toward each target — the WaitGate counter for
-  /// wait_any_unapplied (DESIGN.md §12). Sized once, so entries have stable
-  /// addresses for the lifetime of the window.
-  std::vector<std::uint64_t> put_pushes_;
-  std::uint64_t put_seq_ = 0;
-
-  // Fence rendezvous.
-  std::uint64_t fence_gen_ = 0;
-  int fence_entered_ = 0;
-  simnet::TimeUs fence_max_enter_ = 0;
-  std::array<FenceSlot, 4> fence_done_;
-
-  // Checker registration (create_win fills these in when the checker is on):
-  // this window's shadow space and its fence channel (fence completion is a
-  // global sync for the space, so the channel clears it).
-  int chk_space_ = -1;
+  /// Exposed regions, pending puts and outstanding puts. create_win fills in
+  /// the regions and, when the checker is on, the shadow space.
+  rma::Space space_;
+  rma::Rendezvous<> fence_;
+  /// Checker fence channel (fence completion is a global sync for the
+  /// window's shadow space, so the channel clears it).
   int chk_chan_ = -1;
 };
 

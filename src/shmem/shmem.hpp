@@ -7,13 +7,17 @@
 // remote atomics. Modeled after the paper's NVSHMEM usage:
 //   nvshmem_double_put_signal_nbi, nvshmem_uint64_wait_until_{all,any},
 //   nvshmem_quiet, atomic compare-and-swap.
+// Deliveries (a fused signal rides in the same queue entry as its data),
+// quiet, the barrier rendezvous and round-trip costs are the shared RMA
+// core (rma/rma.hpp), the same code minimpi windows run; the two runtimes
+// differ only in their API and modelled costs.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
+#include "rma/rma.hpp"
 #include "runtime/engine.hpp"
 #include "simnet/loggp.hpp"
 #include "simnet/trace.hpp"
@@ -60,40 +64,10 @@ class World {
 
   World(runtime::Engine& engine, Options opt);
 
-  struct Delivery {
-    std::uint64_t off = 0;
-    std::uint64_t data_bytes = 0;
-    std::vector<std::byte> data;  ///< empty when payload capture is off
-    // Optional fused signal (put-with-signal): applied atomically with data.
-    bool has_signal = false;
-    std::uint64_t sig_off = 0;
-    std::uint64_t sig_val = 0;
-    simnet::TimeUs arrival = 0;
-    std::uint64_t seq = 0;
-    /// Checker shadow-record handles, reported back at application.
-    std::uint32_t chk_data = check::kNoRec;
-    std::uint32_t chk_sig = check::kNoRec;
-  };
-  struct Outstanding {
-    int target = -1;
-    simnet::TimeUs remote_done = 0;
-    simnet::TimeUs local_done = 0;
-  };
-  struct CollSlot {
-    std::uint64_t gen = ~0ULL;
-    simnet::TimeUs done_at = 0;
-    double sum = 0;
-  };
-
-  /// Applies all deliveries for `pe` with arrival <= cutoff, in order.
-  void apply_locked(int pe, simnet::TimeUs cutoff);
-
   /// Lazily registers the symmetric heap's shadow space and the barrier
   /// channel with the RMA checker (must run inside a perform body; the
   /// checker resets after World construction, at engine-run start).
   void chk_register_locked();
-
-  simnet::TimeUs clamp_fifo(int src, int dst, simnet::TimeUs arrival);
 
   runtime::Engine& engine_;
   Options opt_;
@@ -103,28 +77,16 @@ class World {
   // Allocation log: the k-th collective allocate() on every PE must return
   // the same offset; entries are (bytes, offset).
   std::vector<std::pair<std::uint64_t, std::uint64_t>> alloc_log_;
-  std::vector<std::vector<Delivery>> pending_;      // per destination PE
-  /// Total deliveries ever pushed toward each PE — the WaitGate counter for
-  /// signal waits (Ctx::wait_local, DESIGN.md §12). Sized once, so entries
-  /// have stable addresses for the World's lifetime.
-  std::vector<std::uint64_t> delivery_pushes_;
-  std::vector<std::vector<Outstanding>> outstanding_;  // per origin PE
   // Keyed (src, dst); sparse above PairMap::kDenseRanks so large worlds
   // don't materialize O(P^2) channel state.
   util::PairMap<simnet::TimeUs> fifo_last_;
-  std::uint64_t seq_ = 0;
-
-  // barrier_all rendezvous
-  std::uint64_t gen_ = 0;
-  int entered_ = 0;
-  simnet::TimeUs max_enter_ = 0;
-  double acc_sum_ = 0;
-  CollSlot done_[4];
-
-  // RMA-checker registration: the symmetric heap's shadow space and the
-  // barrier channel (barrier_all implies quiet, so its completion clears
-  // the space's access history).
-  int chk_space_ = -1;
+  /// The heap slices as regions, pending and outstanding deliveries, and
+  /// the checker's shadow space for the heap.
+  rma::Space space_;
+  /// barrier_all / sum_all rendezvous; reduces the sum.
+  rma::Rendezvous<double> barrier_;
+  /// Checker barrier channel (barrier_all implies quiet, so its completion
+  /// clears the heap's access history).
   int chk_chan_ = -1;
 };
 
@@ -235,8 +197,8 @@ class Ctx {
                      std::uint64_t sig_val, bool has_signal);
   void get_bytes(void* dest, std::uint64_t src_off, std::uint64_t bytes,
                  int target_pe);
-  std::uint64_t atomic_rmw(std::uint64_t target_off, std::uint64_t operand,
-                           std::uint64_t compare, bool is_cas, int target_pe);
+  std::uint64_t atomic_rmw(std::uint64_t target_off, rma::AtomicOp op,
+                           int target_pe);
 
   /// Shared wait loop: re-applies arrivals until `pred` holds locally.
   void wait_local(const char* what, util::FunctionRef<bool()> pred);

@@ -1,10 +1,10 @@
 // Zero-allocation guard for the engine's per-operation protocol
 // (DESIGN.md §10): on a warmed, reused engine, Engine::perform, plain waits,
-// gated waits and MPI RMA put + fence epochs must not touch the heap. This
-// executable replaces the global operator new with a counting one and
-// checks that a run of 10^3 operations and a run of 10^4 operations
-// allocate exactly as often — so the count is independent of the operation
-// count — without timing anything.
+// gated waits, MPI RMA put + fence epochs and SHMEM put_signal + barrier
+// epochs must not touch the heap. This executable replaces the global
+// operator new with a counting one and checks that a run of 10^3 operations
+// and a run of 10^4 operations allocate exactly as often — so the count is
+// independent of the operation count — without timing anything.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +16,7 @@
 #include "mpi/comm.hpp"
 #include "mpi/win.hpp"
 #include "runtime/engine.hpp"
+#include "shmem/shmem.hpp"
 #include "simnet/platform.hpp"
 
 namespace {
@@ -194,6 +195,45 @@ TEST(EngineAllocations, PutsAndFencesAllocateNothingPerOperation) {
   const std::uint64_t small = put_fence_allocations(eng, 1000);
   const std::uint64_t large = put_fence_allocations(eng, 10000);
   EXPECT_EQ(small, large) << "allocations grow with the put/fence count";
+  EXPECT_GT(small, 0u);
+}
+
+// Two PEs, `n` barrier epochs of one captured 3-double put_signal_nbi each
+// into the other PE's heap. Each run builds a fresh shmem::World, a fixed
+// number of allocations per run; the puts and barriers must add none.
+std::uint64_t put_signal_barrier_allocations(Engine& eng, int n) {
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  double sum = 0;
+  shmem::World::Options opt;
+  opt.heap_bytes = 4096;
+  const RunResult r = shmem::World::run(
+      eng,
+      [&](shmem::Ctx& s) {
+        auto data = s.allocate<double>(3);
+        auto sig = s.allocate<std::uint64_t>(1);
+        double edge[3] = {1.0, 2.0, 3.0};
+        const int peer = 1 - s.pe();
+        for (int i = 0; i < n; ++i) {
+          edge[0] = i;
+          s.put_signal_nbi(data, edge, 3, sig, static_cast<std::uint64_t>(i),
+                           peer);
+          s.barrier_all();
+        }
+        sum += s.local(data)[0] + s.local(data)[2];
+      },
+      opt);
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_TRUE(r.ok()) << r.status.to_string();
+  EXPECT_DOUBLE_EQ(sum, 2.0 * (n - 1 + 3.0));  // the last epoch's bytes landed
+  return after - before;
+}
+
+TEST(EngineAllocations, PutSignalsAndBarriersAllocateNothingPerOperation) {
+  Engine eng(simnet::Platform::perlmutter_gpu(), 2, quiet_options());
+  (void)put_signal_barrier_allocations(eng, 10000);
+  const std::uint64_t small = put_signal_barrier_allocations(eng, 1000);
+  const std::uint64_t large = put_signal_barrier_allocations(eng, 10000);
+  EXPECT_EQ(small, large) << "allocations grow with the put/barrier count";
   EXPECT_GT(small, 0u);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -334,6 +335,133 @@ TEST(Shmem, HeapExhaustionAborts) {
         (void)res;
       },
       "heap exhausted");
+}
+
+// A 1 KiB heap; PE 0 gets `count` words at `off` from PE 1.
+void get_at(std::uint64_t off, std::uint64_t count) {
+  Engine eng(simnet::Platform::perlmutter_gpu(), 2);
+  World::Options opt;
+  opt.heap_bytes = 1024;
+  auto res = World::run(
+      eng,
+      [=](Ctx& s) {
+        std::uint64_t buf[4] = {};
+        if (s.pe() == 0) s.get(buf, Sym<std::uint64_t>{off}, count, 1);
+        s.barrier_all();
+      },
+      opt);
+  (void)res;
+}
+
+TEST(Shmem, GetOutsideHeapAborts) {
+  get_at(1024 - 16, 2);  // the last two words are fine
+  EXPECT_DEATH(get_at(1024 - 8, 2), "get outside symmetric heap");
+  // off + bytes wraps around to 8, which a naive sum would accept.
+  EXPECT_DEATH(get_at(~0ULL - 7, 2), "get outside symmetric heap");
+}
+
+// A 1 KiB heap; PE 0 puts one word with a fused signal at `sig_off` to PE 1.
+void put_signal_at(std::uint64_t sig_off) {
+  Engine eng(simnet::Platform::perlmutter_gpu(), 2);
+  World::Options opt;
+  opt.heap_bytes = 1024;
+  auto res = World::run(
+      eng,
+      [=](Ctx& s) {
+        auto data = s.allocate<std::uint64_t>(1);
+        const std::uint64_t word = 7;
+        if (s.pe() == 0) {
+          s.put_signal_nbi(data, &word, 1, Sym<std::uint64_t>{sig_off}, 1, 1);
+        }
+        s.barrier_all();
+      },
+      opt);
+  (void)res;
+}
+
+TEST(Shmem, PutSignalOutsideHeapAborts) {
+  put_signal_at(1024 - 8);  // the last word is fine
+  EXPECT_DEATH(put_signal_at(1024 - 4), "signal outside symmetric heap");
+  // sig_off + 8 wraps around to 4, which a naive sum would accept.
+  EXPECT_DEATH(put_signal_at(~0ULL - 3), "signal outside symmetric heap");
+}
+
+TEST(Shmem, PartialWaitCompactsCapturedPayloadsIntact) {
+  // The SHMEM twin of Rma.PartialSyncCompactsCapturedPayloadsIntact: a
+  // wait_until that applies only the arrived deliveries slides the
+  // still-pending captured bytes to the front of the target's payload
+  // buffer. A near PE's X0 and X2 arrive first while a far PE's A1 and B3,
+  // issued in between, are still in flight, so a live delivery at a low
+  // buffer offset (A1) follows one whose slide destination covers it (B3).
+  // X0 is a zero-byte put_signal on a second signal word: its 8-byte value
+  // alone occupies the front of the buffer, and a signal needs no quiet
+  // before X2's. Every target byte must survive.
+  const simnet::Platform p2 = simnet::Platform::perlmutter_cpu(2);
+  const int n = p2.max_ranks();
+  const int near = 1;
+  const int far = n - 1;
+  ASSERT_GT(p2.hw_rtt_us(0, far, n), p2.hw_rtt_us(0, near, n));
+  Engine eng(p2, n);
+  // Data sizes in issue order; A1 and B3 come from the far PE. Every PE
+  // holds a heap of their sum, so they stay small: a few hundred freed
+  // MiB-sized heaps would leave a hole in the allocator that a later test's
+  // large calloc reuses, zero-filled and resident.
+  const std::uint64_t sz[4] = {0, 1 << 14, (1 << 14) + 64, 64};
+  std::uint64_t off[5] = {0};
+  for (int i = 0; i < 4; ++i) off[i + 1] = off[i] + sz[i];
+  const auto pattern = [](int put, std::uint64_t i) {
+    return static_cast<std::byte>((i * 7 + static_cast<std::uint64_t>(put) *
+                                              61 + 1) & 0xff);
+  };
+  World::Options opt;
+  opt.heap_bytes = off[4] + 64;
+  bool far_pending_after_wait = false;
+  std::uint64_t sig0 = 0;
+  std::vector<std::byte> got(off[4]);
+  const auto r = World::run(
+      eng,
+      [&](Ctx& s) {
+        auto data = s.allocate<std::byte>(off[4]);
+        auto sig = s.allocate<std::uint64_t>(2);
+        std::vector<std::byte> src;
+        const auto put = [&](int i) {
+          src.resize(sz[i]);
+          for (std::uint64_t b = 0; b < sz[i]; ++b) src[b] = pattern(i, b);
+          if (i == 0 || i == 2) {
+            s.put_signal_nbi(data.at(off[i]), src.data(), sz[i],
+                             sig.at(i / 2), 1, 0);
+          } else {
+            s.put_nbi(data.at(off[i]), src.data(), sz[i], 0);
+          }
+        };
+        if (s.pe() == near) {
+          put(0);
+          put(2);
+        } else if (s.pe() == far) {
+          put(1);
+          put(3);
+        } else if (s.pe() == 0) {
+          s.wait_until(sig.at(1), 1);  // X0 and X2 have arrived
+          const std::byte* d = s.local(data);
+          far_pending_after_wait =
+              d[off[1]] == std::byte{0} && d[off[3]] == std::byte{0};
+        }
+        s.barrier_all();
+        if (s.pe() == 0) {
+          std::memcpy(got.data(), s.local(data), off[4]);
+          sig0 = *s.local(sig);
+        }
+      },
+      opt);
+  ASSERT_TRUE(r.ok()) << r.status.to_string();
+  // The wait really was partial: the far PE's puts were still pending.
+  ASSERT_TRUE(far_pending_after_wait);
+  EXPECT_EQ(sig0, 1u);
+  for (int i = 0; i < 4; ++i) {
+    for (std::uint64_t b = 0; b < sz[i]; ++b) {
+      ASSERT_EQ(got[off[i] + b], pattern(i, b)) << "put " << i << " byte " << b;
+    }
+  }
 }
 
 TEST(Shmem, ZeroByteHeapRunsCollectives) {
