@@ -197,7 +197,7 @@ std::vector<std::size_t> Engine::stack_high_water_bytes() const {
 // ---------------------------------------------------------------------------
 
 void Engine::reset_run_state_locked(const std::function<void(Rank&)>& body) {
-  if (opt_.reset_fabric_each_run) fabric_->reset();
+  fabric_->reset();
   trace_.clear();
   if (opt_.spans) {
     spans_.reset(nranks_);
@@ -210,7 +210,6 @@ void Engine::reset_run_state_locked(const std::function<void(Rank&)>& body) {
   const bool heap = opt_.scheduler == SchedulerKind::kIndexedHeap;
   counters_ = EngineCounters{};
   counters_.ready_pushes = static_cast<std::uint64_t>(nranks_);
-  fabric_transfers_at_start_ = fabric_->total_msgs();
   ready_.clear();
   blocked_.clear();
   if (heap) {

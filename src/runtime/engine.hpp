@@ -236,7 +236,6 @@ struct EngineOptions {
   /// one branch per hook when disabled, and never perturbs simulated time —
   /// enabling it leaves every CSV byte-identical.
   bool spans = default_spans();
-  bool reset_fabric_each_run = true; ///< clear contention state per run()
   /// Virtual-time progress watchdog: when a rank's clock passes this limit
   /// at a communication operation (perform/wait), the run is converted into
   /// Status(kTimeout) with per-rank diagnostics instead of spinning forever
@@ -325,9 +324,8 @@ class Engine {
   /// Self-counters of the current (or last completed) run.
   [[nodiscard]] EngineCounters counters() const {
     EngineCounters c = counters_;
-    // The fabric counts its own transfers (one increment each); a fabric
-    // kept across runs keeps counting, so take this run's share.
-    c.fabric_transfers = fabric_->total_msgs() - fabric_transfers_at_start_;
+    // The fabric counts its own transfers and is reset at every run().
+    c.fabric_transfers = fabric_->total_msgs();
     return c;
   }
 
@@ -548,7 +546,6 @@ class Engine {
   std::vector<GateIndex::node_type> spare_gate_nodes_;
   int gated_count_ = 0;
   EngineCounters counters_;
-  std::uint64_t fabric_transfers_at_start_ = 0;
   int granted_ = -1;
   /// Rank currently executing a wait-finalize (engine quiescent; -1 outside
   /// finalizes). Only read by note_wake_cause_locked, see there.

@@ -131,17 +131,6 @@ class StackPool {
     return st;
   }
 
-  void trim() {
-    std::lock_guard lk(mu_);
-    for (SizeClass& sc : classes_) {
-      for (void* slot : sc.free) {
-        // Slot addresses are page-aligned (slabs are page-aligned and slot
-        // sizes are page multiples), so the advice covers exactly this slot.
-        ::madvise(slot, sc.slot_bytes, MADV_DONTNEED);
-      }
-    }
-  }
-
  private:
   struct SizeClass {
     std::size_t slot_bytes = 0;
@@ -194,8 +183,6 @@ void set_stack_pool_slab_bytes(std::size_t bytes) {
 }
 
 StackPoolStats stack_pool_stats() { return StackPool::instance().stats(); }
-
-void stack_pool_trim() { StackPool::instance().trim(); }
 
 void Fiber::run_entry_for_trampoline() {
   finish_first_entry_switch();

@@ -57,15 +57,6 @@ struct StackPoolStats {
 };
 [[nodiscard]] StackPoolStats stack_pool_stats();
 
-/// Returns every free slot's pages to the kernel (madvise MADV_DONTNEED)
-/// without giving up the address space: the slots stay on the freelists and
-/// the slab VMAs stay mapped, but resident memory drops to what live fibers
-/// actually use. Costs the next tenant refaults of zeroed pages, so this is
-/// for measurement hygiene (the perf harness trims between sections so one
-/// section's stacks don't inflate the next section's RSS) and memory-pressure
-/// relief — not for the steady-state sweep path, which wants the reuse.
-void stack_pool_trim();
-
 class Fiber {
  public:
   Fiber() = default;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <new>
 
 #include "util/status.hpp"
 #include "util/units.hpp"
@@ -66,13 +65,8 @@ TransferResult Fabric::transfer(const TransferParams& p) {
     return r;
   }
 
-  // The route and the claim records live for one transfer(): bump-allocated
-  // from the fabric scratch arena, which keeps them off the rank fiber's
-  // stack and off the heap.
-  scratch_.reset();
-  const Route& path = *new (scratch_.alloc_array<Route>(1))
-      Route(topo_->route(p.src_ep, p.dst_ep));
-  MRL_CHECK(!path.empty());
+  route_ = topo_->route(p.src_ep, p.dst_ep);
+  MRL_CHECK(!route_.empty());
 
   if (mode_ == RouteMode::kCutThrough) {
     // Head propagates hop by hop; the body streams at the slowest lane rate.
@@ -81,13 +75,6 @@ TransferResult Fabric::transfer(const TransferParams& p) {
                                 ? p.per_stream_gbs
                                 : std::numeric_limits<double>::infinity();
     if (p.pump_gbs > 0) bottleneck_gbs = std::min(bottleneck_gbs, p.pump_gbs);
-    struct Claim {
-      LinkState* state;
-      int lane;
-      TimeUs start;
-      double occupancy;
-    };
-    Claim* claims = scratch_.alloc_array<Claim>(path.size());
     std::size_t nclaims = 0;
     int total_drops = 0;
     double lane_wait = 0;
@@ -95,14 +82,15 @@ TransferResult Fabric::transfer(const TransferParams& p) {
     double min_lane_gbs = std::numeric_limits<double>::infinity();
     std::int32_t wait_dlink = -1;   // hop with the longest head-of-line wait
     std::int32_t bottleneck_dlink = -1;  // slowest lane (uncontended fallback)
-    for (const DirectedLink& dl : path) {
+    for (const DirectedLink& dl : route_) {
       LinkState& st = dlink_state_[static_cast<std::size_t>(dl.id())];
       const LinkState::LaneClaim lc = st.claim(head);
       // Fault perturbation for this message-hop: neutral (0 extra latency,
       // 1.0 bandwidth scale, 0 drops) unless a FaultSpec is active, so the
       // arithmetic below stays bit-identical on a pristine fabric.
       const FaultModel::HopFault hf = fault_.next_hop_fault(dl.id(), lc.start);
-      claims[nclaims++] = Claim{&st, lc.lane, lc.start, st.msg_occupancy_us()};
+      claims_[nclaims++] =
+          Claim{&st, lc.lane, lc.start, st.msg_occupancy_us()};
       const double w = lc.start - head;
       lane_wait += w;
       if (w > max_lane_wait) {
@@ -136,7 +124,7 @@ TransferResult Fabric::transfer(const TransferParams& p) {
     // Each claimed lane is busy until the tail has passed it (or for the
     // link's per-message occupancy floor, whichever is longer).
     for (std::size_t i = 0; i < nclaims; ++i) {
-      const Claim& c = claims[i];
+      const Claim& c = claims_[i];
       const double hold = std::max(ser + drop_extra, c.occupancy);
       c.state->set_lane_free_at(c.lane, c.start + hold);
       c.state->add_busy(hold);
@@ -153,7 +141,7 @@ TransferResult Fabric::transfer(const TransferParams& p) {
     double min_lane_gbs = std::numeric_limits<double>::infinity();
     std::int32_t wait_dlink = -1;
     std::int32_t bottleneck_dlink = -1;
-    for (const DirectedLink& dl : path) {
+    for (const DirectedLink& dl : route_) {
       LinkState& st = dlink_state_[static_cast<std::size_t>(dl.id())];
       const LinkState::LaneClaim lc = st.claim(t);
       const FaultModel::HopFault hf = fault_.next_hop_fault(dl.id(), lc.start);

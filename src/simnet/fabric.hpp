@@ -11,6 +11,7 @@
 // order, which makes lane contention causally correct and deterministic.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -18,7 +19,6 @@
 #include "simnet/loggp.hpp"
 #include "simnet/time.hpp"
 #include "simnet/topology.hpp"
-#include "util/arena.hpp"
 
 namespace mrl::simnet {
 
@@ -97,6 +97,14 @@ class Fabric {
   [[nodiscard]] std::uint64_t link_msgs(int link_id, int dir) const;
 
  private:
+  /// A lane claimed by a cut-through transfer, held until the tail passes.
+  struct Claim {
+    LinkState* state;
+    int lane;
+    TimeUs start;
+    double occupancy;
+  };
+
   const Topology* topo_;
   RouteMode mode_;
   double local_bw_gbs_;
@@ -105,9 +113,12 @@ class Fabric {
   std::vector<TimeUs> injector_free_;       // per source rank (grown on use)
   std::vector<LinkState> dlink_state_;      // per directed link (2 per link)
   FaultModel fault_;                        // seeded fault perturbations
-  util::Arena scratch_;                     // per-transfer claim records
   std::uint64_t total_bytes_ = 0;
   std::uint64_t total_msgs_ = 0;
+  // One transfer's route and lane claims: members rather than locals, which
+  // keeps them off the rank fiber's stack.
+  Route route_;
+  std::array<Claim, Route::kMaxHops> claims_;
 };
 
 }  // namespace mrl::simnet

@@ -697,33 +697,29 @@ TEST(EngineCounters, PinnedOnSmallRunAndRepeatAcrossRuns) {
 }
 
 TEST(EngineCounters, FabricTransfersArePerRun) {
-  // Each rank moves k messages through the fabric. The count is per run
-  // whether or not the fabric's contention state survives between runs.
+  // Each rank moves k messages through the fabric in each of two runs on
+  // one engine; the count is per run.
   const int n = 3;
   const int k = 5;
-  for (const bool reset_fabric : {true, false}) {
-    EngineOptions opt;
-    opt.reset_fabric_each_run = reset_fabric;
-    Engine eng(plat(), n, opt);
-    for (int rep = 0; rep < 2; ++rep) {
-      const RunResult r = eng.run([&](Rank& rank) {
-        for (int i = 0; i < k; ++i) {
-          eng.perform(rank, [&] {
-            simnet::TransferParams p;
-            p.src_ep = rank.endpoint();
-            p.dst_ep = rank.endpoint();
-            p.src_rank = rank.id();
-            p.bytes = 64;
-            p.start_us = rank.now();
-            rank.advance(eng.fabric().transfer(p).arrival_us - rank.now());
-          });
-        }
-      });
-      ASSERT_TRUE(r.ok()) << r.status.to_string();
-      EXPECT_EQ(eng.counters().fabric_transfers,
-                static_cast<std::uint64_t>(n * k))
-          << "reset_fabric " << reset_fabric << " rep " << rep;
-    }
+  Engine eng(plat(), n);
+  for (int rep = 0; rep < 2; ++rep) {
+    const RunResult r = eng.run([&](Rank& rank) {
+      for (int i = 0; i < k; ++i) {
+        eng.perform(rank, [&] {
+          simnet::TransferParams p;
+          p.src_ep = rank.endpoint();
+          p.dst_ep = rank.endpoint();
+          p.src_rank = rank.id();
+          p.bytes = 64;
+          p.start_us = rank.now();
+          rank.advance(eng.fabric().transfer(p).arrival_us - rank.now());
+        });
+      }
+    });
+    ASSERT_TRUE(r.ok()) << r.status.to_string();
+    EXPECT_EQ(eng.counters().fabric_transfers,
+              static_cast<std::uint64_t>(n * k))
+        << "rep " << rep;
   }
 }
 

@@ -17,7 +17,6 @@
 #include <unistd.h>
 
 #include "core/cli.hpp"
-#include "util/arena.hpp"
 #include "util/csv.hpp"
 #include "util/flags.hpp"
 #include "util/function_ref.hpp"
@@ -603,38 +602,6 @@ TEST(FunctionRef, EmptyRefsTestFalse) {
   EXPECT_FALSE(from_null);
   auto lambda = [] {};
   EXPECT_TRUE(util::FunctionRef<void()>(lambda));
-}
-
-// ---------------------------------------------------------------------------
-// Arena — per-run transient scratch (DESIGN.md §10)
-// ---------------------------------------------------------------------------
-
-TEST(Arena, AllocationsAreAlignedAndDisjoint) {
-  util::Arena a(/*min_block_bytes=*/64);
-  double* d = a.alloc_array<double>(7);
-  std::uint8_t* b = a.alloc_array<std::uint8_t>(3);
-  std::uint64_t* q = a.alloc_array<std::uint64_t>(5);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d) % alignof(double), 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(q) % alignof(std::uint64_t), 0u);
-  for (int i = 0; i < 7; ++i) d[i] = 1.5 * i;
-  for (int i = 0; i < 3; ++i) b[i] = static_cast<std::uint8_t>(i);
-  for (int i = 0; i < 5; ++i) q[i] = 77u * static_cast<std::uint64_t>(i);
-  for (int i = 0; i < 7; ++i) EXPECT_EQ(d[i], 1.5 * i);  // no overlap
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(q[i], 77u * static_cast<std::uint64_t>(i));
-  EXPECT_GE(a.bytes_in_use(), 7 * sizeof(double) + 3 + 5 * sizeof(std::uint64_t));
-}
-
-TEST(Arena, ResetRetainsCapacityForReuse) {
-  util::Arena a(/*min_block_bytes=*/128);
-  (void)a.alloc_array<double>(1000);  // forces growth past the first block
-  const std::size_t grown = a.capacity();
-  EXPECT_GE(grown, 1000 * sizeof(double));
-  a.reset();
-  EXPECT_EQ(a.bytes_in_use(), 0u);
-  EXPECT_EQ(a.capacity(), grown);  // blocks retained, not freed
-  // Steady state: the same allocation pattern must not grow capacity again.
-  (void)a.alloc_array<double>(1000);
-  EXPECT_EQ(a.capacity(), grown);
 }
 
 // ---------------------------------------------------------------------------
