@@ -47,9 +47,9 @@ int main(int argc, char** argv) {
   namespace emb = workloads::embedding;
 
   ExtraOpts eo;
-  auto opt = [](const char* name, const char* help, long long min,
+  auto opt = [](const char* name, const char* help, int min,
                 long long* dst) {
-    return util::int_flag(name, help, min, [dst](long long n) { *dst = n; });
+    return util::int_flag(name, help, min, [dst](int n) { *dst = n; });
   };
   const auto args = bench::Args::parse(
       argc, argv,

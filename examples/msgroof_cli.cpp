@@ -256,10 +256,9 @@ int main(int argc, char** argv) {
       "--nodes",
       "scale CPU platforms to N nodes (default 1; N=80 gives a 10240-rank "
       "perlmutter-cpu)",
-      1, [&nodes](long long n) { nodes = static_cast<int>(n); }));
+      1, [&nodes](int n) { nodes = n; }));
   fs.add(cli::stack_bytes_flag());
   fs.add(cli::stack_pool_flag());
-  fs.add(cli::stack_pool_slab_mb_flag());
   cli::add_observer_flags(fs, /*link_summary=*/false);
   fs.add(util::path_flag("--csv", "sweep only: write the figure's CSV to PATH",
                          [&csv_path](const std::string& p) { csv_path = p; }));

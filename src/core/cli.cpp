@@ -146,7 +146,7 @@ util::Flag jobs_flag(int* jobs) {
       "--jobs",
       "run up to N independent grid points concurrently (output is "
       "bit-identical for every N)",
-      1, [jobs](long long n) { *jobs = static_cast<int>(n); });
+      1, [jobs](int n) { *jobs = n; });
 }
 
 util::Flag scheduler_flag() {
@@ -178,7 +178,7 @@ util::Flag stack_bytes_flag() {
       "--stack-bytes",
       "fiber stack size in bytes (N >= 16384; default 256 KiB; lower it for "
       "very high rank counts)",
-      16 * 1024, [](long long n) {
+      16 * 1024, [](int n) {
         runtime::set_default_fiber_stack_bytes(static_cast<std::size_t>(n));
       });
 }
@@ -190,14 +190,6 @@ util::Flag stack_pool_flag() {
       "guarded mmap each (off); output is identical either way",
       {"on", "off"},
       [](const std::string& v) { runtime::set_default_stack_pool(v == "on"); });
-}
-
-util::Flag stack_pool_slab_mb_flag() {
-  return util::int_flag(
-      "--stack-pool-slab-mb", "target MiB per pooled stack slab (default 64)",
-      1, [](long long n) {
-        runtime::set_stack_pool_slab_bytes(static_cast<std::size_t>(n) << 20);
-      });
 }
 
 void add_observer_flags(util::FlagSet& fs, bool link_summary) {
@@ -215,7 +207,7 @@ void add_observer_flags(util::FlagSet& fs, bool link_summary) {
   fs.add(util::int_flag(
       "--check-history",
       "per-region shadow-history cap for the checker (default 65536)", 1,
-      [](long long n) {
+      [](int n) {
         check::set_default_check_history(static_cast<std::uint64_t>(n));
       }));
   fs.add(dump_flag("--check-report",
@@ -290,7 +282,8 @@ Result<core::SweepKind> sweep_kind_by_name(const std::string& name) {
 std::string platform_names() {
   std::string s;
   for (const PlatformName& p : kPlatforms) {
-    s += (s.empty() ? "" : " ") + std::string(p.name);
+    if (!s.empty()) s += ' ';
+    s += p.name;
   }
   return s;
 }
@@ -298,7 +291,8 @@ std::string platform_names() {
 std::string runtime_names() {
   std::string s;
   for (const auto& r : kRuntimes) {
-    s += (s.empty() ? "" : " ") + std::string(r.first);
+    if (!s.empty()) s += ' ';
+    s += r.first;
   }
   return s;
 }

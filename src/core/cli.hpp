@@ -32,8 +32,6 @@ util::Flag fault_seed_flag(std::uint64_t* seed);
 util::Flag stack_bytes_flag();
 /// --stack-pool on|off: pooled fiber stack slabs.
 util::Flag stack_pool_flag();
-/// --stack-pool-slab-mb N: target size of future stack slabs.
-util::Flag stack_pool_slab_mb_flag();
 
 /// Registers the observer flags: --metrics, --check, --check-history,
 /// --check-report, --trace, --trace-format, --trace-ranks, --profile. With

@@ -154,19 +154,14 @@ RecvInfo Comm::match_and_consume(void* buf, std::uint64_t max_bytes, int src,
   // when anyone pushes to this rank's inbox. A push with a non-matching tag
   // wakes the gate once and the engine re-parks the waiter at the next
   // counter value — no per-perform re-evaluation either way.
-  runtime::WaitGate gate;
-  if (src == kAnySource) {
-    const std::uint64_t& ctr =
-        world_->inbox_pushes_[static_cast<std::size_t>(rank())];
-    gate = runtime::WaitGate{&ctr, ctr + 1};
-  } else {
-    const std::uint64_t& ctr = world_->fifo_seq_.at(src, rank());
-    gate = runtime::WaitGate{&ctr, ctr + 1};
-  }
+  const std::uint64_t& ctr =
+      src == kAnySource
+          ? world_->inbox_pushes_[static_cast<std::size_t>(rank())]
+          : world_->fifo_seq_.at(src, rank());
 
   RecvInfo info;
   eng.wait(
-      *rank_, "recv",
+      *rank_, "recv", runtime::WaitGate{&ctr, ctr + 1},
       [&]() -> std::optional<double> {
         const Msg* m = box.find(src, tag);
         if (m == nullptr) return std::nullopt;
@@ -186,8 +181,7 @@ RecvInfo Comm::match_and_consume(void* buf, std::uint64_t max_bytes, int src,
         info.arrival_us = m->arrival_us;
         eng.checker().on_recv(rank(), m->src, m->seq);
         box.take(m);
-      },
-      gate);
+      });
   rank_->advance(p2p_params().o_us);  // receiver overhead
   eng.metrics().on_recv(rank(), info.bytes);
   return info;

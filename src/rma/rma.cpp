@@ -181,8 +181,8 @@ simnet::TimeUs Space::drain(simnet::TimeUs done) {
 void Space::wait_delivery(runtime::Rank& r, const char* what) {
   const DeliveryQueue& q = queue(r.id());
   eng_.wait(
-      r, what, [&] { return q.earliest_arrival(); },
-      [&] { apply(r.id(), r.now()); }, q.next_push());
+      r, what, q.next_push(), [&] { return q.earliest_arrival(); },
+      [&] { apply(r.id(), r.now()); });
 }
 
 void Space::complete(runtime::Rank& r, double o_us, int target, bool remote,

@@ -223,14 +223,13 @@ class Rendezvous {
   const Acc& wait(runtime::Engine& eng, runtime::Rank& r, const char* what,
                   std::uint64_t gen) {
     const Slot& slot = ring_[gen % ring_.size()];
-    eng.wait(
-        r, what,
-        [&]() -> std::optional<double> {
-          if (gen_ <= gen) return std::nullopt;
-          MRL_CHECK_MSG(slot.gen == gen, "rendezvous result slot overwritten");
-          return slot.done_at;
-        },
-        {}, runtime::WaitGate{&gen_, gen + 1});
+    eng.wait(r, what, runtime::WaitGate{&gen_, gen + 1},
+             [&]() -> std::optional<double> {
+               if (gen_ <= gen) return std::nullopt;
+               MRL_CHECK_MSG(slot.gen == gen,
+                             "rendezvous result slot overwritten");
+               return slot.done_at;
+             });
     return slot.result;
   }
 

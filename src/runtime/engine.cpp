@@ -92,7 +92,6 @@ Engine::Engine(simnet::Platform platform, int nranks, EngineOptions opt)
   rank_clock_.resize(n, 0);
   rank_wake_.resize(n, 0);
   rank_state_.resize(n, RankState::kReady);
-  rank_slot_.resize(n, kSlotNone);
   rank_cond_.resize(n);
   rank_what_.resize(n, "");
   if (opt_.spans) {
@@ -211,7 +210,6 @@ void Engine::reset_run_state_locked(const std::function<void(Rank&)>& body) {
   counters_ = EngineCounters{};
   counters_.ready_pushes = static_cast<std::uint64_t>(nranks_);
   ready_.clear();
-  blocked_.clear();
   if (heap) {
     ready_queue_.reset(nranks_);
   } else {
@@ -226,7 +224,6 @@ void Engine::reset_run_state_locked(const std::function<void(Rank&)>& body) {
     rank_clock_[s] = 0;
     rank_wake_[s] = 0;
     rank_state_[s] = RankState::kReady;
-    rank_slot_[s] = kSlotNone;
     rank_cond_[s] = {};
     rank_what_[s] = "";
     if (heap) {
@@ -242,7 +239,6 @@ void Engine::reset_run_state_locked(const std::function<void(Rank&)>& body) {
   while (!gate_index_.empty()) {
     spare_gate_nodes_.push_back(gate_index_.extract(gate_index_.begin()));
   }
-  gated_count_ = 0;
   granted_ = -1;
   finalize_rank_ = -1;
   done_count_ = 0;
@@ -283,22 +279,9 @@ void Engine::set_state_locked(int id, RankState s) {
       ready_.pop_back();
     }
   } else if (rank_state_[i] == RankState::kBlocked) {
+    // A heap-scheduled waiter leaves its gate channel in wake_gated_locked
+    // (or stays behind as a stale entry on abort unwind).
     --blocked_count_;
-    if (rank_slot_[i] == kSlotGated) {
-      // Parked in a gate channel, not in blocked_. The channel entry is
-      // popped by wake_gated_locked (or skipped as stale on abort unwind).
-      rank_slot_[i] = kSlotNone;
-      --gated_count_;
-    } else if (heap) {
-      // Swap-remove from the blocked-rank index via the position slot.
-      const std::int32_t p = rank_slot_[i];
-      MRL_CHECK(p >= 0 && blocked_[static_cast<std::size_t>(p)] == id);
-      const int last = blocked_.back();
-      blocked_[static_cast<std::size_t>(p)] = last;
-      rank_slot_[static_cast<std::size_t>(last)] = p;
-      blocked_.pop_back();
-      rank_slot_[i] = kSlotNone;
-    }
   }
   rank_state_[i] = s;
   if (s == RankState::kReady) {
@@ -312,15 +295,6 @@ void Engine::set_state_locked(int id, RankState s) {
     }
   } else if (s == RankState::kBlocked) {
     ++blocked_count_;
-    if (rank_slot_[i] == kSlotGated) {
-      // Caller set the gate slot and registered the (threshold, id) channel
-      // entry; the rank stays out of blocked_ so generic re-evaluation
-      // skips it.
-      ++gated_count_;
-    } else if (heap) {
-      rank_slot_[i] = static_cast<std::int32_t>(blocked_.size());
-      blocked_.push_back(id);
-    }
   }
 }
 
@@ -444,26 +418,11 @@ void Engine::wake_satisfied_locked() {
   // speculatively and repeatedly — see Engine::wait), so the set of woken
   // ranks and their wake times do not depend on evaluation order; only the
   // ready queue's (wake, id) order decides who runs next. That makes the
-  // unordered blocked-rank index below observably identical to the legacy
-  // ascending-id scan.
+  // heap scheduler's gate-channel walk observably identical to the linear
+  // scan's ascending-id re-evaluation of every blocked rank below.
   if (blocked_count_ == 0) return;
   if (opt_.scheduler == SchedulerKind::kIndexedHeap) {
-    if (gated_count_ > 0) wake_gated_locked();
-    // Walk only actual waiters. A wake swap-removes blocked_[i], so the
-    // index advances only past ranks that stayed blocked.
-    for (std::size_t i = 0; i < blocked_.size();) {
-      const int id = blocked_[i];
-      const auto s = static_cast<std::size_t>(id);
-      MRL_CHECK(rank_cond_[s]);
-      ++counters_.cond_evals;
-      if (auto w = rank_cond_[s]()) {
-        rank_wake_[s] = std::max(rank_clock_[s], *w);
-        note_wake_cause_locked(s);
-        set_state_locked(id, RankState::kReady);
-      } else {
-        ++i;
-      }
-    }
+    wake_gated_locked();
     return;
   }
   int remaining = blocked_count_;
@@ -535,11 +494,9 @@ void Engine::wake_gated_locked() {
       const int id = ch.waiters.front().second;
       pop_gate_waiter(ch.waiters);
       const auto s = static_cast<std::size_t>(id);
-      // Stale entries (rank already unwound by an abort, or re-parked and
-      // woken via a fresher entry) are skipped.
-      if (rank_state_[s] != RankState::kBlocked || rank_slot_[s] != kSlotGated) {
-        continue;
-      }
+      // A blocked rank has exactly one entry, so the only stale entries
+      // are those of ranks already unwound by an abort.
+      if (rank_state_[s] != RankState::kBlocked) continue;
       MRL_CHECK(rank_cond_[s]);
       ++counters_.gate_crossings;
       ++counters_.cond_evals;
@@ -651,23 +608,18 @@ void Engine::perform(Rank& r, Action fn) {
   wake_satisfied_locked();
 }
 
-void Engine::wait(Rank& r, const char* what, WaitCond cond, Action finalize,
-                  WaitGate gate) {
+void Engine::wait(Rank& r, const char* what, WaitGate gate, WaitCond cond,
+                  Action finalize) {
+  MRL_CHECK_MSG(gate.counter != nullptr,
+                "Engine::wait needs a WaitGate counter");
   // Blocked duration is measured in virtual time (the rank clock), so it is
   // identical across schedulers and job counts by construction.
   const auto s = static_cast<std::size_t>(r.id_);
   const simnet::TimeUs t0 = rank_clock_[s];
   r.last_wait_what_ = what;
   r.last_wait_t_ = t0;
-  // Captured before the linear-scan zeroing below: the span's gate field
-  // must not depend on the scheduler (byte-identity contract).
-  const std::uint64_t gate_thr = gate.counter != nullptr ? gate.threshold : 0;
   if (opt_.spans) rank_cause_rank_[s] = -1;
-  // The linear-scan scheduler ignores gates: it brute-force re-evaluates
-  // every blocked condition, which is exactly the oracle the cross-scheduler
-  // identity tests compare the gated path against.
-  if (opt_.scheduler != SchedulerKind::kIndexedHeap) gate = {};
-  fiber_wait(r, what, cond, finalize, gate);
+  fiber_wait(r, what, gate, cond, finalize);
   if (opt_.spans) {
     // Causeless when the condition was satisfiable at entry (the rank never
     // parked, though virtual time may still have advanced to the wake time).
@@ -676,7 +628,7 @@ void Engine::wait(Rank& r, const char* what, WaitCond cond, Action finalize,
     sp.kind = simnet::span_kind_from_wait_label(what);
     sp.t_begin = t0;
     sp.t_end = rank_clock_[s];
-    sp.gate = gate_thr;
+    sp.gate = gate.threshold;
     if (rank_cause_rank_[s] >= 0) {
       sp.peer = rank_cause_rank_[s];
       sp.cause_t = rank_cause_t_[s];
@@ -817,8 +769,8 @@ void Engine::fiber_yield(Rank& r) {
   MRL_CHECK(granted_ == r.id_);
 }
 
-void Engine::fiber_wait(Rank& r, const char* what, WaitCond cond,
-                        Action finalize, WaitGate gate) {
+void Engine::fiber_wait(Rank& r, const char* what, WaitGate gate,
+                        WaitCond cond, Action finalize) {
   const int id = r.id_;
   const auto s = static_cast<std::size_t>(id);
   check_abort_locked(r);
@@ -857,8 +809,10 @@ void Engine::fiber_wait(Rank& r, const char* what, WaitCond cond,
     }
     rank_cond_[s] = cond;
     rank_what_[s] = what;
-    if (gate.counter != nullptr) {
-      rank_slot_[s] = kSlotGated;
+    // The linear-scan scheduler ignores gates: it brute-force re-evaluates
+    // every blocked condition, which is exactly the oracle the cross-scheduler
+    // identity tests compare the gated path against.
+    if (opt_.scheduler == SchedulerKind::kIndexedHeap) {
       register_gated_waiter_locked(id, gate);
     }
     set_state_locked(id, RankState::kBlocked);

@@ -9,7 +9,8 @@
 // whole simulation bit-reproducible.
 //
 // Blocking operations (receives, signal waits) use Engine::wait() with a
-// condition closure that returns the wake-up virtual time once satisfiable.
+// condition closure that returns the wake-up virtual time once satisfiable,
+// and a WaitGate naming the monotone counter whose advance can satisfy it.
 // If every live rank is blocked, the engine reports a deadlock instead of
 // hanging — with each rank's self-described wait reason.
 //
@@ -53,17 +54,16 @@
 //     order the legacy linear scan produced, so output is bit-identical to
 //     it (SchedulerKind::kLinearScan keeps the legacy structure selectable
 //     for the abl_design ablation and as a differential-testing oracle);
-//   * blocked-condition re-evaluation walks a dedicated blocked-rank index —
-//     only actual waiters are visited, never all ranks — and is skipped
-//     entirely while no rank is blocked;
-//   * collective-style AND p2p waits carry a WaitGate (a monotone counter +
-//     threshold): gated waiters are parked in a per-counter threshold heap
-//     and their conditions are not re-evaluated at all until the counter
-//     reaches the threshold. Without this, a P-rank barrier/fence wave costs
-//     Σ|blocked| ≈ P²/2 condition closures (minutes of wall time at 100k
-//     ranks); with it a wave is O(P log P) (DESIGN.md §10, §12);
-//   * the scheduler's per-rank hot fields (clock, wake, state, gate slot,
-//     wait condition) live in parallel flat arrays indexed by rank id — a
+//   * every wait carries a WaitGate (a monotone counter + threshold): a
+//     blocked rank is parked in a per-counter threshold heap, its one gate
+//     channel, and its condition is not re-evaluated at all until the
+//     counter reaches the threshold. A perform re-tests no condition unless
+//     it advanced a counter to a waiter's threshold, so a P-rank
+//     barrier/fence wave is O(P log P) rather than Σ|blocked| ≈ P²/2
+//     condition closures (minutes of wall time at 100k ranks; DESIGN.md
+//     §10, §12);
+//   * the scheduler's per-rank hot fields (clock, wake, state, wait
+//     condition) live in parallel flat arrays indexed by rank id — a
 //     structure-of-arrays layout — instead of pointer-chased per-rank
 //     objects, so dispatch and wake walks touch a few contiguous cache
 //     lines per rank instead of a heap object each (DESIGN.md §12).
@@ -147,24 +147,23 @@ void set_default_trace(bool on);
 [[nodiscard]] bool default_spans();
 void set_default_spans(bool on);
 
-/// Optional re-evaluation hint for Engine::wait (DESIGN.md §10, §12).
-/// `counter` points at a monotonically nondecreasing std::uint64_t (e.g. a
-/// collective generation, or a per-(src,dst) message sequence number) that
-/// only changes inside Engine::perform bodies and outlives the wait. The
-/// contract: the wait condition is unsatisfiable while
+/// Wake rule of an Engine::wait (DESIGN.md §10, §12). `counter` points at a
+/// monotonically nondecreasing std::uint64_t (a collective generation, a
+/// per-(src,dst) message sequence number, a delivery queue's push count)
+/// that only changes inside Engine::perform bodies and outlives the wait.
+/// The contract: the wait condition is unsatisfiable while
 /// `*counter < threshold`, and the condition can only BECOME satisfiable in
-/// a perform that also advances the counter. Gated waiters skip per-perform
-/// condition re-evaluation entirely — the engine parks them in a per-counter
-/// threshold heap and only evaluates the condition when the counter crosses
-/// the threshold, turning O(P²) collective/recv waves into O(P log P). If
-/// the condition is still unsatisfiable at the crossing (e.g. a message
-/// arrived on the gated channel but with a non-matching tag), the waiter is
-/// re-parked at the counter's current value + 1 — the next advance re-tests
-/// it. Collective generations satisfy the stricter "satisfiable at
-/// threshold" property and never re-park. A default-constructed gate (null
-/// counter) means "no hint": the condition is re-evaluated after every
-/// perform, as always. The linear-scan scheduler ignores gates, preserving
-/// the legacy brute-force behaviour as a differential-testing oracle.
+/// a perform that also advances the counter. The heap scheduler parks the
+/// waiter in a per-counter threshold heap and evaluates the condition only
+/// when the counter crosses the threshold, turning O(P²) collective/recv
+/// waves into O(P log P). If the condition is still unsatisfiable at the
+/// crossing (e.g. a message arrived on the gated channel but with a
+/// non-matching tag), the waiter is re-parked at the counter's current
+/// value + 1 — the next advance re-tests it. Collective generations satisfy
+/// the stricter "satisfiable at threshold" property and never re-park. The
+/// counter is required: a null one is a programming error. The linear-scan
+/// scheduler ignores gates and re-evaluates every blocked condition after
+/// every perform, the brute-force differential-testing oracle.
 struct WaitGate {
   const std::uint64_t* counter = nullptr;
   std::uint64_t threshold = 0;
@@ -174,8 +173,8 @@ struct WaitGate {
 /// only for the duration of Engine::run().
 ///
 /// Rank itself carries only the cold, mostly-immutable identity fields; the
-/// scheduler-hot mutable state (clock, wake, run state, gate slot, wait
-/// condition) lives in the Engine's SoA arrays indexed by id() — now() and
+/// scheduler-hot mutable state (clock, wake, run state, wait condition)
+/// lives in the Engine's SoA arrays indexed by id() — now() and
 /// advance() are inline delegates (defined after Engine). This keeps a
 /// million Rank objects at ~56 B each and keeps the dispatch working set in
 /// flat arrays.
@@ -381,20 +380,22 @@ class Engine {
   /// Executes `fn` under the global virtual-time ordering: the calling rank
   /// yields, is re-granted when it has the minimum clock among runnable
   /// ranks (or, still being the minimum, keeps the baton without yielding),
-  /// and runs `fn` while the engine is quiescent. After `fn`, blocked
-  /// ranks' wait conditions are re-evaluated.
+  /// and runs `fn` while the engine is quiescent. After `fn`, the waiters
+  /// whose gate counter `fn` advanced to their threshold re-test their
+  /// conditions (under kLinearScan, every blocked waiter does).
   void perform(Rank& r, Action fn);
 
   /// Blocks until `cond` returns a wake time; advances the rank clock to
   /// max(clock, wake). `cond` is evaluated while the engine is quiescent and
   /// must be monotonic: once satisfiable it stays satisfiable. `what` labels
-  /// the wait in deadlock reports. If `finalize` is non-null it runs
-  /// immediately after the clock update (e.g. to consume the matched message
-  /// atomically with the wake decision). `gate`, when non-null, is a
-  /// monotone-counter re-evaluation hint (see WaitGate): the engine will not
-  /// re-test `cond` until `*gate.counter >= gate.threshold`.
-  void wait(Rank& r, const char* what, WaitCond cond, Action finalize = {},
-            WaitGate gate = {});
+  /// the wait in deadlock reports. `gate` names the monotone counter whose
+  /// advance can satisfy `cond` (see WaitGate): the engine will not re-test
+  /// `cond` until `*gate.counter >= gate.threshold`; a null counter aborts.
+  /// If `finalize` is non-null it runs immediately after the clock update
+  /// (e.g. to consume the matched message atomically with the wake
+  /// decision).
+  void wait(Rank& r, const char* what, WaitGate gate, WaitCond cond,
+            Action finalize = {});
 
   /// Aborts the current run with `code` from inside a perform body or rank
   /// context (used by the checker for collective mismatches, where letting
@@ -412,10 +413,6 @@ class Engine {
   };
 
   enum class RankState : std::uint8_t { kReady, kRunning, kBlocked, kDone };
-
-  /// rank_slot_ sentinel values (>= 0 is a position in blocked_).
-  static constexpr std::int32_t kSlotNone = -1;
-  static constexpr std::int32_t kSlotGated = -2;
 
   // Scheduler state machine. The _locked suffix marks functions that may
   // only run while the caller holds the baton (or is run() itself between
@@ -453,8 +450,8 @@ class Engine {
   void fiber_worker(int id);
   void fiber_yield(Rank& r);
   void fiber_exit_run(Rank& r);
-  void fiber_wait(Rank& r, const char* what, WaitCond cond, Action finalize,
-                  WaitGate gate);
+  void fiber_wait(Rank& r, const char* what, WaitGate gate, WaitCond cond,
+                  Action finalize);
   /// Keep-baton test: under kIndexedHeap, would pushing the running caller
   /// with key `wake` and picking the heap minimum grant the caller itself?
   /// Always false under kLinearScan.
@@ -488,9 +485,6 @@ class Engine {
   std::vector<simnet::TimeUs> rank_clock_;
   std::vector<simnet::TimeUs> rank_wake_;  ///< scheduling priority while kReady
   std::vector<RankState> rank_state_;
-  /// kBlocked bookkeeping: >= 0 is this rank's slot in blocked_, kSlotGated
-  /// means parked in a gate channel (NOT in blocked_), kSlotNone otherwise.
-  std::vector<std::int32_t> rank_slot_;
   std::vector<WaitCond> rank_cond_;  ///< set only while parked in a wait
   std::vector<const char*> rank_what_;  ///< wait label for deadlock reports
   /// Causal wake edge per rank (spans enabled only, else unsized): who
@@ -515,19 +509,15 @@ class Engine {
   std::vector<FiberStart> fiber_start_;
 
   // Scheduler state, reset per run. Exactly the ids whose state is kReady
-  // live in ready_queue_ (kIndexedHeap) or ready_ (kLinearScan); exactly the
-  // kBlocked ids live in blocked_ (kIndexedHeap — the blocked-rank index
-  // that wake_satisfied_locked walks instead of all ranks), and
-  // blocked_count_ counts them under either scheduler.
+  // live in ready_queue_ (kIndexedHeap) or ready_ (kLinearScan), and
+  // blocked_count_ counts the kBlocked ids under either scheduler.
   util::SortedRunQueue<simnet::TimeUs> ready_queue_;
   std::vector<int> ready_;
-  std::vector<int> blocked_;
   int blocked_count_ = 0;
-  // Gated waiters (WaitGate, kIndexedHeap only): one channel per distinct
-  // monotone counter, waiters ordered by (threshold, rank id) so equal
-  // thresholds drain in ascending rank order. Gated ranks are kBlocked and
-  // counted in blocked_count_ but are NOT in blocked_ — they are
-  // re-evaluated only when their counter crosses their threshold. The
+  // Gate channels (kIndexedHeap only): one per distinct monotone counter,
+  // waiters ordered by (threshold, rank id) so equal thresholds drain in
+  // ascending rank order. Every kBlocked rank sits in exactly one channel
+  // and is re-evaluated only when its counter crosses its threshold. The
   // registry is cleared per run. A drained channel is not destroyed: it is
   // swapped past live_gates_ and keeps its waiter storage, and its index
   // node is parked in spare_gate_nodes_ for the next new counter, so
@@ -544,7 +534,6 @@ class Engine {
   std::size_t live_gates_ = 0;
   GateIndex gate_index_;
   std::vector<GateIndex::node_type> spare_gate_nodes_;
-  int gated_count_ = 0;
   EngineCounters counters_;
   int granted_ = -1;
   /// Rank currently executing a wait-finalize (engine quiescent; -1 outside

@@ -4,7 +4,6 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <mutex>
@@ -73,7 +72,9 @@ namespace mrl::runtime {
 
 namespace {
 
-std::atomic<std::size_t> g_stack_pool_slab_bytes{64 * 1024 * 1024};
+/// Target bytes per pooled stack slab: each slab hosts
+/// floor(kStackPoolSlabBytes / slot_bytes) slots (at least one).
+constexpr std::size_t kStackPoolSlabBytes = 64 * 1024 * 1024;
 
 // Called first thing on a fiber's stack, for both trampoline flavors:
 // completes the sanitizer's view of the inbound switch.
@@ -87,7 +88,7 @@ inline void finish_first_entry_switch() {
 // StackPool: process-wide pooled fiber stacks (DESIGN.md §12).
 //
 // One size class per distinct slot size; each class carves slabs of
-// ~stack_pool_slab_bytes() into equal slots and keeps released slots on a
+// ~kStackPoolSlabBytes into equal slots and keeps released slots on a
 // freelist. Slabs are never unmapped: pooled stacks are meant for engines
 // that come and go (sweeps construct thousands), so the pages a run faulted
 // in stay resident for the next engine instead of being returned and
@@ -147,9 +148,7 @@ class StackPool {
   }
 
   void carve_slab_locked(SizeClass& sc) {
-    std::size_t nslots =
-        g_stack_pool_slab_bytes.load(std::memory_order_relaxed) /
-        sc.slot_bytes;
+    std::size_t nslots = kStackPoolSlabBytes / sc.slot_bytes;
     if (nslots == 0) nslots = 1;  // slot bigger than the slab target
     const std::size_t bytes = nslots * sc.slot_bytes;
     void* mem = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
@@ -172,15 +171,6 @@ class StackPool {
 };
 
 }  // namespace
-
-std::size_t stack_pool_slab_bytes() {
-  return g_stack_pool_slab_bytes.load(std::memory_order_relaxed);
-}
-
-void set_stack_pool_slab_bytes(std::size_t bytes) {
-  MRL_CHECK(bytes > 0);
-  g_stack_pool_slab_bytes.store(bytes, std::memory_order_relaxed);
-}
 
 StackPoolStats stack_pool_stats() { return StackPool::instance().stats(); }
 

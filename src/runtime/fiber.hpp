@@ -42,13 +42,6 @@
 
 namespace mrl::runtime {
 
-/// Target bytes per pooled stack slab (process-wide; initially 64 MiB).
-/// Each slab hosts floor(slab_bytes / slot_bytes) slots (at least one).
-/// Takes effect for slabs carved after the call; existing slabs keep their
-/// geometry. CLI flag `--stack-pool-slab-mb` sets it.
-[[nodiscard]] std::size_t stack_pool_slab_bytes();
-void set_stack_pool_slab_bytes(std::size_t bytes);
-
 /// Pool occupancy snapshot, for tests and capacity audits.
 struct StackPoolStats {
   std::size_t slabs = 0;        ///< mmap'd slabs alive (never unmapped)

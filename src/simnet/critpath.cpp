@@ -254,10 +254,14 @@ CritPathReport analyze_critical_path(const CritPathInput& in) {
 
     std::string what = to_string(spn.kind);
     if (spn.peer >= 0) {
-      what += (wait_kind ? " <- rank " : " -> rank ") +
-              std::to_string(spn.peer);
+      what += wait_kind ? " <- rank " : " -> rank ";
+      what += std::to_string(spn.peer);
     }
-    if (spn.bytes > 0) what += " " + std::to_string(spn.bytes) + "B";
+    if (spn.bytes > 0) {
+      what += ' ';
+      what += std::to_string(spn.bytes);
+      what += 'B';
+    }
     {
       char det[128];
       std::snprintf(det, sizeof det, " (q %.3f ser %.3f lat %.3f sync %.3f",

@@ -60,7 +60,7 @@ struct SpanRecord {
   /// bound (guarantees termination).
   std::uint32_t cause_nspans = 0;
   std::uint64_t bytes = 0;
-  std::uint64_t gate = 0;  ///< WaitGate threshold (0 = ungated)
+  std::uint64_t gate = 0;  ///< wait kinds: WaitGate threshold; op kinds: 0
   /// Op kinds: queueing / serialization share of the span (fabric
   /// decomposition); the remainder is latency.
   double q_us = 0;

@@ -120,7 +120,11 @@ Endpoint Topology::endpoint(int id) const {
   if (id == nodes_ * k) return Endpoint{"switch", EndpointKind::kSwitch};
   const Endpoint& e = endpoints_[id % k];
   if (nodes_ == 1) return e;
-  return Endpoint{"n" + std::to_string(id / k) + "." + e.name, e.kind};
+  std::string name = "n";
+  name += std::to_string(id / k);
+  name += '.';
+  name += e.name;
+  return Endpoint{std::move(name), e.kind};
 }
 
 const LinkSpec& Topology::link(int id) const {

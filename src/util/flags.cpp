@@ -1,6 +1,7 @@
 #include "util/flags.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cstdlib>
 #include <utility>
 
@@ -104,16 +105,18 @@ Flag switch_flag(std::string name, std::string help,
           }};
 }
 
-Flag int_flag(std::string name, std::string help, long long min,
-              std::function<void(long long)> set) {
-  const std::string what = name + " value";
-  return {std::move(name), "N", std::move(help),
-          [what, min, set = std::move(set)](const std::string& v) {
-            std::string error;
-            const std::optional<long long> n =
-                parse_min_int(v, min, what, &error);
-            if (n) set(*n);
-            return error;
+Flag int_flag(std::string name, std::string help, int min,
+              std::function<void(int)> set) {
+  return {name, "N", std::move(help),
+          [name, min, set = std::move(set)](const std::string& v) {
+            const std::optional<long long> n = parse_i64(v);
+            if (!n || *n < min || *n > INT_MAX) {
+              return invalid(name, v,
+                             "need an integer in [" + std::to_string(min) +
+                                 ", " + std::to_string(INT_MAX) + "]");
+            }
+            set(static_cast<int>(*n));
+            return std::string();
           }};
 }
 

@@ -58,9 +58,10 @@ class FlagSet {
 
 Flag switch_flag(std::string name, std::string help, std::function<void()> set);
 
-/// `--name N` with N an integer >= `min`.
-Flag int_flag(std::string name, std::string help, long long min,
-              std::function<void(long long)> set);
+/// `--name N` with N an integer in [`min`, INT_MAX]; a larger value is a
+/// usage error, never narrowed.
+Flag int_flag(std::string name, std::string help, int min,
+              std::function<void(int)> set);
 
 /// `--name <placeholder>` with a finite number >= `min`.
 Flag real_flag(std::string name, std::string placeholder, std::string help,

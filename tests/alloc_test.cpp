@@ -1,7 +1,7 @@
 // Zero-allocation guard for the engine's per-operation protocol
-// (DESIGN.md §10): on a warmed, reused engine, Engine::perform, plain waits,
-// gated waits, MPI RMA put + fence epochs and SHMEM put_signal + barrier
-// epochs must not touch the heap. This executable replaces the global
+// (DESIGN.md §10): on a warmed, reused engine, Engine::perform, gated waits,
+// MPI RMA put + fence epochs and SHMEM put_signal + barrier epochs must not
+// touch the heap. This executable replaces the global
 // operator new with a counting one and checks that a run of 10^3 operations
 // and a run of 10^4 operations allocate exactly as often — so the count is
 // independent of the operation count — without timing anything.
@@ -77,12 +77,11 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace mrl::runtime {
 namespace {
 
-enum class Ops { kPerforms, kPlainWaits, kGatedWaits };
+enum class Ops { kPerforms, kGatedWaits };
 
-// Two ranks, `n` operations of one kind each. The wait workloads are a
-// ping-pong, so every wait parks (a plain wait in the blocked-rank index, a
-// gated one in a gate channel that drains and is recycled per round). The
-// lambdas capture several locals by reference — more than a std::function's
+// Two ranks, `n` operations of one kind each. The wait workload is a
+// ping-pong, so every wait parks in a gate channel that drains and is
+// recycled per round. The lambdas capture several locals by reference — more than a std::function's
 // small buffer holds — as the communication layers' call sites do.
 RunResult run_ops(Engine& eng, Ops ops, int n) {
   std::uint64_t ping = 0, pong = 0;
@@ -103,16 +102,13 @@ RunResult run_ops(Engine& eng, Ops ops, int n) {
       });
       if (ops == Ops::kPerforms) continue;
       const auto want = static_cast<std::uint64_t>(i) + 1;
-      auto cond = [&]() -> std::optional<double> {
-        if (theirs < want) return std::nullopt;
-        return t_theirs + 1.0;
-      };
-      if (ops == Ops::kPlainWaits) {
-        eng.wait(rank, "alloc.plain", cond);
-      } else {
-        eng.wait(rank, "alloc.gated", cond, [&] { sum += want; },
-                 WaitGate{&theirs, want});
-      }
+      eng.wait(
+          rank, "alloc.gated", WaitGate{&theirs, want},
+          [&]() -> std::optional<double> {
+            if (theirs < want) return std::nullopt;
+            return t_theirs + 1.0;
+          },
+          [&] { sum += want; });
     }
   });
   EXPECT_GT(sum, 0u);
@@ -140,8 +136,8 @@ EngineOptions quiet_options() {
 
 void expect_allocation_free(Ops ops) {
   Engine eng(simnet::Platform::perlmutter_cpu(), 2, quiet_options());
-  // Warm-up: fibers, the ready heap, the blocked index and the gate
-  // registry reach their steady-state capacity.
+  // Warm-up: fibers, the ready heap and the gate registry reach their
+  // steady-state capacity.
   (void)allocations_for(eng, ops, 10000);
   const std::uint64_t small = allocations_for(eng, ops, 1000);
   const std::uint64_t large = allocations_for(eng, ops, 10000);
@@ -153,10 +149,6 @@ void expect_allocation_free(Ops ops) {
 
 TEST(EngineAllocations, PerformsAllocateNothingPerOperation) {
   expect_allocation_free(Ops::kPerforms);
-}
-
-TEST(EngineAllocations, PlainWaitsAllocateNothingPerOperation) {
-  expect_allocation_free(Ops::kPlainWaits);
 }
 
 TEST(EngineAllocations, GatedWaitsAllocateNothingPerOperation) {

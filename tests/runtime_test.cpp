@@ -70,19 +70,20 @@ TEST(Engine, TiesBrokenByRankId) {
 TEST(Engine, WaitWakesAtConditionTime) {
   Engine eng(plat(), 2);
   double flag_time = -1;
-  bool flag = false;
+  std::uint64_t flag = 0;  // the gate counter: the setting perform bumps it
   const RunResult r = eng.run([&](Rank& rank) {
     if (rank.id() == 0) {
       rank.advance(7.0);
       eng.perform(rank, [&] {
-        flag = true;
+        ++flag;
         flag_time = rank.now();
       });
     } else {
-      eng.wait(rank, "flag", [&]() -> std::optional<double> {
-        if (!flag) return std::nullopt;
-        return flag_time + 3.0;
-      });
+      eng.wait(rank, "flag", WaitGate{&flag, 1},
+               [&]() -> std::optional<double> {
+                 if (flag == 0) return std::nullopt;
+                 return flag_time + 3.0;
+               });
       EXPECT_DOUBLE_EQ(rank.now(), 10.0);
     }
   });
@@ -91,15 +92,16 @@ TEST(Engine, WaitWakesAtConditionTime) {
 
 TEST(Engine, WaitDoesNotGoBackwards) {
   Engine eng(plat(), 2);
-  bool flag = false;
+  std::uint64_t flag = 0;
   const RunResult r = eng.run([&](Rank& rank) {
     if (rank.id() == 0) {
-      eng.perform(rank, [&] { flag = true; });
+      eng.perform(rank, [&] { ++flag; });
     } else {
       rank.advance(50.0);
-      eng.wait(rank, "flag", [&]() -> std::optional<double> {
-        return flag ? std::optional<double>(1.0) : std::nullopt;
-      });
+      eng.wait(rank, "flag", WaitGate{&flag, 1},
+               [&]() -> std::optional<double> {
+                 return flag != 0 ? std::optional<double>(1.0) : std::nullopt;
+               });
       // Wake time 1.0 is in this rank's past; clock must not regress.
       EXPECT_DOUBLE_EQ(rank.now(), 50.0);
     }
@@ -109,8 +111,9 @@ TEST(Engine, WaitDoesNotGoBackwards) {
 
 TEST(Engine, DeadlockIsDetectedAndReported) {
   Engine eng(plat(), 2);
+  const std::uint64_t never = 0;  // no perform advances it
   const RunResult r = eng.run([&](Rank& rank) {
-    eng.wait(rank, "never-satisfied",
+    eng.wait(rank, "never-satisfied", WaitGate{&never, 1},
              []() -> std::optional<double> { return std::nullopt; });
   });
   EXPECT_FALSE(r.ok());
@@ -121,9 +124,10 @@ TEST(Engine, DeadlockIsDetectedAndReported) {
 TEST(Engine, PartialDeadlockAlsoDetected) {
   // One rank finishes; the other waits forever.
   Engine eng(plat(), 2);
+  const std::uint64_t never = 0;
   const RunResult r = eng.run([&](Rank& rank) {
     if (rank.id() == 1) {
-      eng.wait(rank, "orphan wait",
+      eng.wait(rank, "orphan wait", WaitGate{&never, 1},
                []() -> std::optional<double> { return std::nullopt; });
     }
   });
@@ -133,10 +137,11 @@ TEST(Engine, PartialDeadlockAlsoDetected) {
 
 TEST(Engine, BodyExceptionIsPropagatedNotCrashed) {
   Engine eng(plat(), 4);
+  const std::uint64_t never = 0;
   const RunResult r = eng.run([&](Rank& rank) {
     if (rank.id() == 2) throw std::runtime_error("boom");
     // Other ranks block; the abort must unwind them.
-    eng.wait(rank, "forever",
+    eng.wait(rank, "forever", WaitGate{&never, 1},
              []() -> std::optional<double> { return std::nullopt; });
   });
   EXPECT_FALSE(r.ok());
@@ -202,9 +207,10 @@ TEST(Engine, ReusesExecutionContextsAcrossManyRuns) {
 
 TEST(Engine, CleanRunAfterDeadlockedRun) {
   Engine eng(plat(), 2);
+  const std::uint64_t never = 0;
   // Run 1: deadlock — both ranks block forever.
   const RunResult bad = eng.run([&](Rank& rank) {
-    eng.wait(rank, "never",
+    eng.wait(rank, "never", WaitGate{&never, 1},
              []() -> std::optional<double> { return std::nullopt; });
   });
   EXPECT_FALSE(bad.ok());
@@ -212,15 +218,16 @@ TEST(Engine, CleanRunAfterDeadlockedRun) {
 
   // Run 2 on the same engine (same parked contexts) must be pristine: no
   // leftover abort flag, grants, or blocked bookkeeping.
-  bool flag = false;
+  std::uint64_t flag = 0;
   const RunResult good = eng.run([&](Rank& rank) {
     if (rank.id() == 0) {
       rank.advance(2.0);
-      eng.perform(rank, [&] { flag = true; });
+      eng.perform(rank, [&] { ++flag; });
     } else {
-      eng.wait(rank, "flag", [&]() -> std::optional<double> {
-        return flag ? std::optional<double>(3.0) : std::nullopt;
-      });
+      eng.wait(rank, "flag", WaitGate{&flag, 1},
+               [&]() -> std::optional<double> {
+                 return flag != 0 ? std::optional<double>(3.0) : std::nullopt;
+               });
       EXPECT_DOUBLE_EQ(rank.now(), 3.0);
     }
   });
@@ -230,7 +237,7 @@ TEST(Engine, CleanRunAfterDeadlockedRun) {
   // Run 3: deadlock again, then run 4 clean again — alternating states.
   const RunResult bad2 = eng.run([&](Rank& rank) {
     if (rank.id() == 1) {
-      eng.wait(rank, "orphan",
+      eng.wait(rank, "orphan", WaitGate{&never, 1},
                []() -> std::optional<double> { return std::nullopt; });
     }
   });
@@ -242,9 +249,10 @@ TEST(Engine, CleanRunAfterDeadlockedRun) {
 
 TEST(Engine, CleanRunAfterBodyExceptionRun) {
   Engine eng(plat(), 2);
+  const std::uint64_t never = 0;
   const RunResult bad = eng.run([&](Rank& rank) {
     if (rank.id() == 0) throw std::runtime_error("boom");
-    eng.wait(rank, "forever",
+    eng.wait(rank, "forever", WaitGate{&never, 1},
              []() -> std::optional<double> { return std::nullopt; });
   });
   EXPECT_FALSE(bad.ok());
@@ -288,26 +296,30 @@ TEST(Engine, RepeatedRunsAreDeterministicWithBlockingWaits) {
   // identical clocks.
   Engine eng(plat(), 6);
   std::vector<double> flags_time(6, -1.0);
-  std::vector<bool> flags(6, false);
+  std::vector<std::uint64_t> flags(6, 0);  // per-rank gate counters
   auto body = [&](Rank& rank) {
-    if (rank.id() == 0) {
-      for (int i = 0; i < 6; ++i) flags[static_cast<std::size_t>(i)] = false;
-    }
-    const int peer = (rank.id() + 1) % 6;
+    const auto mine = static_cast<std::size_t>(rank.id());
+    const auto peer = static_cast<std::size_t>((rank.id() + 1) % 6);
     rank.advance(0.5 * (rank.id() + 1));
     eng.perform(rank, [&] {
-      flags[static_cast<std::size_t>(rank.id())] = true;
-      flags_time[static_cast<std::size_t>(rank.id())] = rank.now();
+      ++flags[mine];
+      flags_time[mine] = rank.now();
     });
-    eng.wait(rank, "peer flag", [&]() -> std::optional<double> {
-      if (!flags[static_cast<std::size_t>(peer)]) return std::nullopt;
-      return flags_time[static_cast<std::size_t>(peer)] + 0.25;
-    });
+    eng.wait(rank, "peer flag", WaitGate{&flags[peer], 1},
+             [&]() -> std::optional<double> {
+               if (flags[peer] == 0) return std::nullopt;
+               return flags_time[peer] + 0.25;
+             });
   };
-  const RunResult a = eng.run(body);
+  // Counters only change inside performs; a fresh run starts them at 0.
+  auto run_once = [&] {
+    std::fill(flags.begin(), flags.end(), 0);
+    return eng.run(body);
+  };
+  const RunResult a = run_once();
   ASSERT_TRUE(a.ok()) << a.status.to_string();
   for (int i = 0; i < 20; ++i) {
-    const RunResult b = eng.run(body);
+    const RunResult b = run_once();
     ASSERT_TRUE(b.ok());
     ASSERT_EQ(a.rank_end_us.size(), b.rank_end_us.size());
     for (std::size_t j = 0; j < a.rank_end_us.size(); ++j) {
@@ -358,13 +370,14 @@ TEST(Engine, WatchdogAlsoTripsInsideWaits) {
   EngineOptions opt;
   opt.watchdog_virtual_us = 200.0;
   Engine eng(plat(), 2, opt);
+  const std::uint64_t never = 0;  // satisfiable at entry: the gate is unused
   const RunResult r = eng.run([&](Rank& rank) {
     if (rank.id() == 0) {
       // Waits that keep resolving a little further in the future: never
       // blocked (no deadlock), never done.
       for (;;) {
         const double target = rank.now() + 50.0;
-        eng.wait(rank, "chasing-horizon",
+        eng.wait(rank, "chasing-horizon", WaitGate{&never, 1},
                  [target]() -> std::optional<double> { return target; });
       }
     }
@@ -440,22 +453,23 @@ TEST(EngineFibers, TwoThousandRanksRunOnOneThread) {
   EngineOptions opt;
   opt.fiber_stack_bytes = 128 * 1024;  // 2048 * 128KiB = 256MiB virtual
   Engine eng(simnet::Platform::perlmutter_cpu(/*nodes=*/16), n, opt);
-  std::vector<bool> sent(static_cast<std::size_t>(n), false);
+  std::vector<std::uint64_t> sent(static_cast<std::size_t>(n), 0);
   std::vector<double> sent_time(static_cast<std::size_t>(n), 0.0);
   const RunResult r = eng.run([&](Rank& rank) {
-    const int id = rank.id();
-    const int prev = (id + n - 1) % n;
-    rank.advance(0.01 * (id % 7 + 1));
+    const auto id = static_cast<std::size_t>(rank.id());
+    const auto prev = static_cast<std::size_t>((rank.id() + n - 1) % n);
+    rank.advance(0.01 * (rank.id() % 7 + 1));
     // "Send" to the successor...
     eng.perform(rank, [&] {
-      sent[static_cast<std::size_t>(id)] = true;
-      sent_time[static_cast<std::size_t>(id)] = rank.now();
+      ++sent[id];
+      sent_time[id] = rank.now();
     });
     // ...and block until the predecessor's send arrives.
-    eng.wait(rank, "ring recv", [&]() -> std::optional<double> {
-      if (!sent[static_cast<std::size_t>(prev)]) return std::nullopt;
-      return sent_time[static_cast<std::size_t>(prev)] + 0.1;
-    });
+    eng.wait(rank, "ring recv", WaitGate{&sent[prev], 1},
+             [&]() -> std::optional<double> {
+               if (sent[prev] == 0) return std::nullopt;
+               return sent_time[prev] + 0.1;
+             });
   });
   ASSERT_TRUE(r.ok()) << r.status.to_string();
   ASSERT_EQ(r.rank_end_us.size(), static_cast<std::size_t>(n));
@@ -477,7 +491,7 @@ TEST(EngineCrossScheduler, BitIdenticalClocksAndTraces) {
     opt.scheduler = sched;
     opt.trace = true;
     Engine eng(plat(), n, opt);
-    std::vector<bool> flags(static_cast<std::size_t>(n), false);
+    std::vector<std::uint64_t> flags(static_cast<std::size_t>(n), 0);
     std::vector<double> flag_time(static_cast<std::size_t>(n), 0.0);
     const RunResult r = eng.run([&](Rank& rank) {
       const int id = rank.id();
@@ -497,14 +511,15 @@ TEST(EngineCrossScheduler, BitIdenticalClocksAndTraces) {
         });
       }
       eng.perform(rank, [&] {
-        flags[static_cast<std::size_t>(id)] = true;
+        ++flags[static_cast<std::size_t>(id)];
         flag_time[static_cast<std::size_t>(id)] = rank.now();
       });
-      const int prev = (id + n - 1) % n;
-      eng.wait(rank, "peer", [&]() -> std::optional<double> {
-        if (!flags[static_cast<std::size_t>(prev)]) return std::nullopt;
-        return flag_time[static_cast<std::size_t>(prev)] + 0.125;
-      });
+      const auto prev = static_cast<std::size_t>((id + n - 1) % n);
+      eng.wait(rank, "peer", WaitGate{&flags[prev], 1},
+               [&]() -> std::optional<double> {
+                 if (flags[prev] == 0) return std::nullopt;
+                 return flag_time[prev] + 0.125;
+               });
     });
     EXPECT_TRUE(r.ok()) << r.status.to_string();
     return std::make_pair(r, eng.trace().records());
@@ -558,12 +573,11 @@ TEST(EngineWaitGate, GatedBarrierMatchesUngatedOracleAcrossSchedulers) {
           }
         });
         eng.wait(
-            rank, "test.barrier",
+            rank, "test.barrier", WaitGate{&generation, my_gen + 1},
             [&]() -> std::optional<double> {
               if (generation <= my_gen) return std::nullopt;
               return done[my_gen % done.size()];
-            },
-            {}, WaitGate{&generation, my_gen + 1});
+            });
       }
     });
     EXPECT_TRUE(r.ok()) << r.status.to_string();
@@ -590,12 +604,11 @@ TEST(EngineWaitGate, UnreachedGateStillReportsDeadlock) {
   const RunResult r = eng.run([&](Rank& rank) {
     if (rank.id() == 0) {
       eng.wait(
-          rank, "gate.never",
+          rank, "gate.never", WaitGate{&counter, 1},
           [&]() -> std::optional<double> {
             if (counter == 0) return std::nullopt;
             return 1.0;
-          },
-          {}, WaitGate{&counter, 1});
+          });
     }
   });
   EXPECT_FALSE(r.ok());
@@ -605,24 +618,45 @@ TEST(EngineWaitGate, UnreachedGateStillReportsDeadlock) {
       << r.status.to_string();
 }
 
+TEST(EngineWaitGate, NullGateCounterAbortsUnderBothSchedulers) {
+  // The gate is how a blocked rank is ever woken under the heap scheduler,
+  // so a wait without one is rejected at entry — even a wait satisfiable
+  // at once, and even under the linear scan, which ignores gates.
+  for (const SchedulerKind sched :
+       {SchedulerKind::kIndexedHeap, SchedulerKind::kLinearScan}) {
+    EngineOptions opt;
+    opt.scheduler = sched;
+    EXPECT_DEATH(
+        {
+          Engine eng(plat(), 1, opt);
+          (void)eng.run([&](Rank& rank) {
+            eng.wait(rank, "gate.null", WaitGate{},
+                     []() -> std::optional<double> { return 0.0; });
+          });
+        },
+        "WaitGate counter")
+        << to_string(sched);
+  }
+}
+
 // Small deterministic 4-rank run touching every self-counter: performs that
-// keep the baton and performs that switch, a plain wait, and a gated wait
-// whose first crossing fails and is re-parked.
+// keep the baton and performs that switch, a gated wait whose first crossing
+// fails and is re-parked, and a collective-style one satisfiable as soon as
+// its counter reaches the threshold.
 RunResult run_counter_workload(Engine& eng) {
   std::uint64_t ctr = 0;
   bool flag = false;
-  int arrived = 0;
+  std::uint64_t arrived = 0;
   return eng.run([&](Rank& rank) {
     rank.advance(1.0 * rank.id());
     eng.perform(rank, [&] { ++arrived; });
     if (rank.id() == 0) {
       eng.wait(
-          rank, "test.gated",
+          rank, "test.gated", WaitGate{&ctr, 1},
           [&]() -> std::optional<double> {
             if (!flag) return std::nullopt;
             return 10.0;
-          },
-          {}, WaitGate{&ctr, 1});
+          });
     } else if (rank.id() == 1) {
       eng.perform(rank, [&] { ++ctr; });  // crossing, cond still false
       rank.advance(2.0);
@@ -631,10 +665,11 @@ RunResult run_counter_workload(Engine& eng) {
         ++ctr;
       });
     } else {
-      eng.wait(rank, "test.plain", [&]() -> std::optional<double> {
-        if (arrived < 4) return std::nullopt;
-        return 5.0;
-      });
+      eng.wait(rank, "test.arrival", WaitGate{&arrived, 4},
+               [&]() -> std::optional<double> {
+                 if (arrived < 4) return std::nullopt;
+                 return 5.0;
+               });
     }
     eng.perform(rank, [] {});
   });
@@ -646,9 +681,25 @@ TEST(EngineCounters, PinnedOnSmallRunAndRepeatAcrossRuns) {
   Engine eng(plat(), 4, opt);
   ASSERT_TRUE(run_counter_workload(eng).ok());
   const EngineCounters c = eng.counters();
-  // Hand-traced: ranks 0..3 start at clocks 0..3; rank 1's two ctr bumps
-  // cross rank 0's gate twice (the first re-parks it); rank 2 blocks on the
-  // plain wait until rank 3's arrival, and rank 3 finds it satisfied.
+  // Hand-traced, queue entries as (wake, id):
+  //  1. Rank 0 (clock 0) performs, arrived=1, keeping the baton over (0, 1);
+  //     its wait fails (eval 1) and parks on ctr >= 1.
+  //  2. Ranks 1, 2, 3 (clocks 1, 2, 3) each perform: re-queued at (1, 1),
+  //     (2, 2), (3, 3), a wave, and each switches to the next.
+  //  3. Rank 1 runs: arrived=2. Its ++ctr keeps the baton over (2, 2) and
+  //     crosses rank 0's gate (crossing 1, eval 2): flag is false, so rank 0
+  //     re-parks on ctr >= 2. Rank 1 advances to 3 and re-queues at (3, 1).
+  //  4. Rank 2 runs: arrived=3; its wait fails (eval 3), parks on
+  //     arrived >= 4.
+  //  5. Rank 1 runs: flag=true, ctr=2, crossing 2 (eval 4) wakes rank 0 at
+  //     (10, 0). Its last perform keeps the baton over (3, 3); it finishes.
+  //  6. Rank 3 runs: arrived=4, crossing 3 (eval 5) wakes rank 2 at (5, 2).
+  //     Rank 3's wait holds at entry (eval 6) but (5, 3) is behind (5, 2).
+  //  7. Ranks 2, 3, 0 are granted in that order. Woken from a park, ranks 2
+  //     and 0 re-test their conditions and then read the wake time (evals
+  //     7-8 and 10-11); rank 3, granted on its satisfiable-at-entry path,
+  //     only reads the wake time (eval 9). Each finishes with a keep-baton
+  //     perform.
   EXPECT_EQ(c.performs, 10u);
   EXPECT_EQ(c.keep_baton, 6u);  // each rank's last, rank 0's first, 1's bump
   EXPECT_EQ(c.switches, 12u);   // 11 grants + the final return to run()
@@ -659,9 +710,9 @@ TEST(EngineCounters, PinnedOnSmallRunAndRepeatAcrossRuns) {
   // order before the run's last entry and go to the heap.
   EXPECT_EQ(c.ready_run_pushes, 8u);
   EXPECT_EQ(c.ready_erases, 11u);
-  EXPECT_EQ(c.gate_crossings, 2u);
+  EXPECT_EQ(c.gate_crossings, 3u);
   EXPECT_EQ(c.reparks, 1u);
-  EXPECT_EQ(c.cond_evals, 13u);
+  EXPECT_EQ(c.cond_evals, 11u);
   EXPECT_EQ(c.fabric_transfers, 0u);  // the body never touches the fabric
   // Every rank entered the ready queue at run start and left it when it
   // last ran; nothing is queued after a clean run.
@@ -758,12 +809,11 @@ RunResult run_wave_workload(Engine& eng, int rounds,
         }
       });
       eng.wait(
-          rank, "test.wave",
+          rank, "test.wave", WaitGate{&generation, my_gen + 1},
           [&]() -> std::optional<double> {
             if (generation <= my_gen) return std::nullopt;
             return done[my_gen % done.size()];
-          },
-          {}, WaitGate{&generation, my_gen + 1});
+          });
     }
   });
 }
@@ -865,15 +915,16 @@ TEST(Engine, MetricsCountWaitsAndBlockedTime) {
   EngineOptions o;
   o.metrics = true;
   Engine eng(plat(), 2, o);
-  bool flag = false;
+  std::uint64_t flag = 0;
   const RunResult r = eng.run([&](Rank& rank) {
     if (rank.id() == 0) {
       rank.advance(7.0);
-      eng.perform(rank, [&] { flag = true; });
+      eng.perform(rank, [&] { ++flag; });
     } else {
-      eng.wait(rank, "flag", [&]() -> std::optional<double> {
-        return flag ? std::optional<double>(7.0) : std::nullopt;
-      });
+      eng.wait(rank, "flag", WaitGate{&flag, 1},
+               [&]() -> std::optional<double> {
+                 return flag != 0 ? std::optional<double>(7.0) : std::nullopt;
+               });
     }
   });
   ASSERT_TRUE(r.ok()) << r.status.to_string();
@@ -891,21 +942,22 @@ TEST(Engine, MetricsResetBetweenRuns) {
   EngineOptions o;
   o.metrics = true;
   Engine eng(plat(), 2, o);
-  bool flag = false;
+  std::uint64_t flag = 0;
   auto body = [&](Rank& rank) {
     if (rank.id() == 0) {
       rank.advance(2.0);
-      eng.perform(rank, [&] { flag = true; });
+      eng.perform(rank, [&] { ++flag; });
     } else {
-      eng.wait(rank, "flag", [&]() -> std::optional<double> {
-        return flag ? std::optional<double>(2.0) : std::nullopt;
-      });
+      eng.wait(rank, "flag", WaitGate{&flag, 1},
+               [&]() -> std::optional<double> {
+                 return flag != 0 ? std::optional<double>(2.0) : std::nullopt;
+               });
     }
   };
   ASSERT_TRUE(eng.run(body).ok());
   const RankMetrics first = eng.metrics_report().totals();
   EXPECT_EQ(first.ops.waits, 1u);
-  flag = false;
+  flag = 0;
   ASSERT_TRUE(eng.run(body).ok());
   // Counters re-zero each run: the second report equals the first instead of
   // doubling.
@@ -1025,19 +1077,20 @@ TEST(EngineStackPool, PooledAndUnpooledRunsAreBitIdentical) {
   // Stack placement is invisible to the simulation: same clocks either way.
   auto run_once = [&](bool pooled) {
     EngineOptions o;
-      o.stack_pool = pooled;
+    o.stack_pool = pooled;
     o.fiber_stack_bytes = kOddStackBytes;
     Engine eng(plat(), 12, o);
-    std::vector<bool> flags(12, false);
+    std::vector<std::uint64_t> flags(12, 0);
     const RunResult r = eng.run([&](Rank& rank) {
       const int id = rank.id();
       rank.advance(0.25 * (id % 5 + 1));
-      eng.perform(rank, [&] { flags[static_cast<std::size_t>(id)] = true; });
-      const int prev = (id + 11) % 12;
-      eng.wait(rank, "peer", [&]() -> std::optional<double> {
-        if (!flags[static_cast<std::size_t>(prev)]) return std::nullopt;
-        return rank.now();
-      });
+      eng.perform(rank, [&] { ++flags[static_cast<std::size_t>(id)]; });
+      const auto prev = static_cast<std::size_t>((id + 11) % 12);
+      eng.wait(rank, "peer", WaitGate{&flags[prev], 1},
+               [&]() -> std::optional<double> {
+                 if (flags[prev] == 0) return std::nullopt;
+                 return rank.now();
+               });
     });
     EXPECT_TRUE(r.ok()) << r.status.to_string();
     return r;

@@ -69,7 +69,9 @@ TEST(Topology, DisconnectedGraphAborts) {
 TEST(Topology, EqualHopTiesGoThroughTheFirstAddedLink) {
   Topology t;
   for (int i = 0; i < 4; ++i) {
-    t.add_endpoint("e" + std::to_string(i), EndpointKind::kSocket);
+    std::string name = "e";
+    name += std::to_string(i);
+    t.add_endpoint(name, EndpointKind::kSocket);
   }
   t.add_link(0, 2, LinkSpec{"02", 10, 0.5, 1});
   t.add_link(0, 1, LinkSpec{"01", 10, 0.5, 1});

@@ -687,7 +687,7 @@ struct ToyFlags {
     fs.add(util::switch_flag("--verbose", "talk more",
                              [this] { verbose = true; }));
     fs.add(util::int_flag("--count", "how many", 1,
-                          [this](long long n) { count = n; }));
+                          [this](int n) { count = n; }));
     fs.add(util::path_flag("--out", "where",
                            [this](const std::string& p) { out = p; }));
     fs.add(util::choice_flag("--mode", "M", "which", {"a", "b"},
@@ -745,6 +745,21 @@ TEST(FlagSet, UsageErrorsExitWithRc2AndNameTheFlag) {
     EXPECT_EXIT(ToyFlags().parse(args), ::testing::ExitedWithCode(2),
                 diagnostic + ".*usage: prog \\[flags\\]")
         << args.front();
+  }
+}
+
+TEST(FlagSet, IntFlagRejectsValuesAboveIntMaxInsteadOfNarrowing) {
+  ToyFlags t;
+  t.parse({"--count", "2147483647"});
+  EXPECT_EQ(t.count, std::numeric_limits<int>::max());
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // 2^32 + 1 would narrow to 1 through a cast to int.
+  for (const std::string v : {"2147483648", "4294967297"}) {
+    EXPECT_EXIT(ToyFlags().parse({"--count", v}),
+                ::testing::ExitedWithCode(2),
+                "prog: invalid --count value '" + v +
+                    "' \\(need an integer in \\[1, 2147483647\\]\\)")
+        << v;
   }
 }
 
@@ -809,11 +824,10 @@ TEST(FlagSet, UsageListsEveryRegisteredFlagOnce) {
   shared.add(cli::fault_seed_flag(&seed));
   shared.add(cli::stack_bytes_flag());
   shared.add(cli::stack_pool_flag());
-  shared.add(cli::stack_pool_slab_mb_flag());
   cli::add_observer_flags(shared, /*link_summary=*/false);
   for (const char* name :
        {"--jobs", "--scheduler", "--fault-seed", "--stack-bytes",
-        "--stack-pool", "--stack-pool-slab-mb", "--metrics", "--check",
+        "--stack-pool", "--metrics", "--check",
         "--check-history", "--check-report", "--trace", "--trace-format",
         "--trace-ranks", "--profile"}) {
     EXPECT_EQ(usage_lines_for(shared, name), 1) << name;

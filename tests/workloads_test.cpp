@@ -360,8 +360,8 @@ TEST(HashtableOverflow, RequiredOverflowIsExactAndOrderIndependent) {
     for (const auto& [k, c] : counts) {
       per_owner[static_cast<std::size_t>(k.first)] += c - 1;
     }
-    const std::uint64_t oracle =
-        *std::max_element(per_owner.begin(), per_owner.end());
+    std::uint64_t oracle = 0;
+    for (const std::uint64_t n : per_owner) oracle = std::max(oracle, n);
     EXPECT_EQ(need, oracle) << nranks;
   }
 }
