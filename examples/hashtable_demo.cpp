@@ -2,6 +2,7 @@
 // triplet broadcast protocol, with full content verification (Sec III-C).
 //
 // Usage: ./examples/hashtable_demo [total_inserts] [ranks]
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 
@@ -15,8 +16,8 @@ int main(int argc, char** argv) {
   using namespace mrl;
   namespace hb = workloads::hashtable;
 
-  const auto inserts =
-      parse_cli_int(argc > 1 ? argv[1] : "20000", 1, "insert count");
+  const auto inserts = parse_cli_int(argc > 1 ? argv[1] : "20000", 1,
+                                     "insert count", LLONG_MAX);
   const auto ranks_v = parse_cli_int(argc > 2 ? argv[2] : "16", 1, "rank count");
   if (!inserts || !ranks_v) {
     std::fprintf(stderr, "usage: hashtable_demo [total_inserts] [ranks]\n");

@@ -12,6 +12,7 @@
 //            perlmutter-gpu summit-gpu frontier-gpu
 // Runtimes:  two-sided one-sided shmem cas
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -258,7 +259,6 @@ int main(int argc, char** argv) {
       "perlmutter-cpu)",
       1, [&nodes](int n) { nodes = n; }));
   fs.add(cli::stack_bytes_flag());
-  fs.add(cli::stack_pool_flag());
   cli::add_observer_flags(fs, /*link_summary=*/false);
   fs.add(util::path_flag("--csv", "sweep only: write the figure's CSV to PATH",
                          [&csv_path](const std::string& p) { csv_path = p; }));
@@ -293,12 +293,13 @@ int main(int argc, char** argv) {
     if (!kind.is_ok()) fs.fail(kind.status().message());
     return cmd_sweep(plat, kind.value(), csv_path, jobs);
   }
-  // Positional integer i (or `fallback` when omitted), at least `min`.
+  // Positional integer i (or `fallback` when omitted) in [min, max]; the
+  // INT_MAX default keeps int-typed counts from narrowing.
   auto count = [&](std::size_t i, const char* fallback, long long min,
-                   const char* what) {
+                   const char* what, long long max = INT_MAX) {
     std::string error;
-    const auto v =
-        parse_min_int(i < pos.size() ? pos[i] : fallback, min, what, &error);
+    const auto v = parse_min_int(i < pos.size() ? pos[i] : fallback, min,
+                                 what, &error, max);
     if (!v) fs.fail(error);
     return *v;
   };
@@ -315,7 +316,8 @@ int main(int argc, char** argv) {
   if (cmd == "hashtable") {
     return cmd_hashtable(
         plat, ranks,
-        static_cast<std::uint64_t>(count(3, "20000", 1, "insert count")));
+        static_cast<std::uint64_t>(
+            count(3, "20000", 1, "insert count", LLONG_MAX)));
   }
   return cmd_trace(plat, ranks, pos[3]);
 }

@@ -183,15 +183,6 @@ util::Flag stack_bytes_flag() {
       });
 }
 
-util::Flag stack_pool_flag() {
-  return util::choice_flag(
-      "--stack-pool", "on|off",
-      "allocate fiber stacks as slots of pooled slabs (default on) or one "
-      "guarded mmap each (off); output is identical either way",
-      {"on", "off"},
-      [](const std::string& v) { runtime::set_default_stack_pool(v == "on"); });
-}
-
 void add_observer_flags(util::FlagSet& fs, bool link_summary) {
   outputs().link_summary = link_summary;
   fs.add(dump_flag(

@@ -30,8 +30,6 @@ util::Flag scheduler_flag();
 util::Flag fault_seed_flag(std::uint64_t* seed);
 /// --stack-bytes N: the default fiber stack size.
 util::Flag stack_bytes_flag();
-/// --stack-pool on|off: pooled fiber stack slabs.
-util::Flag stack_pool_flag();
 
 /// Registers the observer flags: --metrics, --check, --check-history,
 /// --check-report, --trace, --trace-format, --trace-ranks, --profile. With

@@ -9,6 +9,9 @@ namespace mrl::core {
 
 namespace {
 
+constexpr int kCoordinatePasses = 60;  ///< coordinate-descent sweeps
+constexpr int kRefineSteps = 40;       ///< golden-section steps per coordinate
+
 double rms_log_error(const RooflineParams& p,
                      const std::vector<SweepPoint>& pts) {
   RooflineModel m(p);
@@ -51,8 +54,7 @@ double golden_min(F&& f, double lo, double hi, int steps) {
 
 }  // namespace
 
-FitResult fit_roofline(const std::vector<SweepPoint>& points,
-                       FitOptions opt) {
+FitResult fit_roofline(const std::vector<SweepPoint>& points) {
   MRL_CHECK_MSG(points.size() >= 3, "need at least 3 points to fit");
   for (const SweepPoint& p : points) {
     MRL_CHECK(p.bytes > 0 && p.msgs_per_sync >= 1 && p.measured_gbs > 0);
@@ -78,28 +80,28 @@ FitResult fit_roofline(const std::vector<SweepPoint>& points,
   const double bw_lo = cur.peak_gbs * 0.2;
   const double bw_hi = cur.peak_gbs * 2.0;
 
-  for (int pass = 0; pass < opt.coordinate_passes; ++pass) {
+  for (int pass = 0; pass < kCoordinatePasses; ++pass) {
     cur.o_us = golden_min(
         [&](double v) {
           RooflineParams t = cur;
           t.o_us = v;
           return rms_log_error(t, points);
         },
-        o_lo, o_hi, opt.refine_steps);
+        o_lo, o_hi, kRefineSteps);
     cur.L_us = golden_min(
         [&](double v) {
           RooflineParams t = cur;
           t.L_us = v;
           return rms_log_error(t, points);
         },
-        l_lo, l_hi, opt.refine_steps);
+        l_lo, l_hi, kRefineSteps);
     cur.peak_gbs = golden_min(
         [&](double v) {
           RooflineParams t = cur;
           t.peak_gbs = v;
           return rms_log_error(t, points);
         },
-        bw_lo, bw_hi, opt.refine_steps);
+        bw_lo, bw_hi, kRefineSteps);
   }
 
   FitResult res;

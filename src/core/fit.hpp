@@ -9,11 +9,6 @@
 
 namespace mrl::core {
 
-struct FitOptions {
-  int coordinate_passes = 60;   ///< coordinate-descent sweeps
-  int refine_steps = 40;        ///< golden-section steps per coordinate
-};
-
 struct FitResult {
   RooflineParams params;
   double rms_log_error = 0;  ///< RMS of log(model/measured)
@@ -23,7 +18,6 @@ struct FitResult {
 /// by minimizing squared log-bandwidth error with bounded coordinate
 /// descent. Robust to the usual sweep shapes (needs points in both the
 /// latency-bound and bandwidth-bound regimes for a well-conditioned fit).
-FitResult fit_roofline(const std::vector<SweepPoint>& points,
-                       FitOptions opt = {});
+FitResult fit_roofline(const std::vector<SweepPoint>& points);
 
 }  // namespace mrl::core

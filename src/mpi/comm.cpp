@@ -26,11 +26,11 @@ runtime::RunResult World::run(runtime::Engine& engine,
 }
 
 const simnet::LogGP& Comm::p2p_params() const {
-  return world_->engine_.platform().params(world_->p2p_runtime);
+  return world_->engine_.platform().params(simnet::Runtime::kTwoSidedMpi);
 }
 
 const simnet::LogGP& Comm::rma_params() const {
-  return world_->engine_.platform().params(world_->rma_runtime);
+  return world_->engine_.platform().params(simnet::Runtime::kOneSidedMpi);
 }
 
 WinHandle Comm::create_win(void* base, std::uint64_t bytes) {

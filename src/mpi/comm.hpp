@@ -68,10 +68,6 @@ class World {
   static runtime::RunResult run(runtime::Engine& engine,
                                 const std::function<void(Comm&)>& body);
 
-  /// One-sided runtime flavor used for RMA op costs (default kOneSidedMpi).
-  simnet::Runtime rma_runtime = simnet::Runtime::kOneSidedMpi;
-  /// Two-sided runtime flavor used for p2p costs.
-  simnet::Runtime p2p_runtime = simnet::Runtime::kTwoSidedMpi;
   /// When false, message/put payloads are not captured or delivered (timing
   /// only) — used by bandwidth sweeps whose data content is irrelevant.
   bool capture_payloads = true;

@@ -13,7 +13,6 @@ namespace {
 std::atomic<SchedulerKind> g_default_scheduler{SchedulerKind::kIndexedHeap};
 std::atomic<double> g_default_watchdog_virtual_us{1e9};
 std::atomic<std::size_t> g_default_fiber_stack_bytes{256 * 1024};
-std::atomic<bool> g_default_stack_pool{true};
 std::atomic<bool> g_default_trace{false};
 std::atomic<bool> g_default_spans{false};
 
@@ -47,14 +46,6 @@ void set_default_fiber_stack_bytes(std::size_t bytes) {
   g_default_fiber_stack_bytes.store(bytes, std::memory_order_relaxed);
 }
 
-bool default_stack_pool() {
-  return g_default_stack_pool.load(std::memory_order_relaxed);
-}
-
-void set_default_stack_pool(bool on) {
-  g_default_stack_pool.store(on, std::memory_order_relaxed);
-}
-
 bool default_trace() { return g_default_trace.load(std::memory_order_relaxed); }
 
 void set_default_trace(bool on) {
@@ -79,15 +70,15 @@ Engine::Engine(simnet::Platform platform, int nranks, EngineOptions opt)
   checker_.set_enabled(opt_.check);
   checker_.set_history_limit(opt_.check_history);
   const auto n = static_cast<std::size_t>(nranks_);
-  ranks_.reserve(n);
+  ranks_.reset(new Rank[n]);  // Rank's ctor is Engine-private
+  fibers_ = std::make_unique<Fiber[]>(n);
   for (int i = 0; i < nranks_; ++i) {
-    std::unique_ptr<Rank> r(new Rank());  // ctor is Engine-private
-    r->engine_ = this;
-    r->id_ = i;
-    r->size_ = nranks_;
-    r->endpoint_ = platform_.endpoint_of_rank(i, nranks_);
-    r->compute_scale_ = fabric_->faults().straggler_scale(i);
-    ranks_.push_back(std::move(r));
+    Rank& r = ranks_[static_cast<std::size_t>(i)];
+    r.engine_ = this;
+    r.id_ = i;
+    r.size_ = nranks_;
+    r.endpoint_ = platform_.endpoint_of_rank(i, nranks_);
+    r.compute_scale_ = fabric_->faults().straggler_scale(i);
   }
   rank_clock_.resize(n, 0);
   rank_wake_.resize(n, 0);
@@ -174,17 +165,18 @@ MetricsReport Engine::metrics_report() const {
     }
   }
   rep.stack_hwm_bytes = stack_high_water_bytes();
-  if (!fibers_.empty() && fibers_.front()->created()) {
-    rep.stack_usable_bytes = fibers_.front()->stack_usable_bytes();
-  }
+  rep.stack_usable_bytes = fibers_[0].stack_usable_bytes();
   return rep;
 }
 
 std::vector<std::size_t> Engine::stack_high_water_bytes() const {
   std::vector<std::size_t> hwm;
-  if (!metrics_.enabled() || fibers_.empty()) return hwm;
-  hwm.reserve(fibers_.size());
-  for (const auto& f : fibers_) hwm.push_back(f->stack_high_water_bytes());
+  if (!metrics_.enabled() || !fibers_[0].created()) return hwm;
+  const auto n = static_cast<std::size_t>(nranks_);
+  hwm.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    hwm.push_back(fibers_[i].stack_high_water_bytes());
+  }
   return hwm;
 }
 
@@ -217,7 +209,7 @@ void Engine::reset_run_state_locked(const std::function<void(Rank&)>& body) {
   }
   for (int i = 0; i < nranks_; ++i) {
     const auto s = static_cast<std::size_t>(i);
-    Rank& r = *ranks_[s];
+    Rank& r = ranks_[s];
     r.epoch_ = 0;
     r.last_wait_what_ = nullptr;
     r.last_wait_t_ = 0;
@@ -382,7 +374,7 @@ void Engine::note_deadlock_locked() {
     } else if (rank_state_[s] == RankState::kDone) {
       // Finished ranks are often the cause (e.g. a rank that skipped a
       // collective): say what they last blocked on before exiting.
-      const Rank& r = *ranks_[s];
+      const Rank& r = ranks_[s];
       os << " rank " << i << " done at t=" << rank_clock_[s] << "us";
       if (r.last_wait_what_ != nullptr) {
         os << " (last blocked on [" << r.last_wait_what_ << "] at t="
@@ -560,7 +552,7 @@ void Engine::check_watchdog_locked(const Rank& r) {
     // The last blocking op a runnable-or-done rank entered is usually the
     // protocol step the stuck party is spinning against (e.g. a CAS retry
     // storm): name it and its virtual time.
-    const Rank& other = *ranks_[s];
+    const Rank& other = ranks_[s];
     if (rank_state_[s] != RankState::kBlocked &&
         other.last_wait_what_ != nullptr) {
       os << " (last blocked on [" << other.last_wait_what_ << "] at t="
@@ -650,37 +642,21 @@ RunResult Engine::run_fibers(const std::function<void(Rank&)>& body) {
   // The calling thread may differ between runs (e.g. one engine driven from
   // different sweep-pool workers), so (re)adopt it each run.
   main_fiber_.adopt_thread();
-  if (fibers_.empty()) {
-    // Lazy persistent contexts: created once, parked between runs suspended
-    // in fiber_exit_run().
-    fiber_start_.resize(static_cast<std::size_t>(nranks_));
-    fibers_.reserve(static_cast<std::size_t>(nranks_));
-    // Guarded stacks cost two kernel VMAs each and vm.max_map_count caps a
-    // process at ~65k mappings; past that, skip the guard pages and rely on
-    // the stack HWM sentinel (poison_stack) to audit headroom instead.
-    // Pooled stacks amortize further: one slab VMA hosts many slots
-    // (DESIGN.md §12).
-    const bool guard = !opt_.stack_pool && nranks_ <= 16384;
-    for (int i = 0; i < nranks_; ++i) {
-      fiber_start_[static_cast<std::size_t>(i)] = FiberStart{this, i};
-      auto f = std::make_unique<Fiber>();
-      if (opt_.stack_pool) {
-        f->create_pooled(opt_.fiber_stack_bytes, &Engine::fiber_entry,
-                         &fiber_start_[static_cast<std::size_t>(i)]);
-      } else {
-        f->create(opt_.fiber_stack_bytes, &Engine::fiber_entry,
-                  &fiber_start_[static_cast<std::size_t>(i)], guard);
-      }
+  if (!fibers_[0].created()) {
+    // Lazy persistent contexts: stacks are pooled slots (DESIGN.md §12),
+    // created once and parked between runs suspended in fiber_exit_run().
+    for (std::size_t i = 0; i < static_cast<std::size_t>(nranks_); ++i) {
+      fibers_[i].create(opt_.fiber_stack_bytes, &Engine::fiber_entry,
+                        &ranks_[i]);
       // Poisoning commits the stack pages, so only pay for it when the
       // metrics report will actually read the high-water marks.
-      if (opt_.metrics) f->poison_stack();
-      fibers_.push_back(std::move(f));
+      if (opt_.metrics) fibers_[i].poison_stack();
     }
   }
   const int first = pick_min_ready_locked();
   MRL_CHECK(first != -1);
   granted_ = first;
-  switch_fiber_locked(main_fiber_, *fibers_[static_cast<std::size_t>(first)]);
+  switch_fiber_locked(main_fiber_, fibers_[static_cast<std::size_t>(first)]);
   if (abort_) {
     // Fibers suspended mid-wait still hold live frames (user code with
     // destructors). Resume each one so it observes abort_, throws
@@ -688,7 +664,7 @@ RunResult Engine::run_fibers(const std::function<void(Rank&)>& body) {
     for (int i = 0; i < nranks_; ++i) {
       while (rank_state_[static_cast<std::size_t>(i)] != RankState::kDone) {
         granted_ = i;
-        switch_fiber_locked(main_fiber_, *fibers_[static_cast<std::size_t>(i)]);
+        switch_fiber_locked(main_fiber_, fibers_[static_cast<std::size_t>(i)]);
       }
     }
   }
@@ -697,13 +673,13 @@ RunResult Engine::run_fibers(const std::function<void(Rank&)>& body) {
   return collect_result_locked();
 }
 
-void Engine::fiber_entry(void* start) {
-  auto* s = static_cast<FiberStart*>(start);
-  s->engine->fiber_worker(s->id);  // never returns (parks between runs)
+void Engine::fiber_entry(void* rank) {
+  Rank& r = *static_cast<Rank*>(rank);
+  r.engine_->fiber_worker(r);  // never returns (parks between runs)
 }
 
-void Engine::fiber_worker(int id) {
-  Rank& r = *ranks_[static_cast<std::size_t>(id)];
+void Engine::fiber_worker(Rank& r) {
+  const int id = r.id_;
   for (;;) {
     // Granted: either the first grant of a fresh run, or an abort-unwind
     // resume for a rank whose body never started this run.
@@ -729,14 +705,14 @@ void Engine::fiber_worker(int id) {
 // report back to run_fibers). The fiber parks here, suspended, until a later
 // run() grants it again.
 void Engine::fiber_exit_run(Rank& r) {
-  Fiber& self = *fibers_[static_cast<std::size_t>(r.id_)];
+  Fiber& self = fibers_[static_cast<std::size_t>(r.id_)];
   if (abort_ || done_count_ == nranks_) {
     switch_fiber_locked(self, main_fiber_);
   } else {
     const int next = pick_min_ready_locked();
     if (next != -1) {
       granted_ = next;
-      switch_fiber_locked(self, *fibers_[static_cast<std::size_t>(next)]);
+      switch_fiber_locked(self, fibers_[static_cast<std::size_t>(next)]);
     } else {
       // Everyone left alive is blocked.
       note_deadlock_locked();
@@ -762,8 +738,8 @@ void Engine::fiber_yield(Rank& r) {
     throw AbortException{};
   }
   granted_ = next;
-  switch_fiber_locked(*fibers_[static_cast<std::size_t>(r.id_)],
-                      *fibers_[static_cast<std::size_t>(next)]);
+  switch_fiber_locked(fibers_[static_cast<std::size_t>(r.id_)],
+                      fibers_[static_cast<std::size_t>(next)]);
   // Resumed: either granted, or being unwound after an abort elsewhere.
   check_abort_locked(r);
   MRL_CHECK(granted_ == r.id_);

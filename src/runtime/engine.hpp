@@ -129,13 +129,6 @@ void set_default_watchdog_virtual_us(double us);
 [[nodiscard]] std::size_t default_fiber_stack_bytes();
 void set_default_fiber_stack_bytes(std::size_t bytes);
 
-/// Process-wide default for EngineOptions::stack_pool (initially true).
-/// When on, fiber stacks are carved from pooled slabs (runtime/fiber.hpp:
-/// StackPool — one mmap per slab instead of per fiber); `--stack-pool 0`
-/// restores mmap-per-fiber with optional guard pages.
-[[nodiscard]] bool default_stack_pool();
-void set_default_stack_pool(bool on);
-
 /// Process-wide default for EngineOptions::trace (initially false). The
 /// CLI/bench `--trace`/`--profile` flags flip it so every engine constructed
 /// afterwards, the workload runners' included, stores its message records.
@@ -245,15 +238,11 @@ struct EngineOptions {
   /// Ready-queue structure. kIndexedHeap and kLinearScan produce bit-identical
   /// simulations; the linear scan exists for ablation and differential tests.
   SchedulerKind scheduler = default_scheduler();
-  /// Usable stack bytes per rank fiber. Stacks are lazily committed virtual
-  /// memory, so thousands of ranks are cheap; raise this for rank bodies
-  /// with deep call chains or large stack frames.
+  /// Usable stack bytes per rank fiber. Each stack is an unguarded slot of
+  /// a pooled slab (runtime/fiber.hpp, DESIGN.md §12) of lazily committed
+  /// virtual memory, so thousands of ranks are cheap; raise this for rank
+  /// bodies with deep call chains or large stack frames.
   std::size_t fiber_stack_bytes = default_fiber_stack_bytes();
-  /// Carve fiber stacks out of a pooled slab (one big mmap, recycled slots)
-  /// instead of one mmap per fiber (DESIGN.md §12). Defaults to the
-  /// process-wide default (on); mmap-per-fiber remains selectable for the
-  /// guard-paged debugging configuration and the abl ablation.
-  bool stack_pool = default_stack_pool();
   /// Collect deterministic per-rank/per-link metrics (DESIGN.md §9) and
   /// per-fiber stack high-water-marks. Disabled metrics cost one branch per
   /// hook and change no simulated time either way.
@@ -407,10 +396,6 @@ class Engine {
   friend class Rank;
 
   struct AbortException {};
-  struct FiberStart {
-    Engine* engine = nullptr;
-    int id = -1;
-  };
 
   enum class RankState : std::uint8_t { kReady, kRunning, kBlocked, kDone };
 
@@ -446,8 +431,9 @@ class Engine {
 
   // Fiber execution.
   RunResult run_fibers(const std::function<void(Rank&)>& body);
-  static void fiber_entry(void* start);
-  void fiber_worker(int id);
+  /// Fiber entry point; `rank` is the fiber's own Rank.
+  static void fiber_entry(void* rank);
+  void fiber_worker(Rank& r);
   void fiber_yield(Rank& r);
   void fiber_exit_run(Rank& r);
   void fiber_wait(Rank& r, const char* what, WaitGate gate, WaitCond cond,
@@ -477,7 +463,8 @@ class Engine {
   Metrics metrics_;
   check::Checker checker_;
 
-  std::vector<std::unique_ptr<Rank>> ranks_;  // cold identity, reset per run
+  /// Cold identity, one flat array sized at construction, reset per run.
+  std::unique_ptr<Rank[]> ranks_;
 
   // SoA rank hot fields, indexed by rank id (DESIGN.md §12). Exactly the
   // state the scheduler reads in its dispatch/wake loops; sized once at
@@ -501,12 +488,12 @@ class Engine {
 
   const std::function<void(Rank&)>* body_ = nullptr;
 
-  // Persistent fiber contexts (lazily created by the first run()).
-  // main_fiber_ is the context of whichever thread is inside run(); rank
-  // fibers park between runs suspended in fiber_exit_run().
+  // Persistent fiber contexts, one per rank in a flat array sized at
+  // construction; their stacks are created by the first run(). main_fiber_
+  // is the context of whichever thread is inside run(); rank fibers park
+  // between runs suspended in fiber_exit_run().
   Fiber main_fiber_;
-  std::vector<std::unique_ptr<Fiber>> fibers_;
-  std::vector<FiberStart> fiber_start_;
+  std::unique_ptr<Fiber[]> fibers_;
 
   // Scheduler state, reset per run. Exactly the ids whose state is kReady
   // live in ready_queue_ (kIndexedHeap) or ready_ (kLinearScan), and

@@ -115,8 +115,8 @@ class StackPool {
   void release(void* slot, std::size_t slot_bytes) {
 #if defined(MRL_FIBER_ASAN)
     // The dead fiber's parked frames left poisoned redzones in shadow
-    // memory; munmap would have cleared them, the freelist must too, or the
-    // slot's next owner trips over ghost redzones.
+    // memory; slabs are never unmapped, so clear them here or the slot's
+    // next owner trips over ghost redzones.
     __asan_unpoison_memory_region(slot, slot_bytes);
 #endif
     std::lock_guard lk(mu_);
@@ -190,7 +190,7 @@ void Fiber::run_entry_for_trampoline() {
 //   pushes rbp rbx r12-r15 + the x87/SSE control words onto the current
 //   stack, parks rsp in *save_sp, adopts load_sp, restores the same state
 //   from there and returns on the new stack. A freshly created fiber's
-//   "restore area" is crafted by Fiber::init_context() so the final ret
+//   "restore area" is crafted by Fiber::create() so the final ret
 //   lands in mrl_fiber_entry_thunk with r12 = the Fiber*.
 asm(R"(
 .text
@@ -267,19 +267,14 @@ Fiber::~Fiber() {
 #if defined(MRL_FIBER_TSAN)
     __tsan_destroy_fiber(tsan_fiber_);
 #endif
-    if (pooled_) {
-      StackPool::instance().release(stack_mem_, stack_total_);
-    } else {
-      ::munmap(stack_mem_, stack_total_);
-    }
+    StackPool::instance().release(stack_mem_, stack_bytes_);
   }
 #if !defined(MRL_FIBER_ASM)
   delete static_cast<ucontext_t*>(uctx_);
 #endif
 }
 
-void Fiber::create(std::size_t stack_bytes, void (*entry)(void*), void* arg,
-                   bool guard) {
+void Fiber::create(std::size_t stack_bytes, void (*entry)(void*), void* arg) {
   MRL_CHECK_MSG(stack_mem_ == nullptr, "fiber already created");
   entry_ = entry;
   arg_ = arg;
@@ -287,39 +282,9 @@ void Fiber::create(std::size_t stack_bytes, void (*entry)(void*), void* arg,
   const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
   std::size_t usable = (stack_bytes + page - 1) & ~(page - 1);
   if (usable < 4 * page) usable = 4 * page;  // floor for the entry frames
-  guard_bytes_ = guard ? page : 0;
-  void* mem = ::mmap(nullptr, usable + guard_bytes_, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-  MRL_CHECK_MSG(mem != MAP_FAILED, "fiber stack mmap failed");
-  if (guard) {
-    // Guard page at the low end: stacks grow down, so running off the end
-    // faults here instead of scribbling over the neighboring mapping.
-    // Skipped (guard=false) for 100k+-rank worlds: each PROT_NONE page
-    // splits off two VMAs and vm.max_map_count caps the process at ~65k.
-    MRL_CHECK(::mprotect(mem, page, PROT_NONE) == 0);
-  }
-  stack_mem_ = mem;
-  stack_total_ = usable + guard_bytes_;
-  init_context(static_cast<char*>(mem) + guard_bytes_, usable);
-}
-
-void Fiber::create_pooled(std::size_t stack_bytes, void (*entry)(void*),
-                          void* arg) {
-  MRL_CHECK_MSG(stack_mem_ == nullptr, "fiber already created");
-  entry_ = entry;
-  arg_ = arg;
-
-  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-  std::size_t usable = (stack_bytes + page - 1) & ~(page - 1);
-  if (usable < 4 * page) usable = 4 * page;  // floor for the entry frames
-  guard_bytes_ = 0;
-  pooled_ = true;
-  stack_mem_ = StackPool::instance().acquire(usable);
-  stack_total_ = usable;
-  init_context(static_cast<char*>(stack_mem_), usable);
-}
-
-void Fiber::init_context(char* lo, std::size_t usable) {
+  char* const lo = static_cast<char*>(StackPool::instance().acquire(usable));
+  stack_mem_ = lo;
+  stack_bytes_ = usable;
 #if defined(MRL_FIBER_ASAN)
   asan_bottom_ = lo;
   asan_size_ = usable;
@@ -399,19 +364,18 @@ MRL_NO_ASAN const unsigned char* scan_first_touched(const unsigned char* lo,
 
 void Fiber::poison_stack() {
   MRL_CHECK_MSG(stack_mem_ != nullptr, "poison_stack before create");
-  char* lo = static_cast<char*>(stack_mem_) + guard_bytes_;
+  char* lo = static_cast<char*>(stack_mem_);
 #if defined(MRL_FIBER_ASM)
-  // Everything below the crafted restore area is virgin stack (for a pooled
-  // slot: everything the previous tenant may have scribbled).
+  // Everything below the crafted restore area is virgin stack or whatever
+  // the slot's previous tenant scribbled.
   const std::size_t fill = static_cast<std::size_t>(
       static_cast<char*>(sp_) - lo);
 #else
   // makecontext() parked its trampoline frame near the top; leave a margin
   // so the fill cannot clobber it.
-  const std::size_t usable = stack_total_ - guard_bytes_;
   constexpr std::size_t kUcontextMargin = 512;
-  const std::size_t fill = usable > kUcontextMargin ? usable - kUcontextMargin
-                                                    : 0;
+  const std::size_t fill =
+      stack_bytes_ > kUcontextMargin ? stack_bytes_ - kUcontextMargin : 0;
 #endif
   std::memset(lo, kStackPoison, fill);
   poisoned_ = true;
@@ -419,17 +383,10 @@ void Fiber::poison_stack() {
 
 std::size_t Fiber::stack_high_water_bytes() const {
   if (!poisoned_ || stack_mem_ == nullptr) return 0;
-  const auto* lo =
-      reinterpret_cast<const unsigned char*>(stack_mem_) + guard_bytes_;
-  const std::size_t usable = stack_total_ - guard_bytes_;
-  const unsigned char* hi = lo + usable;
+  const auto* lo = reinterpret_cast<const unsigned char*>(stack_mem_);
+  const unsigned char* hi = lo + stack_bytes_;
   const unsigned char* first = scan_first_touched(lo, hi);
   return static_cast<std::size_t>(hi - first);
-}
-
-std::size_t Fiber::stack_usable_bytes() const {
-  if (stack_mem_ == nullptr) return 0;
-  return stack_total_ - guard_bytes_;
 }
 
 void Fiber::adopt_thread() {

@@ -7,20 +7,14 @@
 // sigprocmask syscall swapcontext() performs); on other architectures it
 // falls back to POSIX swapcontext().
 //
-// Stack allocation comes in two flavors (DESIGN.md §12):
-//   * create() — one mmap per fiber, optionally with a PROT_NONE guard page
-//     below the usable region so an overflow faults immediately instead of
-//     silently corrupting a neighboring fiber's stack. The guard costs two
-//     kernel VMAs per fiber; Linux caps a process at vm.max_map_count
-//     (~65k) mappings.
-//   * create_pooled() — the stack is a slot carved out of a process-wide
-//     pooled slab (StackPool): one large mmap hosts many equally sized
-//     slots, and destroyed fibers return their slot to a freelist for
-//     reuse. One slab = one VMA regardless of how many fibers it hosts, so
-//     million-fiber engines stay far from the VMA cap and repeated
-//     engine construction recycles already-faulted pages instead of paying
-//     mmap/munmap churn. Pooled slots are unguarded (adjacent slots abut);
-//     the stack high-water-mark sentinel audits headroom instead.
+// Every fiber stack is a slot carved out of a process-wide pooled slab
+// (StackPool, DESIGN.md §12): one large mmap hosts many equally sized slots,
+// and a destroyed fiber returns its slot to a freelist for reuse. One slab
+// is one kernel VMA however many fibers it hosts, so million-fiber engines
+// stay far from the vm.max_map_count (~65k) cap, and repeated engine
+// construction recycles already-faulted pages instead of paying mmap/munmap
+// churn. Slots are unguarded (adjacent slots abut); the stack
+// high-water-mark sentinel (poison_stack) audits headroom instead.
 //
 // Sanitizer support:
 //   * AddressSanitizer — every switch is bracketed with
@@ -57,23 +51,12 @@ class Fiber {
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
 
-  /// Allocates a stack of (at least) `stack_bytes` usable bytes and primes
-  /// the fiber so the first switch_to() into it enters `entry(arg)`.
+  /// Takes a pooled stack slot of (at least) `stack_bytes` usable bytes and
+  /// primes the fiber so the first switch_to() into it enters `entry(arg)`.
   /// `entry` must never return — a fiber ends its life suspended in a
-  /// switch_to() away from itself (or is simply destroyed while parked).
-  ///
-  /// `guard` adds a PROT_NONE page below the usable region so an overflow
-  /// faults immediately. Each guarded stack costs two kernel VMAs, and
-  /// Linux caps a process at vm.max_map_count (~65k) mappings — so engines
-  /// with very large worlds (100k+ ranks) must pass guard=false and rely on
-  /// the stack high-water-mark sentinel to audit headroom instead.
-  void create(std::size_t stack_bytes, void (*entry)(void*), void* arg,
-              bool guard = true);
-
-  /// Like create(), but the stack is an unguarded slot from the process-wide
-  /// StackPool (see the header comment). The slot returns to the pool's
-  /// freelist when this Fiber is destroyed.
-  void create_pooled(std::size_t stack_bytes, void (*entry)(void*), void* arg);
+  /// switch_to() away from itself (or is simply destroyed while parked). The
+  /// slot returns to the pool's freelist when this Fiber is destroyed.
+  void create(std::size_t stack_bytes, void (*entry)(void*), void* arg);
 
   /// Marks this Fiber as the calling OS thread's native context so created
   /// fibers can switch back to it. Call before the first switch of every
@@ -98,23 +81,17 @@ class Fiber {
   /// of the usable region. Zero if the stack was never poisoned.
   [[nodiscard]] std::size_t stack_high_water_bytes() const;
 
-  /// Usable (guard-page-excluded) stack bytes.
-  [[nodiscard]] std::size_t stack_usable_bytes() const;
+  /// Usable stack bytes (the slot size).
+  [[nodiscard]] std::size_t stack_usable_bytes() const { return stack_bytes_; }
 
   // Used by the entry trampolines; not part of the public surface.
   void run_entry_for_trampoline();
 
  private:
-  /// Shared tail of create()/create_pooled(): primes the switch context on
-  /// the usable region starting at `lo`.
-  void init_context(char* lo, std::size_t usable);
-
   void* sp_ = nullptr;          ///< asm backend: saved stack pointer
   void* uctx_ = nullptr;        ///< ucontext backend: heap ucontext_t
-  void* stack_mem_ = nullptr;   ///< stack base (guard page + usable stack)
-  std::size_t stack_total_ = 0; ///< total stack bytes incl. guard page
-  std::size_t guard_bytes_ = 0; ///< PROT_NONE prefix (0 = unguarded stack)
-  bool pooled_ = false;         ///< stack_mem_ is a StackPool slot
+  void* stack_mem_ = nullptr;   ///< lowest byte of the StackPool slot
+  std::size_t stack_bytes_ = 0; ///< slot size = usable stack bytes
   void (*entry_)(void*) = nullptr;
   void* arg_ = nullptr;
   bool poisoned_ = false;       ///< stack filled with the HWM sentinel

@@ -5,7 +5,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 
 #include "util/csv.hpp"
 
@@ -129,46 +128,6 @@ std::vector<std::vector<std::string>> MetricsReport::stack_csv_rows() const {
   }
   rows.push_back({"stack", "", "max_hwm_bytes", fmt_u64(peak)});
   return rows;
-}
-
-std::string MetricsReport::to_json() const {
-  const RankMetrics t = totals();
-  std::ostringstream os;
-  auto counters = [&](const OpCounters& c) {
-    os << "\"sends\":" << c.sends << ",\"recvs\":" << c.recvs
-       << ",\"puts\":" << c.puts << ",\"gets\":" << c.gets
-       << ",\"atomics\":" << c.atomics << ",\"cas_failures\":" << c.cas_failures
-       << ",\"collectives\":" << c.collectives << ",\"syncs\":" << c.syncs
-       << ",\"waits\":" << c.waits << ",\"bytes_sent\":" << c.bytes_sent
-       << ",\"bytes_recv\":" << c.bytes_recv << ",\"drops\":" << c.drops
-       << ",\"violations\":" << c.violations;
-  };
-  os << "{\"nranks\":" << nranks << ",\"makespan_us\":" << fmt_f64(makespan_us)
-     << ",\"total\":{";
-  counters(t.ops);
-  os << ",\"blocked_us\":" << fmt_f64(t.blocked_us) << "},\"ranks\":[";
-  for (std::size_t i = 0; i < ranks.size(); ++i) {
-    if (i) os << ",";
-    os << "{";
-    counters(ranks[i].ops);
-    os << ",\"blocked_us\":" << fmt_f64(ranks[i].blocked_us) << "}";
-  }
-  os << "],\"links\":[";
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    const LinkMetrics& l = links[i];
-    if (i) os << ",";
-    os << "{\"name\":\"" << l.name << "\",\"link\":" << l.link
-       << ",\"dir\":" << l.dir << ",\"msgs\":" << l.msgs
-       << ",\"busy_us\":" << fmt_f64(l.busy_us)
-       << ",\"queue_us\":" << fmt_f64(l.queue_us) << "}";
-  }
-  os << "],\"stack_hwm_bytes\":[";
-  for (std::size_t i = 0; i < stack_hwm_bytes.size(); ++i) {
-    if (i) os << ",";
-    os << stack_hwm_bytes[i];
-  }
-  os << "]}";
-  return os.str();
 }
 
 void Metrics::reset(int nranks) {

@@ -99,7 +99,6 @@ struct MetricsReport {
   [[nodiscard]] std::vector<std::vector<std::string>> csv_rows() const;
   /// Stack-HWM section rows (same column layout, no header).
   [[nodiscard]] std::vector<std::vector<std::string>> stack_csv_rows() const;
-  [[nodiscard]] std::string to_json() const;
 };
 
 /// Engine-owned collector. The engine serializes every hook call.

@@ -52,20 +52,21 @@ std::optional<double> parse_f64(std::string_view s) {
 
 std::optional<long long> parse_min_int(std::string_view s, long long min,
                                        std::string_view what,
-                                       std::string* error) {
+                                       std::string* error, long long max) {
   const auto v = parse_i64(s);
-  if (!v || *v < min) {
+  if (!v || *v < min || *v > max) {
     *error = "invalid " + std::string(what) + " '" + std::string(s) +
-             "' (need an integer >= " + std::to_string(min) + ")";
+             "' (need an integer in [" + std::to_string(min) + ", " +
+             std::to_string(max) + "])";
     return std::nullopt;
   }
   return v;
 }
 
 std::optional<long long> parse_cli_int(const char* s, long long min,
-                                       const char* what) {
+                                       const char* what, long long max) {
   std::string error;
-  const auto v = parse_min_int(s != nullptr ? s : "", min, what, &error);
+  const auto v = parse_min_int(s != nullptr ? s : "", min, what, &error, max);
   if (!v) std::fprintf(stderr, "%s\n", error.c_str());
   return v;
 }

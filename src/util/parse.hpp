@@ -6,6 +6,7 @@
 // errors, so every demo/CLI can reject bad arguments with a usage error.
 #pragma once
 
+#include <climits>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -23,18 +24,21 @@ namespace mrl {
 /// Finite floating-point number (rejects "nan"/"inf" and trailing junk).
 [[nodiscard]] std::optional<double> parse_f64(std::string_view s);
 
-/// Parses `s` as an integer >= `min`. On failure returns nullopt and sets
-/// `*error` to "invalid <what> '<s>' (need an integer >= <min>)".
+/// Parses `s` as an integer in [`min`, `max`]. `max` defaults to INT_MAX so
+/// a value the caller stores in an int is rejected rather than narrowed
+/// (2^32 + 4 would become 4). On failure returns nullopt and sets `*error`
+/// to "invalid <what> '<s>' (need an integer in [<min>, <max>])".
 [[nodiscard]] std::optional<long long> parse_min_int(std::string_view s,
                                                      long long min,
                                                      std::string_view what,
-                                                     std::string* error);
+                                                     std::string* error,
+                                                     long long max = INT_MAX);
 
-/// CLI convenience: parses `s` as an integer >= `min`, printing
-/// "invalid <what> '<s>' ..." to stderr on failure. Callers just need
-/// `if (!v) usage();`.
+/// CLI convenience: parse_min_int, printing "invalid <what> '<s>' ..." to
+/// stderr on failure. Callers just need `if (!v) usage();`.
 [[nodiscard]] std::optional<long long> parse_cli_int(const char* s,
                                                      long long min,
-                                                     const char* what);
+                                                     const char* what,
+                                                     long long max = INT_MAX);
 
 }  // namespace mrl

@@ -1,10 +1,12 @@
-// Zero-allocation guard for the engine's per-operation protocol
-// (DESIGN.md §10): on a warmed, reused engine, Engine::perform, gated waits,
-// MPI RMA put + fence epochs and SHMEM put_signal + barrier epochs must not
-// touch the heap. This executable replaces the global
-// operator new with a counting one and checks that a run of 10^3 operations
-// and a run of 10^4 operations allocate exactly as often — so the count is
-// independent of the operation count — without timing anything.
+// Zero-allocation guards for the engine (DESIGN.md §10, §12): on a warmed,
+// reused engine, Engine::perform, gated waits, MPI RMA put + fence epochs
+// and SHMEM put_signal + barrier epochs must not touch the heap, and
+// building and running an engine must not allocate per rank. This
+// executable replaces the global operator new with a counting one and
+// checks that a run of 10^3 operations and a run of 10^4 operations
+// allocate exactly as often — so the count is independent of the operation
+// count — and that a 4096-rank engine allocates about as often as a
+// 256-rank one, without timing anything.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -226,6 +228,49 @@ TEST(EngineAllocations, PutSignalsAndBarriersAllocateNothingPerOperation) {
   const std::uint64_t small = put_signal_barrier_allocations(eng, 1000);
   const std::uint64_t large = put_signal_barrier_allocations(eng, 10000);
   EXPECT_EQ(small, large) << "allocations grow with the put/barrier count";
+  EXPECT_GT(small, 0u);
+}
+
+// Builds a `ranks`-rank engine on `plat`, runs one perform + barrier-style
+// gated wait per rank, destroys it, and returns the heap blocks allocated.
+std::uint64_t engine_lifetime_allocations(const simnet::Platform& plat,
+                                          int ranks) {
+  EngineOptions opt = quiet_options();
+  opt.fiber_stack_bytes = 16 * 1024;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  {
+    Engine eng(plat, ranks, opt);
+    std::uint64_t arrived = 0;
+    const auto all = static_cast<std::uint64_t>(ranks);
+    const RunResult r = eng.run([&](Rank& rank) {
+      rank.advance(0.25 * (rank.id() % 3));
+      eng.perform(rank, [&] { ++arrived; });
+      eng.wait(rank, "alloc.barrier", WaitGate{&arrived, all},
+               [&]() -> std::optional<double> {
+                 if (arrived < all) return std::nullopt;
+                 return rank.now();
+               });
+    });
+    EXPECT_TRUE(r.ok()) << r.status.to_string();
+  }
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(EngineAllocations, EngineBuildAndRunAllocateNothingPerRank) {
+#if !defined(__x86_64__) || defined(MRL_FIBER_FORCE_UCONTEXT)
+  GTEST_SKIP() << "the ucontext fiber backend allocates a ucontext_t per fiber";
+#endif
+  // One platform for both sizes, so copying it into the engine and building
+  // its fabric cost the same.
+  const simnet::Platform plat = simnet::Platform::perlmutter_cpu(32);
+  ASSERT_GE(plat.max_ranks(), 4096);
+  // Warm-up: the stack pool carves its slabs and grows its freelist once.
+  (void)engine_lifetime_allocations(plat, 4096);
+  const std::uint64_t small = engine_lifetime_allocations(plat, 256);
+  const std::uint64_t large = engine_lifetime_allocations(plat, 4096);
+  EXPECT_LT(large, small + 64)
+      << "engine build + run allocates per rank (" << small << " blocks at "
+      << "P = 256, " << large << " at P = 4096)";
   EXPECT_GT(small, 0u);
 }
 

@@ -1019,7 +1019,6 @@ __attribute__((noinline)) std::size_t burn_stack(int depth) {
 
 TEST(EngineStackPool, SlotsAreRecycledAcrossEngineLifetimes) {
   EngineOptions o;
-  o.stack_pool = true;
   o.fiber_stack_bytes = kOddStackBytes;
   const StackPoolStats before = stack_pool_stats();
   {
@@ -1044,7 +1043,6 @@ TEST(EngineStackPool, ReusedSlotsRepoisonSoHwmIsPerTenant) {
   // dirty. Engine B reuses them with a shallow body: poison_stack() must
   // overwrite A's scribbles or B's high-water marks report A's depth.
   EngineOptions o;
-  o.stack_pool = true;
   o.fiber_stack_bytes = kOddStackBytes;
   o.metrics = true;
   auto peak_hwm = [](const Engine& eng) {
@@ -1071,46 +1069,6 @@ TEST(EngineStackPool, ReusedSlotsRepoisonSoHwmIsPerTenant) {
     EXPECT_GT(shallow, 0u);
     EXPECT_LT(shallow, deep / 2);
   }
-}
-
-TEST(EngineStackPool, PooledAndUnpooledRunsAreBitIdentical) {
-  // Stack placement is invisible to the simulation: same clocks either way.
-  auto run_once = [&](bool pooled) {
-    EngineOptions o;
-    o.stack_pool = pooled;
-    o.fiber_stack_bytes = kOddStackBytes;
-    Engine eng(plat(), 12, o);
-    std::vector<std::uint64_t> flags(12, 0);
-    const RunResult r = eng.run([&](Rank& rank) {
-      const int id = rank.id();
-      rank.advance(0.25 * (id % 5 + 1));
-      eng.perform(rank, [&] { ++flags[static_cast<std::size_t>(id)]; });
-      const auto prev = static_cast<std::size_t>((id + 11) % 12);
-      eng.wait(rank, "peer", WaitGate{&flags[prev], 1},
-               [&]() -> std::optional<double> {
-                 if (flags[prev] == 0) return std::nullopt;
-                 return rank.now();
-               });
-    });
-    EXPECT_TRUE(r.ok()) << r.status.to_string();
-    return r;
-  };
-  const RunResult a = run_once(true);
-  const RunResult b = run_once(false);
-  EXPECT_EQ(a.makespan_us, b.makespan_us);
-  ASSERT_EQ(a.rank_end_us.size(), b.rank_end_us.size());
-  for (std::size_t i = 0; i < a.rank_end_us.size(); ++i) {
-    EXPECT_EQ(a.rank_end_us[i], b.rank_end_us[i]) << i;
-  }
-}
-
-TEST(EngineStackPool, ProcessWideDefaultIsHonored) {
-  ASSERT_TRUE(default_stack_pool()) << "pooled stacks should default on";
-  EXPECT_TRUE(EngineOptions{}.stack_pool);
-  set_default_stack_pool(false);
-  EXPECT_FALSE(EngineOptions{}.stack_pool);
-  set_default_stack_pool(true);
-  EXPECT_TRUE(EngineOptions{}.stack_pool);
 }
 
 }  // namespace

@@ -318,6 +318,22 @@ TEST(Parse, CliIntEnforcesMinimum) {
   EXPECT_FALSE(parse_cli_int("banana", 1, "rank count"));
 }
 
+TEST(Parse, CliIntRejectsValuesAboveIntMaxInsteadOfNarrowing) {
+  EXPECT_EQ(parse_cli_int("2147483647", 1, "rank count").value(), INT_MAX);
+  // 2^32 + 4 would narrow to 4 through a cast to int.
+  EXPECT_FALSE(parse_cli_int("2147483648", 1, "rank count"));
+  EXPECT_FALSE(parse_cli_int("4294967300", 1, "rank count"));
+  std::string error;
+  EXPECT_FALSE(parse_min_int("4294967300", 1, "rank count", &error));
+  EXPECT_EQ(error,
+            "invalid rank count '4294967300' (need an integer in "
+            "[1, 2147483647])");
+  // A caller that stores the value in 64 bits widens the bound.
+  EXPECT_EQ(parse_min_int("4294967300", 1, "insert count", &error, LLONG_MAX)
+                .value(),
+            4294967300LL);
+}
+
 // ---------------------------------------------------------------------------
 // IndexedMinHeap — the scheduler's ready queue (DESIGN.md §10)
 // ---------------------------------------------------------------------------
@@ -823,13 +839,11 @@ TEST(FlagSet, UsageListsEveryRegisteredFlagOnce) {
   shared.add(cli::scheduler_flag());
   shared.add(cli::fault_seed_flag(&seed));
   shared.add(cli::stack_bytes_flag());
-  shared.add(cli::stack_pool_flag());
   cli::add_observer_flags(shared, /*link_summary=*/false);
   for (const char* name :
-       {"--jobs", "--scheduler", "--fault-seed", "--stack-bytes",
-        "--stack-pool", "--metrics", "--check",
-        "--check-history", "--check-report", "--trace", "--trace-format",
-        "--trace-ranks", "--profile"}) {
+       {"--jobs", "--scheduler", "--fault-seed", "--stack-bytes", "--metrics",
+        "--check", "--check-history", "--check-report", "--trace",
+        "--trace-format", "--trace-ranks", "--profile"}) {
     EXPECT_EQ(usage_lines_for(shared, name), 1) << name;
   }
 }
