@@ -36,29 +36,24 @@ void DeliveryQueue::push(std::uint64_t off, std::uint64_t bytes,
     payload_.insert(payload_.end(), v, v + sizeof(sig_val));
   }
   d.arrival = arrival;
-  d.seq = static_cast<std::uint32_t>(pushes_);
   d.chk = chk;
+  // Keep (arrival, push) order: move back past the entries that arrive
+  // strictly later. An in-order push moves nothing.
   pending_.push_back(d);
+  auto at = pending_.end() - 1;
+  for (; at != pending_.begin() && (at - 1)->arrival > arrival; --at) {
+    *at = *(at - 1);
+  }
+  *at = d;
   ++pushes_;
 }
 
 simnet::TimeUs DeliveryQueue::apply(
     simnet::TimeUs cutoff, std::byte* base,
-    util::FunctionRef<void(const Delivery&)> on_applied) {
-  if (pending_.empty()) return 0;
-  // Arrived puts move to the tail and are sorted there, in place. Sequence
-  // numbers are unique among pending puts (fewer than 2^31 of them), so
-  // (arrival, seq) is a total order and the application order does not
-  // depend on the partition's.
-  const auto ready = std::partition(
-      pending_.begin(), pending_.end(),
-      [&](const Delivery& d) { return d.arrival > cutoff; });
-  std::sort(ready, pending_.end(), [](const Delivery& a, const Delivery& b) {
-    if (a.arrival != b.arrival) return a.arrival < b.arrival;
-    return static_cast<std::int32_t>(a.seq - b.seq) < 0;
-  });
-  simnet::TimeUs latest = 0;
-  for (auto it = ready; it != pending_.end(); ++it) {
+    util::FunctionRef<void(const Delivery&)> on_applied,
+    std::vector<std::byte>& scratch) {
+  auto it = pending_.begin();
+  for (; it != pending_.end() && it->arrival <= cutoff; ++it) {
     const Delivery& d = *it;
     if (d.captured) {
       std::memcpy(base + d.off, payload_.data() + d.payload, d.bytes);
@@ -68,15 +63,16 @@ simnet::TimeUs DeliveryQueue::apply(
                   payload_.data() + d.payload + (d.captured ? d.bytes : 0),
                   sizeof(std::uint64_t));
     }
-    latest = std::max(latest, d.arrival);
     on_applied(d);
   }
-  pending_.erase(ready, pending_.end());
-  compact_payload();
+  if (it == pending_.begin()) return 0;
+  const simnet::TimeUs latest = (it - 1)->arrival;
+  pending_.erase(pending_.begin(), it);
+  compact_payload(scratch);
   return latest;
 }
 
-void DeliveryQueue::compact_payload() {
+void DeliveryQueue::compact_payload(std::vector<std::byte>& scratch) {
   if (pending_.empty()) {
     payload_.clear();
     return;
@@ -85,34 +81,22 @@ void DeliveryQueue::compact_payload() {
   std::uint64_t live = 0;
   for (const Delivery& d : pending_) live += span_of(d);
   if (2 * live > payload_.size()) return;
-  // Slide the pending bytes to the front in buffer order: each moves to an
-  // offset at or below its own, so no unread byte is overwritten.
-  std::sort(pending_.begin(), pending_.end(),
-            [](const Delivery& a, const Delivery& b) {
-              return a.payload < b.payload;
-            });
-  std::uint64_t w = 0;
+  // Entry order is not buffer order once pushes arrived out of order, so
+  // gather the pending bytes in `scratch` and copy them back to the front.
+  scratch.clear();
   for (Delivery& d : pending_) {
     if (d.payload == kNoPayload) continue;
-    const std::uint64_t n = span_of(d);
-    std::memmove(payload_.data() + w, payload_.data() + d.payload, n);
-    d.payload = w;
-    w += n;
+    const auto* p = payload_.data() + d.payload;
+    d.payload = scratch.size();
+    scratch.insert(scratch.end(), p, p + span_of(d));
   }
-  payload_.resize(w);
-}
-
-std::optional<double> DeliveryQueue::earliest_arrival() const {
-  if (pending_.empty()) return std::nullopt;
-  double first = pending_.front().arrival;
-  for (const Delivery& d : pending_) first = std::min(first, d.arrival);
-  return first;
+  payload_.assign(scratch.begin(), scratch.end());
 }
 
 bool DeliveryQueue::arrived_overlaps(std::uint64_t off, std::uint64_t bytes,
                                      simnet::TimeUs now) const {
   for (const Delivery& d : pending_) {
-    if (d.arrival > now) continue;
+    if (d.arrival > now) break;
     const bool data_hit = d.off < off + bytes && off < d.off + d.bytes;
     const bool sig_hit = d.sig_off != kNoSignal && d.sig_off < off + bytes &&
                          off < d.sig_off + 8;
@@ -148,8 +132,18 @@ void Space::put(runtime::Rank& r, int target, const simnet::LogGP& pp,
       clamp_fifo(fifo_, r.id(), target, tr.arrival_us);
   queues_[static_cast<std::size_t>(target)].push(off, bytes, data, arrival,
                                                  chk, sig_off, sig_val);
-  outstanding_[static_cast<std::size_t>(r.id())].push_back(
-      Outstanding{target, arrival, tr.inject_free_us});
+  // One record per target: look it up newest-first, since a stream keeps
+  // writing to the target it wrote to last.
+  auto& outs = outstanding_[static_cast<std::size_t>(r.id())];
+  auto o = std::find_if(outs.rbegin(), outs.rend(), [&](const Outstanding& x) {
+    return x.target == target;
+  });
+  if (o == outs.rend()) {
+    outs.push_back(Outstanding{target, arrival, tr.inject_free_us});
+  } else {
+    o->remote_done = std::max(o->remote_done, arrival);
+    o->local_done = std::max(o->local_done, tr.inject_free_us);
+  }
   eng_.record_msg(simnet::MsgRecord{r.id(), target, bytes, r.now(), arrival,
                                     kind, r.epoch(), tr.drops, tr.queue_us,
                                     tr.ser_us, tr.dlink});
@@ -159,15 +153,18 @@ simnet::TimeUs Space::apply(int rank, simnet::TimeUs cutoff) {
   DeliveryQueue& q = queues_[static_cast<std::size_t>(rank)];
   // A fence or barrier drain visits every rank; most have nothing pending.
   if (q.size() == 0) return 0;
-  return q.apply(cutoff, region(rank).base, [&](const Delivery& d) {
-    eng_.metrics().on_recv(rank, d.bytes);
-    auto& chk = eng_.checker();
-    if (chk.enabled() && chk_space >= 0) {
-      // Target-side observation: the put completes and `rank` learns the
-      // origin's clock at issue.
-      chk.on_applied(chk_space, rank, d.chk);
-    }
-  });
+  return q.apply(
+      cutoff, region(rank).base,
+      [&](const Delivery& d) {
+        eng_.metrics().on_recv(rank, d.bytes);
+        auto& chk = eng_.checker();
+        if (chk.enabled() && chk_space >= 0) {
+          // Target-side observation: the put completes and `rank` learns
+          // the origin's clock at issue.
+          chk.on_applied(chk_space, rank, d.chk);
+        }
+      },
+      scratch_);
 }
 
 simnet::TimeUs Space::drain(simnet::TimeUs done) {

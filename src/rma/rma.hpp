@@ -59,7 +59,6 @@ struct Delivery {
   /// the fused signal's 8-byte value (when there is one).
   std::uint64_t payload = kNoPayload;
   simnet::TimeUs arrival = 0;
-  std::uint32_t seq = 0;  ///< push order on this target, modulo 2^32
   check::PutHandles chk;  ///< checker records, reported when applied
   bool captured = false;  ///< the data bytes are in the payload buffer
 };
@@ -67,8 +66,12 @@ static_assert(sizeof(Delivery) <= 56, "a pending put must stay compact");
 
 /// The puts issued toward one target and not yet applied to its memory:
 /// arrived puts become visible only when the target applies them, in
-/// (arrival, seq) order. The push counter is a WaitGate counter (DESIGN.md
-/// §12), so keep queues in a container sized once.
+/// (arrival, push) order. The pending entries are kept in that order as
+/// they are pushed: a push moves its entry back past the entries that
+/// arrive strictly later, which is none for an in-order push, and every
+/// single-origin stream is in order (clamp_fifo). Applying is then taking
+/// a prefix. The push counter is a WaitGate counter (DESIGN.md §12), so keep
+/// queues in a container sized once.
 class DeliveryQueue {
  public:
   /// Queues a put of `bytes` at `off` arriving at `arrival`; `data` holds
@@ -79,14 +82,19 @@ class DeliveryQueue {
             std::uint64_t sig_off = kNoSignal, std::uint64_t sig_val = 0);
 
   /// Applies the puts that arrived by `cutoff` to the memory at `base` in
-  /// (arrival, seq) order, calls `on_applied` after each, and drops them.
+  /// (arrival, push) order, calls `on_applied` after each, and drops them.
   /// Returns the latest applied arrival (0 when none): with kTimeInf, the
-  /// drain of a fence or barrier.
+  /// drain of a fence or barrier. `scratch` is the caller's buffer for
+  /// compacting the payload bytes; its contents are not kept.
   simnet::TimeUs apply(simnet::TimeUs cutoff, std::byte* base,
-                       util::FunctionRef<void(const Delivery&)> on_applied);
+                       util::FunctionRef<void(const Delivery&)> on_applied,
+                       std::vector<std::byte>& scratch);
 
   /// Earliest pending arrival: the wake time of a wait for a delivery.
-  [[nodiscard]] std::optional<double> earliest_arrival() const;
+  [[nodiscard]] std::optional<double> earliest_arrival() const {
+    if (pending_.empty()) return std::nullopt;
+    return pending_.front().arrival;
+  }
   /// Whether a put arrived by `now` but not applied writes any byte of
   /// [off, off + bytes), data or signal (the checker's missing-sync scan).
   [[nodiscard]] bool arrived_overlaps(std::uint64_t off, std::uint64_t bytes,
@@ -99,14 +107,16 @@ class DeliveryQueue {
   }
 
  private:
-  /// Slides the pending bytes to the buffer's front once applied bytes
-  /// outweigh them; an empty queue clears it (capacity stays).
-  void compact_payload();
+  /// Copies the pending bytes, in entry order, to the buffer's front once
+  /// applied bytes outweigh them; an empty queue clears it (capacity stays).
+  void compact_payload(std::vector<std::byte>& scratch);
 
-  std::vector<Delivery> pending_;
+  std::vector<Delivery> pending_;  ///< in (arrival, push) order
   std::vector<std::byte> payload_;
   std::uint64_t pushes_ = 0;
 };
+// Stencil runs hold one queue per rank per window, 100k of them.
+static_assert(sizeof(DeliveryQueue) == 56, "a delivery queue must stay small");
 
 /// The one-sided state of one address space — an MPI window or the SHMEM
 /// symmetric heap — over the engine's ranks: each rank's exposed region and
@@ -165,18 +175,21 @@ class Space {
                 simnet::SpanKind kind);
 
  private:
-  /// A put that has not completed remotely, kept by its origin.
+  /// An origin's puts toward `target` since its last remote completion
+  /// there: completion only ever waits for their latest times.
   struct Outstanding {
     int target = -1;
-    simnet::TimeUs remote_done = 0;
-    simnet::TimeUs local_done = 0;
+    simnet::TimeUs remote_done = 0;  ///< latest arrival
+    simnet::TimeUs local_done = 0;   ///< latest injector release
   };
 
   runtime::Engine& eng_;
   util::PairMap<simnet::TimeUs>& fifo_;
   std::vector<Region> region_;
   std::vector<DeliveryQueue> queues_;
-  std::vector<std::vector<Outstanding>> outstanding_;  // per origin
+  /// Per origin, one record per target with puts outstanding.
+  std::vector<std::vector<Outstanding>> outstanding_;
+  std::vector<std::byte> scratch_;  ///< payload compaction buffer
 };
 
 /// Rounds of a dissemination-style rendezvous of `n` entrants: its

@@ -11,32 +11,7 @@
 
 #include "util/status.hpp"
 
-// ---------------------------------------------------------------------------
-// Build-configuration detection.
-// ---------------------------------------------------------------------------
-
-#if defined(__SANITIZE_ADDRESS__)
-#define MRL_FIBER_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define MRL_FIBER_ASAN 1
-#endif
-#endif
-
-#if defined(__SANITIZE_THREAD__)
-#define MRL_FIBER_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define MRL_FIBER_TSAN 1
-#endif
-#endif
-
-// Hand-rolled switch on x86-64; POSIX swapcontext() everywhere else.
-// MRL_FIBER_FORCE_UCONTEXT forces the fallback (used to test that path on
-// x86-64 hosts).
-#if defined(__x86_64__) && !defined(MRL_FIBER_FORCE_UCONTEXT)
-#define MRL_FIBER_ASM 1
-#else
+#if !defined(MRL_FIBER_ASM)
 #include <ucontext.h>
 #endif
 

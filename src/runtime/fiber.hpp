@@ -34,6 +34,31 @@
 
 #include <cstddef>
 
+// Build-configuration detection; Fiber's members depend on it.
+
+#if defined(__SANITIZE_ADDRESS__)
+#define MRL_FIBER_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define MRL_FIBER_ASAN 1
+#endif
+#endif
+
+#if defined(__SANITIZE_THREAD__)
+#define MRL_FIBER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define MRL_FIBER_TSAN 1
+#endif
+#endif
+
+// Hand-rolled switch on x86-64; POSIX swapcontext() everywhere else.
+// MRL_FIBER_FORCE_UCONTEXT forces the fallback (used to test that path on
+// x86-64 hosts).
+#if defined(__x86_64__) && !defined(MRL_FIBER_FORCE_UCONTEXT)
+#define MRL_FIBER_ASM 1
+#endif
+
 namespace mrl::runtime {
 
 /// Pool occupancy snapshot, for tests and capacity audits.
@@ -88,18 +113,30 @@ class Fiber {
   void run_entry_for_trampoline();
 
  private:
-  void* sp_ = nullptr;          ///< asm backend: saved stack pointer
-  void* uctx_ = nullptr;        ///< ucontext backend: heap ucontext_t
+#if defined(MRL_FIBER_ASM)
+  void* sp_ = nullptr;          ///< saved stack pointer
+#else
+  void* uctx_ = nullptr;        ///< heap ucontext_t
+#endif
   void* stack_mem_ = nullptr;   ///< lowest byte of the StackPool slot
   std::size_t stack_bytes_ = 0; ///< slot size = usable stack bytes
   void (*entry_)(void*) = nullptr;
   void* arg_ = nullptr;
   bool poisoned_ = false;       ///< stack filled with the HWM sentinel
-  // Sanitizer bookkeeping (unused members cost nothing otherwise).
+#if defined(MRL_FIBER_ASAN)
   void* asan_fake_ = nullptr;         ///< fake-stack handle while suspended
   const void* asan_bottom_ = nullptr; ///< stack region for ASan
   std::size_t asan_size_ = 0;
+#endif
+#if defined(MRL_FIBER_TSAN)
   void* tsan_fiber_ = nullptr;        ///< TSan context of this fiber/thread
+#endif
 };
+
+#if defined(MRL_FIBER_ASM) && !defined(MRL_FIBER_ASAN) && \
+    !defined(MRL_FIBER_TSAN)
+// An engine holds one Fiber per rank, a million of them at the largest.
+static_assert(sizeof(Fiber) <= 48, "a fiber record must stay compact");
+#endif
 
 }  // namespace mrl::runtime

@@ -65,8 +65,12 @@ TransferResult Fabric::transfer(const TransferParams& p) {
     return r;
   }
 
-  route_ = topo_->route(p.src_ep, p.dst_ep);
-  MRL_CHECK(!route_.empty());
+  if (p.src_ep != route_src_ || p.dst_ep != route_dst_) {
+    route_ = topo_->route(p.src_ep, p.dst_ep);
+    MRL_CHECK(!route_.empty());
+    route_src_ = p.src_ep;
+    route_dst_ = p.dst_ep;
+  }
 
   if (mode_ == RouteMode::kCutThrough) {
     // Head propagates hop by hop; the body streams at the slowest lane rate.

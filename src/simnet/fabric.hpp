@@ -116,8 +116,12 @@ class Fabric {
   std::uint64_t total_bytes_ = 0;
   std::uint64_t total_msgs_ = 0;
   // One transfer's route and lane claims: members rather than locals, which
-  // keeps them off the rank fiber's stack.
+  // keeps them off the rank fiber's stack. route_ is the route of the last
+  // endpoint pair routed, rebuilt only when a transfer's pair differs; the
+  // topology is immutable, so it stays valid across reset().
   Route route_;
+  int route_src_ = -1;
+  int route_dst_ = -1;
   std::array<Claim, Route::kMaxHops> claims_;
 };
 

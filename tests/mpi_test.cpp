@@ -736,6 +736,90 @@ TEST(Rma, PartialSyncCompactsCapturedPayloadsIntact) {
   }
 }
 
+TEST(Rma, FlushWaitsForLatestPutTowardItsTargetOnly) {
+  // An origin keeps one outstanding record per target with the latest
+  // completion times of its puts there. With the trace on, each put's
+  // clamped arrival is known, so every remote completion must end exactly
+  // at max(entry + o, latest arrival among the puts it owes), whatever the
+  // order of targets in the stream and whatever flush_local did before.
+  runtime::EngineOptions o;
+  o.trace = true;
+  Engine eng(plat(), 3, o);
+  struct Flush {
+    int target;          // -1: flush_all
+    std::size_t issued;  // puts issued before it
+    double before;
+    double after;
+  };
+  std::vector<int> put_targets;  // rank 0's puts, in issue order
+  std::vector<Flush> flushes;
+  const double o_us = plat().params(simnet::Runtime::kOneSidedMpi).o_us;
+  double local_after = 0;
+  const auto r = World::run(eng, [&](Comm& c) {
+    std::vector<std::byte> window(1 << 20);
+    WinHandle win = c.create_win(window.data(), window.size());
+    if (c.rank() == 0) {
+      std::vector<std::byte> buf(1 << 20);
+      const auto put = [&](int t, std::size_t bytes) {
+        win.put(buf.data(), bytes, t, 0);
+        put_targets.push_back(t);
+      };
+      const auto flush = [&](int t) {
+        const double before = c.now();
+        if (t < 0) {
+          win.flush_all();
+        } else {
+          win.flush(t);
+        }
+        flushes.push_back(Flush{t, put_targets.size(), before, c.now()});
+      };
+      // A stream alternating targets; the last put toward 1 is 1 MiB and
+      // still in flight when rank 0 flushes 2.
+      put(2, 8);
+      put(1, 8);
+      put(2, 64);
+      put(1, 1 << 20);
+      flush(2);
+      win.flush_local(1);
+      local_after = c.now();
+      flush(1);
+      put(1, 8);
+      put(2, 1 << 20);
+      put(1, 64);
+      put(2, 8);
+      flush(1);
+      put(1, 4096);
+      flush(-1);
+    }
+    win.fence();
+  });
+  ASSERT_TRUE(r.ok()) << r.status.to_string();
+  std::vector<double> arrival;
+  for (const simnet::MsgRecord& m : eng.trace().records()) {
+    if (m.src_rank == 0 && m.kind == simnet::OpKind::kPut) {
+      arrival.push_back(m.t_arrival);
+    }
+  }
+  ASSERT_EQ(arrival.size(), put_targets.size());
+  ASSERT_EQ(flushes.size(), 4u);
+  std::vector<bool> done(arrival.size(), false);
+  for (const Flush& f : flushes) {
+    SCOPED_TRACE(f.target);
+    double owed = 0;
+    for (std::size_t i = 0; i < f.issued; ++i) {
+      if (done[i] || (f.target >= 0 && put_targets[i] != f.target)) continue;
+      owed = std::max(owed, arrival[i]);
+      done[i] = true;
+    }
+    EXPECT_DOUBLE_EQ(f.after, std::max(f.before + o_us, owed));
+  }
+  // flush(2) did not wait for the 1 MiB put toward 1; flush_local(1) did
+  // not complete it remotely, so the flush(1) after it still waited.
+  EXPECT_LT(flushes[0].after, arrival[3]);
+  EXPECT_LT(local_after, arrival[3]);
+  EXPECT_DOUBLE_EQ(flushes[1].after, arrival[3]);
+}
+
 TEST(MultiNode, InterNodeTrafficIsNicBound) {
   // Two Perlmutter nodes: the inter-node path crosses PCIe4 (25 GB/s) and
   // the switch, so the pair peak drops from 32 (IF) to 25 GB/s and latency

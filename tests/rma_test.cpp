@@ -1,9 +1,11 @@
 // The shared RMA delivery core (src/rma/): the deferred-delivery queue
-// against a naive oracle, and the overflow-safe bounds test. Space and
+// against a naive oracle, on random streams and on streams shaped like
+// real traffic, and the overflow-safe bounds test. Space and
 // Rendezvous are exercised through the runtimes (tests_mpi, tests_shmem).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -102,7 +104,7 @@ void run_stream(std::uint64_t seed) {
   Xoshiro256 rng(seed);
   DeliveryQueue q;
   Oracle oracle;
-  std::vector<std::byte> mem(kMem), want(kMem);
+  std::vector<std::byte> mem(kMem), want(kMem), scratch;
   std::uint32_t next_id = 0;
   simnet::TimeUs clock = 0;
   for (int step = 0; step < 3000; ++step) {
@@ -139,10 +141,13 @@ void run_stream(std::uint64_t seed) {
                 : clock + 0.5 * static_cast<double>(rng.uniform(8));
       std::vector<std::uint32_t> got;
       const simnet::TimeUs latest =
-          q.apply(cutoff, mem.data(), [&](const Delivery& d) {
-            EXPECT_EQ(d.chk.data, d.chk.sig);
-            got.push_back(d.chk.data);
-          });
+          q.apply(
+              cutoff, mem.data(),
+              [&](const Delivery& d) {
+                EXPECT_EQ(d.chk.data, d.chk.sig);
+                got.push_back(d.chk.data);
+              },
+              scratch);
       simnet::TimeUs want_latest = 0;
       const std::vector<std::uint32_t> order =
           oracle.apply(cutoff, want.data(), want_latest);
@@ -180,11 +185,128 @@ TEST(DeliveryQueue, MatchesStableSortOracle) {
   }
 }
 
+// Pushes `p` to both the queue and the oracle.
+void push_both(DeliveryQueue& q, Oracle& oracle, NaivePut p) {
+  q.push(p.off, p.bytes, p.data.empty() ? nullptr : p.data.data(), p.arrival,
+         check::PutHandles{p.id, p.id}, p.sig_off.value_or(kNoSignal),
+         p.sig_val);
+  oracle.push(std::move(p));
+}
+
+// One apply on both; checks order, latest arrival, memory and the payload
+// compaction bound. Returns whether the apply compacted a non-empty buffer.
+bool apply_both(DeliveryQueue& q, Oracle& oracle, simnet::TimeUs cutoff,
+                std::vector<std::byte>& mem, std::vector<std::byte>& want,
+                std::vector<std::byte>& scratch) {
+  const std::size_t buffered = q.payload_bytes();
+  std::vector<std::uint32_t> got;
+  const simnet::TimeUs latest = q.apply(
+      cutoff, mem.data(),
+      [&](const Delivery& d) { got.push_back(d.chk.data); }, scratch);
+  simnet::TimeUs want_latest = 0;
+  EXPECT_EQ(got, oracle.apply(cutoff, want.data(), want_latest));
+  EXPECT_EQ(latest, want_latest);
+  EXPECT_EQ(mem, want);
+  EXPECT_EQ(q.size(), oracle.size());
+  const std::uint64_t live = oracle.live_payload();
+  EXPECT_TRUE(q.payload_bytes() == live || q.payload_bytes() < 2 * live)
+      << q.payload_bytes() << " buffered for " << live << " live";
+  return q.size() > 0 && q.payload_bytes() < buffered;
+}
+
+// Traffic shaped like a window's or a heap's: several origins, each a
+// FIFO-monotone stream (clamp_fifo) with its own latency, interleaved in
+// issue order, so pushes arrive out of order across origins and tie within
+// and across them. Partial cutoffs leave puts of several origins behind,
+// so compaction runs on entries whose order is not buffer order.
+TEST(DeliveryQueue, InterleavedFifoOriginsMatchOracle) {
+  constexpr int kOrigins = 4;
+  Xoshiro256 rng(25);
+  DeliveryQueue q;
+  Oracle oracle;
+  std::vector<std::byte> mem(kMem), want(kMem), scratch;
+  std::array<simnet::TimeUs, kOrigins> last{};
+  std::uint32_t next_id = 0;
+  simnet::TimeUs clock = 0;
+  int compactions = 0;
+  for (int step = 0; step < 4000; ++step) {
+    SCOPED_TRACE(step);
+    if (rng.uniform(4) != 0) {
+      const auto o = static_cast<std::size_t>(rng.uniform(kOrigins));
+      NaivePut p;
+      p.id = next_id++;
+      p.bytes = rng.uniform(24) + 1;
+      p.off = rng.uniform(kMem - p.bytes + 1);
+      if (rng.uniform(4) != 0) {
+        p.data.resize(p.bytes);
+        for (std::byte& b : p.data) {
+          b = static_cast<std::byte>(rng.uniform(256));
+        }
+      }
+      if (rng.uniform(2) == 0) {
+        p.sig_off = rng.uniform(kMem / 8) * 8;
+        p.sig_val = rng();
+      }
+      const simnet::TimeUs raw =
+          clock + 0.5 * static_cast<double>(2 * o + rng.uniform(3));
+      last[o] = std::max(last[o], raw);
+      p.arrival = last[o];
+      push_both(q, oracle, std::move(p));
+      clock += 0.5 * static_cast<double>(rng.uniform(2));
+    } else {
+      const simnet::TimeUs cutoff =
+          rng.uniform(10) == 0
+              ? simnet::kTimeInf
+              : clock + 0.5 * static_cast<double>(rng.uniform(6)) - 2.0;
+      if (apply_both(q, oracle, cutoff, mem, want, scratch)) ++compactions;
+      if (HasFailure()) return;
+    }
+    ASSERT_EQ(q.earliest_arrival(), oracle.earliest());
+    const std::uint64_t off = rng.uniform(kMem);
+    const simnet::TimeUs now =
+        clock + 0.5 * static_cast<double>(rng.uniform(8)) - 2.0;
+    ASSERT_EQ(q.arrived_overlaps(off, 8, now),
+              oracle.arrived_overlaps(off, 8, now));
+  }
+  EXPECT_GT(compactions, 0);
+}
+
+// A sweep point's epoch: one origin's 10^4 in-order puts, ties included,
+// drained at once by a fence or barrier.
+TEST(DeliveryQueue, LongInOrderRunDrainsAtOnce) {
+  constexpr std::uint32_t kPuts = 10000;
+  Xoshiro256 rng(10000);
+  DeliveryQueue q;
+  Oracle oracle;
+  std::vector<std::byte> mem(kMem), want(kMem), scratch;
+  simnet::TimeUs arrival = 1.0;
+  for (std::uint32_t i = 0; i < kPuts; ++i) {
+    NaivePut p;
+    p.id = i;
+    p.bytes = 8;
+    p.off = rng.uniform(kMem / 8) * 8;
+    p.data.resize(p.bytes, static_cast<std::byte>(i));
+    p.sig_off = rng.uniform(kMem / 8) * 8;
+    p.sig_val = i;
+    arrival += 0.25 * static_cast<double>(rng.uniform(2));
+    p.arrival = arrival;
+    push_both(q, oracle, std::move(p));
+  }
+  ASSERT_EQ(q.size(), kPuts);
+  EXPECT_EQ(q.earliest_arrival(), oracle.earliest());
+  EXPECT_EQ(q.payload_bytes(), kPuts * 16u);
+  apply_both(q, oracle, simnet::kTimeInf, mem, want, scratch);
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(q.payload_bytes(), 0u);
+  EXPECT_FALSE(q.earliest_arrival().has_value());
+}
+
 TEST(DeliveryQueue, EmptyApplyReturnsZeroAndTouchesNothing) {
   DeliveryQueue q;
+  std::vector<std::byte> scratch;
   int calls = 0;
   EXPECT_EQ(q.apply(simnet::kTimeInf, nullptr,
-                    [&](const Delivery&) { ++calls; }),
+                    [&](const Delivery&) { ++calls; }, scratch),
             0.0);
   EXPECT_EQ(calls, 0);
   EXPECT_FALSE(q.earliest_arrival().has_value());

@@ -11,6 +11,7 @@
 #include "simnet/platform.hpp"
 #include "simnet/topology.hpp"
 #include "simnet/trace.hpp"
+#include "util/rng.hpp"
 
 namespace mrl::simnet {
 namespace {
@@ -314,6 +315,46 @@ TEST(Fabric, ResetClearsContention) {
   EXPECT_EQ(f.total_msgs(), 0u);
   const TransferResult r = f.transfer(p);
   EXPECT_DOUBLE_EQ(r.arrival_us, 2.0);
+}
+
+TEST(Fabric, RouteIsRebuiltWheneverTheEndpointPairChanges) {
+  // transfer() reuses the previous transfer's route while the endpoint pair
+  // repeats. Runs of repeated pairs, pair changes (including a same-source
+  // one, a reversed one and a local transfer in between) and a reset() in
+  // the middle must still charge exactly the hops Topology::route gives.
+  const Platform pf = Platform::perlmutter_cpu(2);
+  const Topology& t = pf.topology();
+  Fabric f(&t, RouteMode::kCutThrough, 20.0, 0.1);
+  const int e = t.num_endpoints();
+  std::vector<std::uint64_t> want(static_cast<std::size_t>(t.num_links()) * 2);
+  Xoshiro256 rng(3);
+  TransferParams p;
+  p.bytes = 64;
+  for (int i = 0; i < 400; ++i) {
+    if (i == 200) {
+      f.reset();
+      std::fill(want.begin(), want.end(), 0);
+    }
+    if (rng.uniform(3) != 0) {
+      const auto v = static_cast<int>(rng.uniform(4));
+      if (v == 0) p.src_ep = static_cast<int>(rng.uniform(e));
+      if (v == 1) p.dst_ep = static_cast<int>(rng.uniform(e));
+      if (v == 2) std::swap(p.src_ep, p.dst_ep);
+      if (v == 3) p.dst_ep = p.src_ep;
+    }
+    p.start_us = i;
+    (void)f.transfer(p);
+    if (p.src_ep == p.dst_ep) continue;
+    for (const DirectedLink& dl : t.route(p.src_ep, p.dst_ep)) {
+      ++want[static_cast<std::size_t>(dl.id())];
+    }
+  }
+  for (int l = 0; l < t.num_links(); ++l) {
+    for (int dir = 0; dir < 2; ++dir) {
+      EXPECT_EQ(f.link_msgs(l, dir), want[static_cast<std::size_t>(l) * 2 + dir])
+          << "link " << l << " dir " << dir;
+    }
+  }
 }
 
 // --- platform registry invariants, parameterized over Table I machines ---
