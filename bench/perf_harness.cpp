@@ -5,7 +5,7 @@
 // Sections (fixed shapes; the point is run-to-run comparability):
 //   fig05_stencil_4096  one-sided stencil, 4096 ranks (32 Perlmutter nodes)
 //   ext_fault_sweep     degraded-network sweep, 3 flavors x 5 intensities
-//   jobs_scaling        the parallel sweep runner: a 24-point one-sided grid
+//   jobs_scaling        the parallel sweep runner: a 768-point one-sided grid
 //                       at --jobs 1 and --jobs 4; also reports the speedup
 //   stencil_1m          one-sided stencil, 1,000,000 ranks on 16 KiB pooled
 //                       stacks (DESIGN.md §12); also reports ranks/sec
@@ -158,14 +158,18 @@ Measured fault_sweep() {
 }
 
 Measured jobs_scaling() {
-  // Each job count takes the best of three passes: even at 64 iterations
-  // per point one pass is only tens of milliseconds, close to scheduling
-  // noise.
+  // A grid big enough that a --jobs 1 pass takes over a second, so worker
+  // start-up and scheduling noise are small against it: run_sweep caps a
+  // point at ~20 000 messages, so the grid grows in points (16 sizes x 48
+  // windows), every one at the cap (m >= 313 at 64 iterations). Each job
+  // count still takes the best of three passes.
   const auto plat = simnet::Platform::perlmutter_cpu();
   core::SweepConfig cfg;
   cfg.kind = core::SweepKind::kOneSidedMpi;
-  cfg.msg_sizes = {8, 64, 512, 4096, 32768, 262144};
-  cfg.msgs_per_sync = {1, 10, 100, 1000};
+  for (std::uint64_t b = 8; b <= 262144; b *= 2) cfg.msg_sizes.push_back(b);
+  for (std::uint64_t m = 500; m <= 10000; m += 200) {
+    cfg.msgs_per_sync.push_back(m);
+  }
   cfg.iters = 64;
   double best_s[2] = {0, 0};
   Measured out;

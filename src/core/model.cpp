@@ -40,11 +40,6 @@ double RooflineModel::effective_latency_us(double bytes, double m) const {
   return sync_time_us(bytes, m) / m;
 }
 
-double RooflineModel::latency_line_gbs(double bytes, double latency_us) {
-  MRL_CHECK(latency_us > 0);
-  return bytes_per_us_to_gbs(bytes, latency_us);
-}
-
 double RooflineModel::knee_bytes(double m) const {
   MRL_CHECK(m >= 1);
   const double bound = std::max(m * p_.o_us, p_.L_us);

@@ -51,9 +51,6 @@ class RooflineModel {
   [[nodiscard]] double effective_latency_us(double bytes,
                                             double msgs_per_sync) const;
 
-  /// Bandwidth of the pure latency diagonal BW = B / L_eff (GB/s).
-  static double latency_line_gbs(double bytes, double latency_us);
-
   /// Message size where the sharp model turns bandwidth-bound for a given
   /// msgs/sync (the roofline knee): smallest B with m*B*G >= max(m*o, L).
   [[nodiscard]] double knee_bytes(double msgs_per_sync) const;

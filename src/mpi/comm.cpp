@@ -38,22 +38,13 @@ WinHandle Comm::create_win(void* base, std::uint64_t bytes) {
   Win* win = nullptr;
   world_->engine_.perform(*rank_, [&] {
     if (static_cast<std::size_t>(idx) >= world_->windows_.size()) {
-      world_->windows_.push_back(
-          std::make_unique<Win>(world_, world_->nranks_));
+      world_->windows_.push_back(std::make_unique<Win>(world_, idx));
     }
     win = world_->windows_[static_cast<std::size_t>(idx)].get();
     win->space_.region(rank()) =
         rma::Space::Region{static_cast<std::byte*>(base), bytes};
-    auto& chk = world_->engine_.checker();
-    if (chk.enabled() && win->space_.chk_space < 0) {
-      // First rank to expose registers the window's shadow space and its
-      // fence channel (fence completion is a global sync: it clears the
-      // space's access history).
-      const std::string name = "win" + std::to_string(idx);
-      win->space_.chk_space = chk.add_space(name);
-      win->chk_chan_ =
-          chk.add_channel(name + ".fence", win->space_.chk_space);
-    }
+    // The first rank to expose registers the window with the checker.
+    win->space_.register_checker();
   });
   // Window is usable only after everyone exposed their region. Tagged
   // distinctly so a create_win on one rank cannot silently pair with a

@@ -12,9 +12,10 @@
 //     block the origin for o + atomic_L + hardware RTT (the paper's measured
 //     CAS costs: 0.8 us Perlmutter GPU, 1.0/1.6 us Summit GPU intra/cross
 //     socket, ~2 us CPU MPI).
-// The delivery queues, origin-side completion, fence rendezvous and
-// round-trip costs are the shared RMA core (rma/rma.hpp), the same code
-// minishmem runs; a window adds MPI's op costs and checker hooks.
+// A window is an API facade over the shared RMA core (rma/rma.hpp), the
+// same code minishmem runs: every operation, its bounds checks and its
+// checker hooks live there. The window adds only MPI's one-sided LogGP
+// costs and the kPut trace record of a get.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +33,8 @@ class World;
 /// Shared window state (one object per collective create_win call).
 class Win {
  public:
-  Win(World* world, int nranks);
+  /// The `idx`-th window of `world` (the checker's "win<idx>").
+  Win(World* world, int idx);
 
   Win(const Win&) = delete;
   Win& operator=(const Win&) = delete;
@@ -52,11 +54,11 @@ class Win {
 
   /// Remote completion of all my outstanding ops to `target` (or to all).
   void flush(Comm& c, int target);
-  void flush_all(Comm& c);
+  void flush_all(Comm& c) { flush(c, -1); }
 
   /// Local completion (origin buffers reusable).
   void flush_local(Comm& c, int target);
-  void flush_local_all(Comm& c);
+  void flush_local_all(Comm& c) { flush_local(c, -1); }
 
   /// Collective fence: barrier + all puts applied and remotely complete.
   void fence(Comm& c);
@@ -93,18 +95,11 @@ class Win {
  private:
   friend class Comm;
 
-  std::uint64_t atomic_rmw(Comm& c, int target, std::uint64_t target_off,
-                           rma::AtomicOp op);
-
   World* world_;
-  int nranks_;
-  /// Exposed regions, pending puts and outstanding puts. create_win fills in
-  /// the regions and, when the checker is on, the shadow space.
+  /// Exposed regions, pending and outstanding puts, the fence rendezvous
+  /// and the checker ids. create_win fills in the regions and registers
+  /// the window with the checker.
   rma::Space space_;
-  rma::Rendezvous<> fence_;
-  /// Checker fence channel (fence completion is a global sync for the
-  /// window's shadow space, so the channel clears it).
-  int chk_chan_ = -1;
 };
 
 /// Per-rank view of a window: the handle workload code holds.

@@ -1,6 +1,7 @@
 #include "rma/rma.hpp"
 
 #include <cstring>
+#include <string>
 
 #include "simnet/platform.hpp"
 #include "util/units.hpp"
@@ -13,6 +14,18 @@ namespace {
 std::uint64_t span_of(const Delivery& d) {
   if (d.payload == kNoPayload) return 0;
   return (d.captured ? d.bytes : 0) + (d.sig_off != kNoSignal ? 8 : 0);
+}
+
+/// Aborts, like a failed MRL_CHECK_MSG(expr, ...), on a misused access
+/// `op`; the message is op + what + noun + tail. Out of line and cold, so
+/// the per-operation paths that check stay small.
+[[noreturn, gnu::cold, gnu::noinline]] void misuse(const char* expr,
+                                                   const char* op,
+                                                   const char* what,
+                                                   const char* noun,
+                                                   const char* tail) {
+  const std::string m = std::string(op) + what + noun + tail;
+  detail::check_failed(expr, __FILE__, __LINE__, m.c_str());
 }
 
 }  // namespace
@@ -105,18 +118,88 @@ bool DeliveryQueue::arrived_overlaps(std::uint64_t off, std::uint64_t bytes,
   return false;
 }
 
-Space::Space(runtime::Engine& eng, util::PairMap<simnet::TimeUs>& fifo)
-    : eng_(eng), fifo_(fifo) {
+Space::Space(runtime::Engine& eng, util::PairMap<simnet::TimeUs>& fifo,
+             const char* chk_name, const char* sync_name, const char* noun,
+             int index)
+    : eng_(eng),
+      fifo_(fifo),
+      chk_name_(chk_name),
+      sync_name_(sync_name),
+      noun_(noun),
+      index_(index) {
   const auto n = static_cast<std::size_t>(eng.nranks());
   region_.resize(n);
   queues_.resize(n);
   outstanding_.resize(n);
 }
 
-void Space::put(runtime::Rank& r, int target, const simnet::LogGP& pp,
+void Space::register_checker() {
+  check::Checker& chk = eng_.checker();
+  if (!chk.enabled() || chk_space_ >= 0) return;
+  std::string name = chk_name_;
+  std::string sync = sync_name_;
+  if (index_ >= 0) {
+    name += std::to_string(index_);
+    sync = name + sync_name_;
+  }
+  chk_space_ = chk.add_space(name);
+  // The channel's completion is a global sync for the space: a fence or
+  // barrier clears its access history.
+  chk_chan_ = chk.add_channel(sync, chk_space_);
+}
+
+// The per-operation helpers are inline: every put, get and atomic runs them.
+inline check::Checker* Space::checker() {
+  check::Checker& chk = eng_.checker();
+  if (!chk.enabled()) return nullptr;
+  if (chk_space_ < 0) register_checker();
+  return &chk;
+}
+
+inline check::Checker* Space::registered_checker() {
+  check::Checker& chk = eng_.checker();
+  return chk.enabled() && chk_space_ >= 0 ? &chk : nullptr;
+}
+
+inline std::byte* Space::at(int target, std::uint64_t off,
+                            std::uint64_t bytes, const char* op) {
+  MRL_CHECK(target >= 0 && target < eng_.nranks());
+  const Region& reg = region(target);
+  if (reg.base == nullptr) {
+    misuse("reg.base != nullptr", op, " on unexposed ", noun_, " region");
+  }
+  if (!in_bounds(off, bytes, reg.size)) {
+    misuse("in_bounds(off, bytes, reg.size)", op, " outside ", noun_, "");
+  }
+  return reg.base + off;
+}
+
+void Space::put(runtime::Rank& r, const simnet::LogGP& pp, int target,
                 std::uint64_t off, std::uint64_t bytes, const void* data,
-                check::PutHandles chk, simnet::OpKind kind,
-                std::uint64_t sig_off, std::uint64_t sig_val) {
+                simnet::OpKind kind, std::uint64_t sig_off,
+                std::uint64_t sig_val) {
+  r.advance(pp.o_us);
+  eng_.perform(r, [&] {
+    put_locked(r, pp, target, off, bytes, data, kind, sig_off, sig_val);
+  });
+}
+
+void Space::put_locked(runtime::Rank& r, const simnet::LogGP& pp,
+                       int target, std::uint64_t off, std::uint64_t bytes,
+                       const void* data, simnet::OpKind kind,
+                       std::uint64_t sig_off, std::uint64_t sig_val) {
+  at(target, off, bytes, "put");
+  if (sig_off != kNoSignal) at(target, sig_off, 8, "signal");
+  check::PutHandles h;
+  if (check::Checker* chk = checker()) {
+    const check::PutClass cls = kind == simnet::OpKind::kSignal
+                                    ? check::PutClass::kSignal
+                                : kind == simnet::OpKind::kPutSignal
+                                    ? check::PutClass::kFused
+                                    : check::PutClass::kData;
+    h = chk->on_put(r.id(), chk_space_, target, off, bytes, cls,
+                    cls == check::PutClass::kFused ? sig_off : 0, r.now());
+  }
   simnet::TransferParams tp;
   tp.src_ep = r.endpoint();
   tp.dst_ep = eng_.platform().endpoint_of_rank(target, r.size());
@@ -131,7 +214,7 @@ void Space::put(runtime::Rank& r, int target, const simnet::LogGP& pp,
   const simnet::TimeUs arrival =
       clamp_fifo(fifo_, r.id(), target, tr.arrival_us);
   queues_[static_cast<std::size_t>(target)].push(off, bytes, data, arrival,
-                                                 chk, sig_off, sig_val);
+                                                 h, sig_off, sig_val);
   // One record per target: look it up newest-first, since a stream keeps
   // writing to the target it wrote to last.
   auto& outs = outstanding_[static_cast<std::size_t>(r.id())];
@@ -149,6 +232,104 @@ void Space::put(runtime::Rank& r, int target, const simnet::LogGP& pp,
                                     tr.ser_us, tr.dlink});
 }
 
+RoundTrip Space::get(runtime::Rank& r, const simnet::LogGP& pp, int target,
+                     std::uint64_t off, std::uint64_t bytes, void* dest) {
+  r.advance(pp.o_us);
+  RoundTrip rt;
+  rt.issued = r.now();
+  eng_.perform(r, [&] {
+    const std::byte* src = at(target, off, bytes, "get");
+    const simnet::Platform& pf = eng_.platform();
+    const double rtt = pf.hw_rtt_us(r.id(), target, r.size());
+    const double bw = pf.pair_peak_gbs(r.id(), target, r.size());
+    const simnet::RoundTripFault rtf = eng_.fabric().sample_round_trip(
+        r.endpoint(), pf.endpoint_of_rank(target, r.size()), r.now());
+    rt.q_us = rtf.extra_us + eng_.fabric().faults().backoff_us(rtf.drops);
+    rt.s_us = static_cast<double>(bytes) * gbs_to_us_per_byte(bw);
+    rt.total_us = pp.L_us + rtt + rt.s_us + rt.q_us;
+    rt.drops = rtf.drops;
+    std::memcpy(dest, src, bytes);
+    if (check::Checker* chk = checker()) {
+      chk->on_get(r.id(), chk_space_, target, off, bytes, r.now());
+    }
+  });
+  r.advance(rt.total_us);
+  eng_.record_advance_span(r, simnet::SpanKind::kGet, rt.issued, target, bytes,
+                           rt.q_us, rt.s_us);
+  return rt;
+}
+
+std::uint64_t Space::atomic(runtime::Rank& r, const simnet::LogGP& pp,
+                            int target, std::uint64_t off, AtomicOp op) {
+  r.advance(pp.atomic_o());
+  const simnet::TimeUs t0 = r.now();
+  std::uint64_t old = 0;
+  RoundTrip rt;
+  eng_.perform(r, [&] {
+    auto* p = reinterpret_cast<std::uint64_t*>(at(target, off, 8, "atomic"));
+    if (check::Checker* chk = checker()) {
+      chk->on_atomic(r.id(), chk_space_, target, off, r.now());
+    }
+    old = *p;
+    if (op.is_cas) {
+      if (old == op.compare) *p = op.operand;
+      eng_.metrics().on_cas_attempt(r.id(), old == op.compare);
+    } else {
+      *p = old + op.operand;
+    }
+    // Request/response through the fabric: atomics contend on link lanes
+    // (e.g. the Summit X-Bus per-transaction occupancy) but skip the put
+    // software path.
+    simnet::TransferParams req;
+    req.src_ep = r.endpoint();
+    req.dst_ep = eng_.platform().endpoint_of_rank(target, r.size());
+    req.src_rank = r.id();
+    req.bytes = 8;
+    req.start_us = r.now();
+    req.sw_latency_us = pp.atomic_L_us / 2;
+    const simnet::TransferResult r1 = eng_.fabric().transfer(req);
+    simnet::TransferParams rsp = req;
+    rsp.src_ep = req.dst_ep;
+    rsp.dst_ep = req.src_ep;
+    rsp.src_rank = target;
+    rsp.start_us = r1.arrival_us;
+    const simnet::TransferResult r2 = eng_.fabric().transfer(rsp);
+    // Each dropped attempt already paid its retransmit timeout inside
+    // transfer(); the origin additionally backs off exponentially.
+    rt.drops = r1.drops + r2.drops;
+    const double backoff = eng_.fabric().faults().backoff_us(rt.drops);
+    rt.total_us = r2.arrival_us - r.now() + backoff;
+    // Decomposition over both legs; the dominant-queueing leg names the link.
+    rt.q_us = r1.queue_us + r2.queue_us + backoff;
+    rt.s_us = r1.ser_us + r2.ser_us;
+    const std::int32_t dlink =
+        r1.queue_us >= r2.queue_us ? r1.dlink : r2.dlink;
+    eng_.record_msg(simnet::MsgRecord{r.id(), target, 8, r.now(),
+                                      r.now() + rt.total_us,
+                                      simnet::OpKind::kAtomic, r.epoch(),
+                                      rt.drops, rt.q_us, rt.s_us, dlink});
+  });
+  r.advance(rt.total_us);
+  eng_.record_advance_span(r, simnet::SpanKind::kAtomic, t0, target, 8,
+                           rt.q_us, rt.s_us);
+  return old;
+}
+
+void Space::local_access(runtime::Rank& r, std::uint64_t off,
+                         std::uint64_t bytes, bool is_write) {
+  check::Checker* chk = registered_checker();
+  if (chk == nullptr) return;
+  const bool unapplied = queue(r.id()).arrived_overlaps(off, bytes, r.now());
+  chk->on_local(r.id(), chk_space_, off, bytes, is_write, unapplied, r.now());
+}
+
+void Space::note_signal_wait(runtime::Rank& r, std::uint64_t off,
+                             std::uint64_t bytes) {
+  if (check::Checker* chk = checker()) {
+    chk->on_signal_wait(r.id(), chk_space_, off, bytes, r.now());
+  }
+}
+
 simnet::TimeUs Space::apply(int rank, simnet::TimeUs cutoff) {
   DeliveryQueue& q = queues_[static_cast<std::size_t>(rank)];
   // A fence or barrier drain visits every rank; most have nothing pending.
@@ -157,11 +338,10 @@ simnet::TimeUs Space::apply(int rank, simnet::TimeUs cutoff) {
       cutoff, region(rank).base,
       [&](const Delivery& d) {
         eng_.metrics().on_recv(rank, d.bytes);
-        auto& chk = eng_.checker();
-        if (chk.enabled() && chk_space >= 0) {
+        if (check::Checker* chk = registered_checker()) {
           // Target-side observation: the put completes and `rank` learns
           // the origin's clock at issue.
-          chk.on_applied(chk_space, rank, d.chk);
+          chk->on_applied(chk_space_, rank, d.chk);
         }
       },
       scratch_);
@@ -198,12 +378,11 @@ void Space::complete(runtime::Rank& r, double o_us, int target, bool remote,
     }
     if (remote) std::erase_if(outs, toward);
     if (done > r.now()) r.advance(done - r.now());
-    auto& chk = eng_.checker();
-    if (chk.enabled() && chk_space >= 0) {
+    if (check::Checker* chk = registered_checker()) {
       if (remote) {
-        chk.on_flush(r.id(), chk_space, target);
+        chk->on_flush(r.id(), chk_space_, target);
       } else {
-        chk.on_flush_local(r.id(), chk_space, target);
+        chk->on_flush_local(r.id(), chk_space_, target);
       }
     }
   });
@@ -213,73 +392,36 @@ void Space::complete(runtime::Rank& r, double o_us, int target, bool remote,
   if (remote) r.bump_epoch();
 }
 
-RoundTrip get_round_trip(runtime::Engine& eng, runtime::Rank& r, int target,
-                         double L_us, std::uint64_t bytes) {
-  const simnet::Platform& pf = eng.platform();
-  const double rtt = pf.hw_rtt_us(r.id(), target, r.size());
-  const double bw = pf.pair_peak_gbs(r.id(), target, r.size());
-  const simnet::RoundTripFault rtf = eng.fabric().sample_round_trip(
-      r.endpoint(), pf.endpoint_of_rank(target, r.size()), r.now());
-  RoundTrip rt;
-  rt.q_us = rtf.extra_us + eng.fabric().faults().backoff_us(rtf.drops);
-  rt.s_us = static_cast<double>(bytes) * gbs_to_us_per_byte(bw);
-  rt.total_us = L_us + rtt + rt.s_us + rt.q_us;
-  rt.drops = rtf.drops;
-  return rt;
-}
-
-std::uint64_t atomic_rmw(runtime::Engine& eng, runtime::Rank& r, int target,
-                         const simnet::LogGP& pp, AtomicOp op,
-                         util::FunctionRef<std::byte*()> word) {
-  r.advance(pp.atomic_o());
-  const simnet::TimeUs t0 = r.now();
-  std::uint64_t old = 0;
-  RoundTrip rt;
-  eng.perform(r, [&] {
-    auto* p = reinterpret_cast<std::uint64_t*>(word());
-    old = *p;
-    if (op.is_cas) {
-      if (old == op.compare) *p = op.operand;
-      eng.metrics().on_cas_attempt(r.id(), old == op.compare);
-    } else {
-      *p = old + op.operand;
+double Space::sync_all(runtime::Rank& r, const simnet::LogGP& pp,
+                       const char* kind, const char* what, double v) {
+  r.advance(pp.o_us);
+  const int n = eng_.nranks();
+  const double cost = rendezvous_rounds(n) * (2.0 * pp.o_us + pp.L_us);
+  std::uint64_t gen = 0;
+  eng_.perform(r, [&] {
+    sync_.acc() += v;
+    gen = sync_.enter(n, r.now(), [&](simnet::TimeUs max_enter) {
+      return drain(max_enter + cost);
+    });
+    if (check::Checker* chk = checker()) {
+      // Enter after the last entrant's drain above: applying reports put
+      // handles back to the checker, and the channel's space-clear on the
+      // final entry would otherwise dangle them.
+      const check::CollEnter ce = chk->on_collective_enter(
+          chk_chan_, r.id(), check::CollSig{kind, -1, 0}, r.now());
+      if (!ce.ok) {
+        // A kind-blind rendezvous pairing, say, barrier_all with sum_all
+        // would silently corrupt the sum; abort with the diagnostic.
+        eng_.abort_run(r, ErrorCode::kFailedPrecondition, chk->report());
+      }
     }
-    // Request/response through the fabric: atomics contend on link lanes
-    // (e.g. the Summit X-Bus per-transaction occupancy) but skip the put
-    // software path.
-    simnet::TransferParams req;
-    req.src_ep = r.endpoint();
-    req.dst_ep = eng.platform().endpoint_of_rank(target, r.size());
-    req.src_rank = r.id();
-    req.bytes = 8;
-    req.start_us = r.now();
-    req.sw_latency_us = pp.atomic_L_us / 2;
-    const simnet::TransferResult r1 = eng.fabric().transfer(req);
-    simnet::TransferParams rsp = req;
-    rsp.src_ep = req.dst_ep;
-    rsp.dst_ep = req.src_ep;
-    rsp.src_rank = target;
-    rsp.start_us = r1.arrival_us;
-    const simnet::TransferResult r2 = eng.fabric().transfer(rsp);
-    // Each dropped attempt already paid its retransmit timeout inside
-    // transfer(); the origin additionally backs off exponentially.
-    rt.drops = r1.drops + r2.drops;
-    const double backoff = eng.fabric().faults().backoff_us(rt.drops);
-    rt.total_us = r2.arrival_us - r.now() + backoff;
-    // Decomposition over both legs; the dominant-queueing leg names the link.
-    rt.q_us = r1.queue_us + r2.queue_us + backoff;
-    rt.s_us = r1.ser_us + r2.ser_us;
-    const std::int32_t dlink =
-        r1.queue_us >= r2.queue_us ? r1.dlink : r2.dlink;
-    eng.record_msg(simnet::MsgRecord{r.id(), target, 8, r.now(),
-                                     r.now() + rt.total_us,
-                                     simnet::OpKind::kAtomic, r.epoch(),
-                                     rt.drops, rt.q_us, rt.s_us, dlink});
   });
-  r.advance(rt.total_us);
-  eng.record_advance_span(r, simnet::SpanKind::kAtomic, t0, target, 8, rt.q_us,
-                          rt.s_us);
-  return old;
+  const double sum = sync_.wait(eng_, r, what, gen);
+  if (check::Checker* chk = registered_checker()) {
+    chk->on_collective_complete(chk_chan_, r.id(), gen);
+  }
+  r.bump_epoch();
+  return sum;
 }
 
 }  // namespace mrl::rma

@@ -1,14 +1,13 @@
-// The one-sided delivery core shared by minimpi windows (mpi::Win) and
-// minishmem (shmem::World / Ctx), DESIGN.md §10 "The shared RMA core".
+// The one-sided core shared by minimpi windows (mpi::Win) and minishmem
+// (shmem::World / Ctx), DESIGN.md §10 "The shared RMA core".
 //
-// Both runtimes model the same delivery: a put crosses the fabric, waits in
-// a per-target queue until the target synchronizes, and completes at its
-// origin on flush / quiet. They differ only in API and modelled costs, so
-// the mechanisms live here once: the per-target DeliveryQueue and the
-// Space that owns a window's or a heap's queues and outstanding puts, the
-// generation-ring Rendezvous behind MPI collectives, fences and SHMEM
-// barriers, and the get / atomic costs.
-// Nothing here has options; callers keep their own checker-call order.
+// Both runtimes model the same primitives — put, get, atomic, flush /
+// quiet, fence / barrier — and differ only in API and modelled costs, so
+// each operation lives here once, with its bounds checks and checker hooks:
+// the per-target DeliveryQueue, the Space that owns one window's or heap's
+// state and runs the operations on it, and the generation-ring Rendezvous
+// behind MPI collectives, fences and SHMEM barriers. Nothing here has
+// options.
 #pragma once
 
 #include <algorithm>
@@ -118,94 +117,18 @@ class DeliveryQueue {
 // Stencil runs hold one queue per rank per window, 100k of them.
 static_assert(sizeof(DeliveryQueue) == 56, "a delivery queue must stay small");
 
-/// The one-sided state of one address space — an MPI window or the SHMEM
-/// symmetric heap — over the engine's ranks: each rank's exposed region and
-/// delivery queue, and each origin's outstanding puts. Sized once, so the
-/// queues' push counters can gate waits.
-class Space {
- public:
-  struct Region {
-    std::byte* base = nullptr;
-    std::uint64_t size = 0;
-  };
-
-  /// `fifo` holds the per-(src, dst) FIFO clamps, shared with the rest of
-  /// the runtime's traffic.
-  Space(runtime::Engine& eng, util::PairMap<simnet::TimeUs>& fifo);
-
-  /// The checker's shadow space for this address space (-1: none).
-  int chk_space = -1;
-
-  [[nodiscard]] Region& region(int rank) {
-    return region_[static_cast<std::size_t>(rank)];
-  }
-  [[nodiscard]] const DeliveryQueue& queue(int rank) const {
-    return queues_[static_cast<std::size_t>(rank)];
-  }
-
-  /// Issues a put from `r` inside a perform body, after the caller's bounds
-  /// checks and checker hook (which gave `chk`): costs the transfer of the
-  /// data and a fused signal, clamps FIFO order, queues the delivery, notes
-  /// its completion times at the origin and records a `kind` message.
-  void put(runtime::Rank& r, int target, const simnet::LogGP& pp,
-           std::uint64_t off, std::uint64_t bytes, const void* data,
-           check::PutHandles chk, simnet::OpKind kind,
-           std::uint64_t sig_off = kNoSignal, std::uint64_t sig_val = 0);
-
-  /// Applies the puts that arrived at `rank` by `cutoff`, reporting each to
-  /// the metrics and the checker; returns the latest applied arrival.
-  simnet::TimeUs apply(int rank, simnet::TimeUs cutoff);
-
-  /// Fence / barrier completion, run by the last entrant: applies every
-  /// pending put and forgets every outstanding one. Returns `done`, or the
-  /// latest arrival if that is later.
-  simnet::TimeUs drain(simnet::TimeUs done);
-
-  /// Blocks `r` until a put toward it has arrived, then applies what has
-  /// arrived by the wake time. Gated on r's push counter (DESIGN.md §12):
-  /// while r is blocked its queue only grows, since fences and barriers are
-  /// collective.
-  void wait_delivery(runtime::Rank& r, const char* what);
-
-  /// flush / quiet (`remote`) or flush_local toward `target` (-1: all):
-  /// charges `o_us`, then advances `r` to when its puts complete and tells
-  /// the checker, in one perform body; records a `kind` span. Remote
-  /// completion forgets the puts and starts a new epoch.
-  void complete(runtime::Rank& r, double o_us, int target, bool remote,
-                simnet::SpanKind kind);
-
- private:
-  /// An origin's puts toward `target` since its last remote completion
-  /// there: completion only ever waits for their latest times.
-  struct Outstanding {
-    int target = -1;
-    simnet::TimeUs remote_done = 0;  ///< latest arrival
-    simnet::TimeUs local_done = 0;   ///< latest injector release
-  };
-
-  runtime::Engine& eng_;
-  util::PairMap<simnet::TimeUs>& fifo_;
-  std::vector<Region> region_;
-  std::vector<DeliveryQueue> queues_;
-  /// Per origin, one record per target with puts outstanding.
-  std::vector<std::vector<Outstanding>> outstanding_;
-  std::vector<std::byte> scratch_;  ///< payload compaction buffer
-};
-
 /// Rounds of a dissemination-style rendezvous of `n` entrants: its
 /// modelled cost is this many rounds of (2o + L [+ payload]).
 inline double rendezvous_rounds(int n) {
   return std::ceil(std::log2(static_cast<double>(std::max(2, n))));
 }
 
-struct NoResult {};
-
 /// A rendezvous of `n` entrants, one generation at a time. Each entrant
 /// adds to acc() and enter()s inside a perform body; the last one seals
 /// the generation, and all wait() for it. Sealed results sit in a small
 /// generation-indexed ring, so a late waker of generation g still reads
 /// its result after g + 1 has started.
-template <typename Acc = NoResult>
+template <typename Acc>
 class Rendezvous {
  public:
   Acc& acc() { return acc_; }
@@ -261,17 +184,12 @@ class Rendezvous {
 
 /// Origin-side cost of a blocking round trip, split for the profiler.
 struct RoundTrip {
-  double total_us = 0;  ///< issue to completion
-  double q_us = 0;      ///< queueing, fault stalls and retry backoff
-  double s_us = 0;      ///< serialization
-  int drops = 0;        ///< fault-injected drops
+  simnet::TimeUs issued = 0;  ///< origin clock when the request left
+  double total_us = 0;        ///< issue to completion
+  double q_us = 0;            ///< queueing, fault stalls and retry backoff
+  double s_us = 0;            ///< serialization
+  int drops = 0;              ///< fault-injected drops
 };
-
-/// A get of `bytes` from rank `target`: software latency `L_us` + hardware
-/// RTT + payload stream-in, plus (under injected faults) stalls, retransmit
-/// timeouts and retry backoff. Samples the faults: call in a perform body.
-RoundTrip get_round_trip(runtime::Engine& eng, runtime::Rank& r, int target,
-                         double L_us, std::uint64_t bytes);
 
 /// Compare-and-swap `compare` -> `operand`, or fetch-and-add `operand`.
 struct AtomicOp {
@@ -280,14 +198,160 @@ struct AtomicOp {
   bool is_cas = false;
 };
 
-/// One blocking 8-byte remote atomic from `r` on rank `target`. Charges
-/// its overhead; in one perform body resolves the target word with `word`
-/// (the caller's bounds check and checker hook), applies `op` to it —
-/// atomics linearize in issue order on committed memory — and costs and
-/// records the request/response transfer pair; then waits out the round
-/// trip. Returns the word's previous value.
-std::uint64_t atomic_rmw(runtime::Engine& eng, runtime::Rank& r, int target,
-                         const simnet::LogGP& pp, AtomicOp op,
-                         util::FunctionRef<std::byte*()> word);
+/// One address space — an MPI window or the SHMEM symmetric heap — over
+/// the engine's ranks and the one-sided operations on it. It owns each
+/// rank's exposed region and delivery queue, each origin's outstanding
+/// puts, the fence / barrier rendezvous and the space's checker ids. Sized
+/// once, so the queues' push counters can gate waits. Operations charge the
+/// LogGP parameters the facade passes; put / get / atomic abort on a target
+/// outside the engine's ranks or bytes outside its region, then tell the
+/// checker, in the perform body that does the access.
+class Space {
+ public:
+  struct Region {
+    std::byte* base = nullptr;
+    std::uint64_t size = 0;
+  };
+
+  /// `fifo` holds the per-(src, dst) FIFO clamps, shared with the rest of
+  /// the runtime's traffic. The checker knows the space as `chk_name` and
+  /// its fence / barrier channel as `sync_name`; the `index`-th of a kind
+  /// (an MPI window) is `chk_name` + index and its channel that name +
+  /// `sync_name`. Abort messages call the space `noun`.
+  Space(runtime::Engine& eng, util::PairMap<simnet::TimeUs>& fifo,
+        const char* chk_name, const char* sync_name, const char* noun,
+        int index = -1);
+
+  [[nodiscard]] Region& region(int rank) {
+    return region_[static_cast<std::size_t>(rank)];
+  }
+  [[nodiscard]] const DeliveryQueue& queue(int rank) const {
+    return queues_[static_cast<std::size_t>(rank)];
+  }
+
+  /// Registers the space and its sync channel with a checker that is on,
+  /// inside a perform body. The operations that issue an access or enter a
+  /// sync register on first use; an MPI window registers when created.
+  void register_checker();
+
+  /// Nonblocking put of `bytes` from `data` (nullptr: timing only) to `off`
+  /// on `target`: charges o, then in one perform body costs the transfer,
+  /// clamps FIFO order, queues the delivery, notes its completion times at
+  /// the origin and records a `kind` message. `kind` gives the checker's
+  /// put class: kPut data, kSignal an MPI signal put, kPutSignal a SHMEM
+  /// fused put that sets the word at `sig_off` to `sig_val` after the data.
+  void put(runtime::Rank& r, const simnet::LogGP& pp, int target,
+           std::uint64_t off, std::uint64_t bytes, const void* data,
+           simnet::OpKind kind, std::uint64_t sig_off = kNoSignal,
+           std::uint64_t sig_val = 0);
+
+  /// Blocking get of `bytes` at `off` on `target` into `dest`: charges o,
+  /// L + hardware RTT + payload stream-in and (under injected faults)
+  /// stalls, retransmit timeouts and retry backoff; records a kGet span.
+  /// Reads committed memory, so arrived-but-unapplied puts are not visible.
+  /// Returns the round trip for the facade's trace / metrics accounting.
+  RoundTrip get(runtime::Rank& r, const simnet::LogGP& pp, int target,
+                std::uint64_t off, std::uint64_t bytes, void* dest);
+
+  /// One blocking 8-byte remote atomic at `off` on `target`. Charges its
+  /// overhead; in one perform body applies `op` to the word — atomics
+  /// linearize in issue order on committed memory — and costs and records
+  /// the request/response transfer pair; then waits out the round trip.
+  /// Returns the word's previous value.
+  std::uint64_t atomic(runtime::Rank& r, const simnet::LogGP& pp, int target,
+                       std::uint64_t off, AtomicOp op);
+
+  /// Annotates a local load/store of r's own region for the checker: free,
+  /// no perform and no clock change. A read overlapping an arrived but
+  /// unapplied put is the missing MPI_Win_sync / wait bug. Ranks execute
+  /// one at a time and queues change only in perform bodies, so the direct
+  /// scan is deterministic.
+  void local_access(runtime::Rank& r, std::uint64_t off, std::uint64_t bytes,
+                    bool is_write);
+
+  /// Tells the checker that `r` polls the signal words [off, off + bytes)
+  /// of its own region: an atomic-class read, so data puts racing with the
+  /// poll are flagged but a put_signal's own signal word never is.
+  void note_signal_wait(runtime::Rank& r, std::uint64_t off,
+                        std::uint64_t bytes);
+
+  /// Applies the puts that arrived at `rank` by `cutoff`, reporting each to
+  /// the metrics and the checker; returns the latest applied arrival.
+  simnet::TimeUs apply(int rank, simnet::TimeUs cutoff);
+
+  /// Blocks `r` until a put toward it has arrived, then applies what has
+  /// arrived by the wake time. Gated on r's push counter (DESIGN.md §12):
+  /// while r is blocked its queue only grows, since fences and barriers are
+  /// collective.
+  void wait_delivery(runtime::Rank& r, const char* what);
+
+  /// flush / quiet (`remote`) or flush_local toward `target` (-1: all):
+  /// charges `o_us`, then advances `r` to when its puts complete and tells
+  /// the checker, in one perform body; records a `kind` span. Remote
+  /// completion forgets the puts and starts a new epoch.
+  void complete(runtime::Rank& r, double o_us, int target, bool remote,
+                simnet::SpanKind kind);
+
+  /// A fence or barrier of every rank that also sums their `v`: charges o
+  /// and (2o + L) rendezvous rounds. The last entrant drains every put
+  /// before the checker sees it enter, so no put record outlives the
+  /// channel's clearing of the space; a checker signature `kind` that
+  /// differs from the other entrants' aborts the run. `what` names the wait.
+  double sync_all(runtime::Rank& r, const simnet::LogGP& pp, const char* kind,
+                  const char* what, double v);
+
+ private:
+  /// An origin's puts toward `target` since its last remote completion
+  /// there: completion only ever waits for their latest times.
+  struct Outstanding {
+    int target = -1;
+    simnet::TimeUs remote_done = 0;  ///< latest arrival
+    simnet::TimeUs local_done = 0;   ///< latest injector release
+  };
+
+  /// put's perform body. A function of its own, so the hottest path reads
+  /// its arguments from registers, not through a lambda's references.
+  void put_locked(runtime::Rank& r, const simnet::LogGP& pp, int target,
+                  std::uint64_t off, std::uint64_t bytes, const void* data,
+                  simnet::OpKind kind, std::uint64_t sig_off,
+                  std::uint64_t sig_val);
+
+  /// The checker if it is on, after registering the space (on first use):
+  /// for the hooks of new accesses and syncs.
+  inline check::Checker* checker();
+  /// The checker if it is on and the space registered: for the hooks that
+  /// report on earlier accesses (apply, completion, local access).
+  inline check::Checker* registered_checker();
+
+  /// Aborts unless `target` is a rank and [off, off + bytes) lies in its
+  /// region, naming the access `op` in the message; returns the bytes.
+  inline std::byte* at(int target, std::uint64_t off, std::uint64_t bytes,
+                       const char* op);
+
+  /// Fence / barrier completion, run by the last entrant: applies every
+  /// pending put and forgets every outstanding one. Returns `done`, or the
+  /// latest arrival if that is later.
+  simnet::TimeUs drain(simnet::TimeUs done);
+
+  runtime::Engine& eng_;
+  util::PairMap<simnet::TimeUs>& fifo_;
+  std::vector<Region> region_;
+  std::vector<DeliveryQueue> queues_;
+  /// Per origin, one record per target with puts outstanding.
+  std::vector<std::vector<Outstanding>> outstanding_;
+  std::vector<std::byte> scratch_;  ///< payload compaction buffer
+  Rendezvous<double> sync_;         ///< fences / barriers; sums sum_all
+  // Literal names, not strings: a window's size sets where glibc places it
+  // among roofline_sweep's per-point allocations, and two string members
+  // (a 328 B mpi::Win against 288 B) raised that workload's minor page
+  // faults per pass by a third and its wall_s by 13-22%, with identical
+  // simulated work.
+  const char* chk_name_;
+  const char* sync_name_;
+  const char* noun_;
+  int index_;
+  int chk_space_ = -1;  ///< the checker's shadow space (-1: unregistered)
+  int chk_chan_ = -1;   ///< its fence / barrier channel, which clears it
+};
 
 }  // namespace mrl::rma

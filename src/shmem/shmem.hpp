@@ -7,10 +7,11 @@
 // remote atomics. Modeled after the paper's NVSHMEM usage:
 //   nvshmem_double_put_signal_nbi, nvshmem_uint64_wait_until_{all,any},
 //   nvshmem_quiet, atomic compare-and-swap.
-// Deliveries (a fused signal rides in the same queue entry as its data),
-// quiet, the barrier rendezvous and round-trip costs are the shared RMA
-// core (rma/rma.hpp), the same code minimpi windows run; the two runtimes
-// differ only in their API and modelled costs.
+// Ctx is an API facade over the shared RMA core (rma/rma.hpp), the same
+// code minimpi windows run: put (a fused signal rides in the same delivery
+// as its data), get, atomics, quiet, the barrier and their bounds checks
+// and checker hooks live there. minishmem adds only SHMEM's LogGP costs,
+// the signal waits, symmetric allocation and the metrics-only get count.
 #pragma once
 
 #include <cstdint>
@@ -64,11 +65,6 @@ class World {
 
   World(runtime::Engine& engine, Options opt);
 
-  /// Lazily registers the symmetric heap's shadow space and the barrier
-  /// channel with the RMA checker (must run inside a perform body; the
-  /// checker resets after World construction, at engine-run start).
-  void chk_register_locked();
-
   runtime::Engine& engine_;
   Options opt_;
   int npes_;
@@ -80,14 +76,11 @@ class World {
   // Keyed (src, dst); sparse above PairMap::kDenseRanks so large worlds
   // don't materialize O(P^2) channel state.
   util::PairMap<simnet::TimeUs> fifo_last_;
-  /// The heap slices as regions, pending and outstanding deliveries, and
-  /// the checker's shadow space for the heap.
+  /// The heap slices as regions, pending and outstanding deliveries, the
+  /// barrier_all / sum_all rendezvous and the checker ids. The checker
+  /// resets at engine-run start, after World construction, so the heap
+  /// registers with it on first use.
   rma::Space space_;
-  /// barrier_all / sum_all rendezvous; reduces the sum.
-  rma::Rendezvous<double> barrier_;
-  /// Checker barrier channel (barrier_all implies quiet, so its completion
-  /// clears the heap's access history).
-  int chk_chan_ = -1;
 };
 
 /// Per-PE handle (the `Ctx&` each PE body receives).
@@ -197,15 +190,14 @@ class Ctx {
                      std::uint64_t sig_val, bool has_signal);
   void get_bytes(void* dest, std::uint64_t src_off, std::uint64_t bytes,
                  int target_pe);
-  std::uint64_t atomic_rmw(std::uint64_t target_off, rma::AtomicOp op,
-                           int target_pe);
 
   /// Shared wait loop: re-applies arrivals until `pred` holds locally.
   void wait_local(const char* what, util::FunctionRef<bool()> pred);
 
   double sum_all_kind(const char* kind, double v);
-  void local_access(std::uint64_t off, std::uint64_t bytes, bool is_write);
-  void note_signal_wait(std::uint64_t off, std::uint64_t bytes);
+  void local_access(std::uint64_t off, std::uint64_t bytes, bool is_write) {
+    world_->space_.local_access(*rank_, off, bytes, is_write);
+  }
 
   World* world_;
   runtime::Rank* rank_;

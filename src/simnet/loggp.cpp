@@ -15,11 +15,6 @@ double SerCost::ser_us_scaled(std::uint64_t bytes, double bw_scale) const {
   return static_cast<double>(bytes) * gbs_to_us_per_byte(eff_gbs);
 }
 
-double batch_inject_us(const LogGP& p, std::uint64_t n) {
-  if (n == 0) return 0.0;
-  return p.o_us + static_cast<double>(n - 1) * p.g_us;
-}
-
 std::string LogGP::to_string() const {
   char buf[160];
   std::snprintf(buf, sizeof(buf),

@@ -67,12 +67,6 @@ class SerCost {
   double us_per_byte_ = 0;
 };
 
-/// Closed-form LogGP injection cost for a back-to-back batch of n messages
-/// from one endpoint: the first pays the overhead o, each successive launch
-/// is separated by the gap g. Used when a runtime costs a whole queue of
-/// same-shaped ops at once instead of looping per message.
-[[nodiscard]] double batch_inject_us(const LogGP& p, std::uint64_t n);
-
 /// The communication runtimes the paper compares.
 enum class Runtime {
   kTwoSidedMpi,   ///< MPI_Isend/Irecv/Waitall (2 ops per message)

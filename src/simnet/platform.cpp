@@ -17,10 +17,6 @@ const LogGP& Platform::params(Runtime r) const {
   return two_sided_;
 }
 
-LogGP& Platform::mutable_params(Runtime r) {
-  return const_cast<LogGP&>(params(r));
-}
-
 int Platform::endpoint_of_rank(int rank, int nranks) const {
   MRL_CHECK(nranks >= 1 && nranks <= max_ranks_);
   MRL_CHECK(rank >= 0 && rank < nranks);

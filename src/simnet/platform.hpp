@@ -84,7 +84,6 @@ class Platform {
   void set_faults(const FaultSpec& f) { faults_ = f; }
 
   [[nodiscard]] const LogGP& params(Runtime r) const;
-  [[nodiscard]] LogGP& mutable_params(Runtime r);
 
   [[nodiscard]] const ComputeModel& compute() const { return compute_; }
   [[nodiscard]] ComputeModel& mutable_compute() { return compute_; }

@@ -1,13 +1,10 @@
 #include "util/log.hpp"
 
-#include <atomic>
 #include <cstdio>
 
 namespace mrl {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-
 const char* level_tag(LogLevel level) {
   switch (level) {
     case LogLevel::kDebug: return "DBG";
@@ -20,20 +17,17 @@ const char* level_tag(LogLevel level) {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level.store(level); }
-LogLevel log_level() { return g_level.load(); }
-
 namespace detail {
 
 void vlog(LogLevel level, const char* fmt, std::va_list args) {
-  if (level < g_level.load()) return;
+  if (level < kLogLevel) return;
   std::fprintf(stderr, "[msgroof %s] ", level_tag(level));
   std::vfprintf(stderr, fmt, args);
   std::fputc('\n', stderr);
 }
 
 void log(LogLevel level, const char* fmt, ...) {
-  if (level < g_level.load()) return;
+  if (level < kLogLevel) return;
   std::va_list args;
   va_start(args, fmt);
   vlog(level, fmt, args);

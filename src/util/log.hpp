@@ -9,9 +9,8 @@ namespace mrl {
 
 enum class LogLevel { kDebug = 0, kInfo, kWarn, kError, kOff };
 
-/// Global threshold; messages below it are dropped.
-void set_log_level(LogLevel level);
-LogLevel log_level();
+/// The fixed threshold; messages below it are dropped.
+inline constexpr LogLevel kLogLevel = LogLevel::kWarn;
 
 namespace detail {
 void vlog(LogLevel level, const char* fmt, std::va_list args);

@@ -264,6 +264,75 @@ TEST(CheckCorpus, ShmemBarrierVsSumAllMismatch) {
       << res.status.to_string();
 }
 
+// The SHMEM twins of MpiGetRacesWithPut, MpiLocalReadWithoutWinSync and
+// MpiPutNeverFlushedAtExit. They pin the whole verdict, so the shared RMA
+// core must report SHMEM accesses exactly as minishmem always has.
+
+TEST(CheckCorpus, ShmemGetRacesWithPut) {
+  Engine eng(simnet::Platform::perlmutter_gpu(), 3, checked());
+  const auto res = shmem::World::run(eng, [](shmem::Ctx& s) {
+    auto data = s.allocate<double>(8);
+    double v = 1.0;
+    if (s.pe() == 0) {
+      s.put_nbi(data, &v, 1, 2);
+      s.quiet();
+    } else if (s.pe() == 1) {
+      s.get(&v, data, 1, 2);  // unordered against PE 0's put
+    }
+    s.barrier_all();
+  });
+  EXPECT_EQ(res.status.to_string(),
+            "FAILED_PRECONDITION: RMA checker: 1 violation(s)\n"
+            "  [1] race on symheap@rank2: get by rank 1 @0.500us bytes "
+            "[0, 8) conflicts with put (in flight) by rank 0 @0.500us bytes "
+            "[0, 8) — unordered in happens-before");
+}
+
+TEST(CheckCorpus, ShmemLocalReadOfUnappliedDelivery) {
+  Engine eng(simnet::Platform::perlmutter_gpu(), 2, checked());
+  const auto res = shmem::World::run(eng, [](shmem::Ctx& s) {
+    auto data = s.allocate<double>(8);
+    if (s.pe() == 0) {
+      const double v = 7.0;
+      s.put_nbi(data, &v, 1, 1);
+      s.quiet();
+    } else {
+      // Long past the put's arrival, but nothing applied it: no
+      // wait_until or barrier ran on this PE. The quiet is only a scheduling
+      // point, so PE 0's put has run by the time the read is checked.
+      s.compute(100.0);
+      s.quiet();
+      s.local_read(data);  // BUG: reads bytes an arrived put will change
+    }
+    s.barrier_all();
+  });
+  EXPECT_EQ(res.status.to_string(),
+            "FAILED_PRECONDITION: RMA checker: 2 violation(s)\n"
+            "  [1] sync misuse: local_read by rank 1 @100.500us of "
+            "symheap@rank1 bytes [0, 8) overlaps an arrived but unapplied "
+            "put — missing MPI_Win_sync / wait before reading\n"
+            "  [2] race on symheap@rank1: local_read by rank 1 @100.500us "
+            "bytes [0, 8) conflicts with put by rank 0 @0.500us bytes [0, 8) "
+            "— unordered in happens-before");
+}
+
+TEST(CheckCorpus, ShmemPutNeverQuietedAtExit) {
+  Engine eng(simnet::Platform::perlmutter_gpu(), 2, checked());
+  const auto res = shmem::World::run(eng, [](shmem::Ctx& s) {
+    auto data = s.allocate<double>(8);
+    if (s.pe() == 0) {
+      const double v = 1.0;
+      s.put_nbi(data, &v, 1, 1);
+      // BUG: the PE finishes with the put still in flight.
+    }
+  });
+  EXPECT_EQ(res.status.to_string(),
+            "FAILED_PRECONDITION: RMA checker: 1 violation(s)\n"
+            "  [1] sync misuse: put by rank 0 @0.500us to symheap@rank1 bytes "
+            "[0, 8) was never completed — missing flush/quiet/fence before "
+            "finishing");
+}
+
 // --- flush_local vs flush (the PR 8 soundness fixes) ----------------------
 // MPI_Win_flush_local licenses origin-buffer reuse only. Pre-fix the checker
 // had no notion of it at all: these programs were vetted as if no completion

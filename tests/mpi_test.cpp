@@ -597,7 +597,52 @@ TEST(Rma, PutOutOfBoundsAborts) {
         });
         (void)res;
       },
-      "out of window bounds");
+      "put outside window");
+}
+
+// Rank 1 exposes a 16-byte window (none when `exposed` is false); rank 0
+// then runs `op` on it at `off`.
+enum class WinOp { kGet, kCas, kFetchAdd };
+void win_op_at(WinOp op, std::uint64_t off, std::uint64_t bytes = 8,
+               bool exposed = true) {
+  Engine eng(plat(), 2);
+  auto res = World::run(eng, [=](Comm& c) {
+    std::vector<std::byte> window(16);
+    const bool mine = c.rank() == 0 || exposed;
+    WinHandle win = c.create_win(mine ? window.data() : nullptr,
+                                 mine ? window.size() : 0);
+    if (c.rank() == 0) {
+      std::uint64_t buf[4] = {};
+      switch (op) {
+        case WinOp::kGet: win.get(buf, bytes, 1, off); break;
+        case WinOp::kCas: win.compare_and_swap(0, 1, 1, off); break;
+        case WinOp::kFetchAdd: win.fetch_add(1, 1, off); break;
+      }
+    }
+    c.barrier();
+  });
+  (void)res;
+}
+
+TEST(Rma, GetOutOfBoundsAborts) {
+  win_op_at(WinOp::kGet, 0, 16);  // the whole window is fine
+  EXPECT_DEATH(win_op_at(WinOp::kGet, 8, 16), "get outside window");
+  // off + bytes wraps around to 8, which a naive sum would accept.
+  EXPECT_DEATH(win_op_at(WinOp::kGet, ~0ULL - 7, 16), "get outside window");
+}
+
+TEST(Rma, AtomicOutOfBoundsAborts) {
+  win_op_at(WinOp::kCas, 8);  // the last word is fine
+  EXPECT_DEATH(win_op_at(WinOp::kCas, 12), "atomic outside window");
+  EXPECT_DEATH(win_op_at(WinOp::kFetchAdd, 16), "atomic outside window");
+  // off + 8 wraps around to 4, which a naive sum would accept.
+  EXPECT_DEATH(win_op_at(WinOp::kFetchAdd, ~0ULL - 3),
+               "atomic outside window");
+}
+
+TEST(Rma, AtomicOnUnexposedRegionAborts) {
+  EXPECT_DEATH(win_op_at(WinOp::kCas, 0, 8, /*exposed=*/false),
+               "atomic on unexposed window region");
 }
 
 TEST(Rma, MultipleWindowsAreIndependent) {

@@ -386,6 +386,59 @@ TEST(Shmem, PutSignalOutsideHeapAborts) {
   EXPECT_DEATH(put_signal_at(~0ULL - 3), "signal outside symmetric heap");
 }
 
+// A 1 KiB heap; PE 0 puts `count` words at `off` to PE 1.
+void put_at(std::uint64_t off, std::uint64_t count) {
+  Engine eng(simnet::Platform::perlmutter_gpu(), 2);
+  World::Options opt;
+  opt.heap_bytes = 1024;
+  auto res = World::run(
+      eng,
+      [=](Ctx& s) {
+        const std::uint64_t buf[4] = {};
+        if (s.pe() == 0) s.put_nbi(Sym<std::uint64_t>{off}, buf, count, 1);
+        s.barrier_all();
+      },
+      opt);
+  (void)res;
+}
+
+TEST(Shmem, PutOutsideHeapAborts) {
+  put_at(1024 - 16, 2);  // the last two words are fine
+  EXPECT_DEATH(put_at(1024 - 8, 2), "put outside symmetric heap");
+  // off + bytes wraps around to 8, which a naive sum would accept.
+  EXPECT_DEATH(put_at(~0ULL - 7, 2), "put outside symmetric heap");
+}
+
+// A 1 KiB heap; PE 0 runs a compare-and-swap (or a fetch-add) on the word at
+// `off` of PE 1.
+void atomic_at(std::uint64_t off, bool cas) {
+  Engine eng(simnet::Platform::perlmutter_gpu(), 2);
+  World::Options opt;
+  opt.heap_bytes = 1024;
+  auto res = World::run(
+      eng,
+      [=](Ctx& s) {
+        if (s.pe() == 0) {
+          if (cas) {
+            s.atomic_compare_swap(Sym<std::uint64_t>{off}, 0, 1, 1);
+          } else {
+            s.atomic_fetch_add(Sym<std::uint64_t>{off}, 1, 1);
+          }
+        }
+        s.barrier_all();
+      },
+      opt);
+  (void)res;
+}
+
+TEST(Shmem, AtomicOutsideHeapAborts) {
+  atomic_at(1024 - 8, true);  // the last word is fine
+  EXPECT_DEATH(atomic_at(1024 - 4, true), "atomic outside symmetric heap");
+  EXPECT_DEATH(atomic_at(1024, false), "atomic outside symmetric heap");
+  // off + 8 wraps around to 4, which a naive sum would accept.
+  EXPECT_DEATH(atomic_at(~0ULL - 3, false), "atomic outside symmetric heap");
+}
+
 TEST(Shmem, PartialWaitCompactsCapturedPayloadsIntact) {
   // The SHMEM twin of Rma.PartialSyncCompactsCapturedPayloadsIntact: a
   // wait_until that applies only the arrived deliveries slides the
