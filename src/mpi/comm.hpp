@@ -48,6 +48,8 @@ class Mailbox {
   [[nodiscard]] const Msg* find(int src, int tag) const;
   /// Removes `m`, which find() returned since the last push or take.
   void take(const Msg* m);
+  /// Drops every unmatched message.
+  void clear() { queues_.clear(); }
 
  private:
   struct SourceQueue {
@@ -61,12 +63,27 @@ static_assert(sizeof(Mailbox) == sizeof(std::vector<Msg>),
               "an idle mailbox must cost one vector header per rank");
 
 /// Shared state for one communicator world: mailboxes, FIFO clamps,
-/// collective rendezvous, and RMA windows. Created by World::run().
+/// collective rendezvous, and RMA windows. A World may run many times on
+/// its engine: each run() starts from the state of a new World, and the
+/// per-rank storage that earlier runs grew (window delivery queues,
+/// channel maps) is cleared, not freed (DESIGN.md "Storage lifetime").
 class World {
  public:
-  /// Runs `body` as an SPMD program over `engine`'s ranks.
+  explicit World(runtime::Engine& engine);
+  ~World();
+
+  World(const World&) = delete;
+  World& operator=(const World&) = delete;
+
+  /// Runs `body` as an SPMD program over the engine's ranks, from the
+  /// state of a new World.
+  runtime::RunResult run(const std::function<void(Comm&)>& body);
+
+  /// Runs `body` once on a new World over `engine`.
   static runtime::RunResult run(runtime::Engine& engine,
-                                const std::function<void(Comm&)>& body);
+                                const std::function<void(Comm&)>& body) {
+    return World(engine).run(body);
+  }
 
   /// When false, message/put payloads are not captured or delivered (timing
   /// only) — used by bandwidth sweeps whose data content is irrelevant.
@@ -76,7 +93,8 @@ class World {
   friend class Comm;
   friend class Win;
 
-  explicit World(runtime::Engine& engine);
+  /// Restores what a new World holds, keeping storage: run() calls it.
+  void reset();
 
   runtime::Engine& engine_;
   int nranks_;
@@ -108,6 +126,7 @@ class World {
   /// registered on first collective when the checker is on).
   int chk_chan_ = -1;
 
+  /// Created by the first run that needs each; later runs reuse them.
   std::vector<std::unique_ptr<Win>> windows_;
 };
 

@@ -94,6 +94,7 @@ class Win {
 
  private:
   friend class Comm;
+  friend class World;
 
   World* world_;
   /// Exposed regions, pending and outstanding puts, the fence rendezvous

@@ -42,11 +42,11 @@ void DeliveryQueue::push(std::uint64_t off, std::uint64_t bytes,
   if (d.captured || sig_off != kNoSignal) d.payload = payload_.size();
   if (d.captured) {
     const auto* p = static_cast<const std::byte*>(data);
-    payload_.insert(payload_.end(), p, p + bytes);
+    payload_.append(p, bytes);
   }
   if (sig_off != kNoSignal) {
     const auto* v = reinterpret_cast<const std::byte*>(&sig_val);
-    payload_.insert(payload_.end(), v, v + sizeof(sig_val));
+    payload_.append(v, sizeof(sig_val));
   }
   d.arrival = arrival;
   d.chk = chk;
@@ -80,7 +80,7 @@ simnet::TimeUs DeliveryQueue::apply(
   }
   if (it == pending_.begin()) return 0;
   const simnet::TimeUs latest = (it - 1)->arrival;
-  pending_.erase(pending_.begin(), it);
+  pending_.erase_front(static_cast<std::size_t>(it - pending_.begin()));
   compact_payload(scratch);
   return latest;
 }
@@ -103,7 +103,7 @@ void DeliveryQueue::compact_payload(std::vector<std::byte>& scratch) {
     d.payload = scratch.size();
     scratch.insert(scratch.end(), p, p + span_of(d));
   }
-  payload_.assign(scratch.begin(), scratch.end());
+  payload_.assign(scratch.data(), scratch.size());
 }
 
 bool DeliveryQueue::arrived_overlaps(std::uint64_t off, std::uint64_t bytes,
@@ -131,6 +131,15 @@ Space::Space(runtime::Engine& eng, util::PairMap<simnet::TimeUs>& fifo,
   region_.resize(n);
   queues_.resize(n);
   outstanding_.resize(n);
+}
+
+void Space::reset() {
+  std::fill(region_.begin(), region_.end(), Region{});
+  for (DeliveryQueue& q : queues_) q.clear();
+  for (std::vector<Outstanding>& outs : outstanding_) outs.clear();
+  sync_.reset();
+  chk_space_ = -1;
+  chk_chan_ = -1;
 }
 
 void Space::register_checker() {

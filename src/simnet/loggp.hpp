@@ -33,8 +33,6 @@ struct LogGP {
   [[nodiscard]] double atomic_o() const {
     return atomic_o_us < 0 ? o_us : atomic_o_us;
   }
-
-  [[nodiscard]] std::string to_string() const;
 };
 
 /// Pre-derived serialization cost for a stream of messages through one lane

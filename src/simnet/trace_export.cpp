@@ -22,16 +22,6 @@ void export_trace_csv(const Trace& trace, std::ostream& os) {
   }
 }
 
-bool export_trace_csv(const Trace& trace, const std::string& path) {
-  std::ofstream f(path);
-  if (!f) {
-    MRL_LOG_WARN("cannot open %s", path.c_str());
-    return false;
-  }
-  export_trace_csv(trace, f);
-  return f.good();
-}
-
 void export_trace_chrome(const Trace& trace, std::ostream& os) {
   os << "{\"traceEvents\":[";
   bool first = true;
@@ -230,17 +220,6 @@ void export_spans_csv(const RunCapture& c, std::ostream& os, int rank_lo,
            std::to_string(s.gate), std::to_string(s.q_us),
            std::to_string(s.s_us)});
   }
-}
-
-bool export_spans_csv(const RunCapture& c, const std::string& path,
-                      int rank_lo, int rank_hi) {
-  std::ofstream f(path);
-  if (!f) {
-    MRL_LOG_WARN("cannot open %s", path.c_str());
-    return false;
-  }
-  export_spans_csv(c, f, rank_lo, rank_hi);
-  return f.good();
 }
 
 }  // namespace mrl::simnet

@@ -15,7 +15,6 @@ namespace mrl::simnet {
 
 /// CSV: src,dst,bytes,kind,epoch,t_issue_us,t_arrival_us.
 void export_trace_csv(const Trace& trace, std::ostream& os);
-bool export_trace_csv(const Trace& trace, const std::string& path);
 
 /// Chrome tracing JSON ("traceEvents" array of complete events; pid 0,
 /// tid = source rank, us timestamps).
@@ -60,7 +59,5 @@ bool export_trace_csv(const RunCapture& c, const std::string& path,
 /// export.
 void export_spans_csv(const RunCapture& c, std::ostream& os, int rank_lo = 0,
                       int rank_hi = -1);
-bool export_spans_csv(const RunCapture& c, const std::string& path,
-                      int rank_lo = 0, int rank_hi = -1);
 
 }  // namespace mrl::simnet

@@ -40,7 +40,6 @@ void RunningStats::merge(const RunningStats& other) {
   max_ = std::max(max_, other.max_);
 }
 
-void RunningStats::reset() { *this = RunningStats(); }
 
 namespace {
 // An empty accumulator has no mean/min/max; NaN is unambiguous where 0.0

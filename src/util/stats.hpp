@@ -11,7 +11,6 @@ class RunningStats {
  public:
   void add(double x);
   void merge(const RunningStats& other);
-  void reset();
 
   [[nodiscard]] std::size_t count() const { return n_; }
   // mean/variance/stddev/min/max return quiet NaN when no sample has been

@@ -1,7 +1,6 @@
 #include "util/table.hpp"
 
 #include <algorithm>
-#include <ostream>
 #include <sstream>
 
 #include "util/status.hpp"
@@ -71,10 +70,6 @@ std::string TextTable::render(const std::string& title) const {
   }
   os << rule('-', '+');
   return os.str();
-}
-
-std::ostream& operator<<(std::ostream& os, const TextTable& t) {
-  return os << t.render();
 }
 
 }  // namespace mrl

@@ -2,7 +2,6 @@
 // bench output rows).
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -34,7 +33,5 @@ class TextTable {
   // A row with the sentinel single cell "\x01" renders as a separator.
   std::vector<std::vector<std::string>> rows_;
 };
-
-std::ostream& operator<<(std::ostream& os, const TextTable& t);
 
 }  // namespace mrl

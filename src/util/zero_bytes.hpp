@@ -1,16 +1,20 @@
 // Zero-initialized bytes that are committed only as they are touched.
 //
 // `std::vector<std::byte>(n)` value-initializes, so it writes every byte and
-// faults in every page up front. ZeroBytes takes `std::calloc(n, 1)` instead:
-// glibc (and the ASan allocator) serve large callocs from fresh anonymous
-// mmap pages without a memset, so a page becomes resident only when the
-// program first touches it, and untouched bytes still read as zero. Small
-// sizes come from the ordinary heap and are zeroed there; the contents are
-// identical either way (DESIGN.md "Lazily committed zero memory").
+// faults in every page up front. ZeroBytes maps sizes of kMapBytes and up
+// itself, as private anonymous memory: a page becomes resident only when the
+// program first touches it, and untouched bytes read as zero whatever the
+// malloc arena held before (a large `calloc` carved from a freed arena hole
+// is zero-filled by memset, page by page). Smaller sizes come from `calloc`;
+// the contents are identical either way (DESIGN.md "Lazily committed zero
+// memory").
 #pragma once
+
+#include <sys/mman.h>
 
 #include <cstddef>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <utility>
 
@@ -18,28 +22,70 @@ namespace mrl::util {
 
 class ZeroBytes {
  public:
+  /// Sizes from here up get their own mapping; below it, calloc.
+  static constexpr std::size_t kMapBytes = std::size_t{128} << 10;
+
+  /// No bytes (data() is null).
+  ZeroBytes() = default;
   /// `n` zero bytes; `n == 0` holds no memory (data() is null).
-  explicit ZeroBytes(std::size_t n)
-      : data_(n == 0 ? nullptr : static_cast<std::byte*>(std::calloc(n, 1))),
-        size_(n) {
-    if (n != 0 && data_ == nullptr) throw std::bad_alloc();
-  }
-  ~ZeroBytes() { std::free(data_); }
+  explicit ZeroBytes(std::size_t n) : data_(allocate(n)), size_(n) {}
+  ~ZeroBytes() { release(); }
 
   /// Movable so a std::vector can hold it; the source is left empty.
   ZeroBytes(ZeroBytes&& o) noexcept
       : data_(std::exchange(o.data_, nullptr)),
         size_(std::exchange(o.size_, 0)) {}
+  ZeroBytes& operator=(ZeroBytes&& o) noexcept {
+    if (this != &o) {
+      release();
+      data_ = std::exchange(o.data_, nullptr);
+      size_ = std::exchange(o.size_, 0);
+    }
+    return *this;
+  }
   ZeroBytes(const ZeroBytes&) = delete;
   ZeroBytes& operator=(const ZeroBytes&) = delete;
+
+  /// Makes every byte read zero again. A mapping drops its pages, which are
+  /// then uncommitted like fresh ones; a small block is memset.
+  void zero() {
+    if (size_ >= kMapBytes) {
+      // MADV_DONTNEED on private anonymous memory: the next touch of each
+      // page maps a fresh zero page.
+      if (::madvise(data_, size_, MADV_DONTNEED) == 0) return;
+    }
+    if (size_ != 0) std::memset(data_, 0, size_);
+  }
 
   [[nodiscard]] std::byte* data() { return data_; }
   [[nodiscard]] const std::byte* data() const { return data_; }
   [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
-  std::byte* data_;
-  std::size_t size_;
+  static std::byte* allocate(std::size_t n) {
+    if (n == 0) return nullptr;
+    void* p = nullptr;
+    if (n >= kMapBytes) {
+      p = ::mmap(nullptr, n, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (p == MAP_FAILED) p = nullptr;
+    } else {
+      p = std::calloc(n, 1);
+    }
+    if (p == nullptr) throw std::bad_alloc();
+    return static_cast<std::byte*>(p);
+  }
+
+  void release() {
+    if (size_ >= kMapBytes) {
+      ::munmap(data_, size_);
+    } else {
+      std::free(data_);
+    }
+  }
+
+  std::byte* data_ = nullptr;
+  std::size_t size_ = 0;
 };
 
 }  // namespace mrl::util

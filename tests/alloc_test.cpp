@@ -5,8 +5,10 @@
 // executable replaces the global operator new with a counting one and
 // checks that a run of 10^3 operations and a run of 10^4 operations
 // allocate exactly as often — so the count is independent of the operation
-// count — and that a 4096-rank engine allocates about as often as a
-// 256-rank one, without timing anything.
+// count — that a World kept across runs stops allocating once it has grown,
+// and that a 4096-rank engine allocates about as often as a 256-rank one,
+// without timing anything. Where the build allows, realloc counts too: RMA
+// delivery queues grow with it (util::PodVector).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -63,6 +65,29 @@ void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
     return nullptr;
   }
 }
+// Counts realloc calls as allocations: util::PodVector grows large delivery
+// queues with it. Interposing the libc symbol is for plain glibc builds
+// only; sanitizers intercept it themselves.
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define MRL_NO_REALLOC_COUNT 1
+#endif
+#endif
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || \
+    !defined(__GLIBC__)
+#define MRL_NO_REALLOC_COUNT 1
+#endif
+#if !defined(MRL_NO_REALLOC_COUNT)
+extern "C" void* __libc_realloc(void* p, std::size_t n);
+extern "C" void* realloc(void* p, std::size_t n) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return __libc_realloc(p, n);
+}
+constexpr bool kCountsRealloc = true;
+#else
+constexpr bool kCountsRealloc = false;
+#endif
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -272,6 +297,90 @@ TEST(EngineAllocations, EngineBuildAndRunAllocateNothingPerRank) {
       << "engine build + run allocates per rank (" << small << " blocks at "
       << "P = 256, " << large << " at P = 4096)";
   EXPECT_GT(small, 0u);
+}
+
+// A sweep's one-sided point on `w` (core/sweep.cpp): rank 0 puts `m`
+// timing-only doubles into rank 1's window and flushes, twice, so rank 1's
+// delivery queue holds 2m puts at the end. Returns the blocks allocated.
+std::uint64_t one_sided_point_allocations(mpi::World& w, int m) {
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const RunResult r = w.run([&](mpi::Comm& c) {
+    c.world().capture_payloads = false;
+    double window[8] = {};
+    const double origin = 1.0;
+    mpi::WinHandle win = c.create_win(window, sizeof(window));
+    if (c.rank() == 0) {
+      for (int it = 0; it < 2; ++it) {
+        for (int j = 0; j < m; ++j) {
+          win.put(&origin, sizeof(origin), 1, (j % 8) * sizeof(double));
+        }
+        win.flush(1);
+      }
+    }
+    c.barrier();
+  });
+  EXPECT_TRUE(r.ok()) << r.status.to_string();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+// A sweep's put_signal point on `w`: PE 0 put_signals `m` timing-only
+// words into PE 1's heap and quiets, twice; the closing barrier applies
+// the 2m puts. Returns the blocks allocated.
+std::uint64_t put_signal_point_allocations(shmem::World& w, int m) {
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  shmem::World::Options opt;
+  opt.heap_bytes = 1 << 20;
+  opt.capture_payloads = false;
+  const RunResult r = w.run(
+      [&](shmem::Ctx& s) {
+        auto data = s.allocate<std::uint64_t>(8);
+        auto sig = s.allocate<std::uint64_t>(8);
+        const std::uint64_t origin = 1;
+        s.barrier_all();
+        if (s.pe() == 0) {
+          for (int it = 0; it < 2; ++it) {
+            for (int j = 0; j < m; ++j) {
+              s.put_signal_nbi(data.at(j % 8), &origin, 1, sig.at(j % 8), 1,
+                               1);
+            }
+            s.quiet();
+          }
+        }
+        s.barrier_all();
+      },
+      opt);
+  EXPECT_TRUE(r.ok()) << r.status.to_string();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(EngineAllocations, KeptWorldsStopGrowing) {
+  Engine mpi_eng(simnet::Platform::perlmutter_cpu(), 2, quiet_options());
+  mpi::World mpi_world(mpi_eng);
+  (void)one_sided_point_allocations(mpi_world, 10000);  // grows the queue
+  const std::uint64_t mpi_again = one_sided_point_allocations(mpi_world, 10000);
+  const std::uint64_t mpi_fewer = one_sided_point_allocations(mpi_world, 1000);
+  EXPECT_EQ(mpi_again, mpi_fewer) << "a kept MPI world grows with the puts";
+  EXPECT_GT(mpi_again, 0u);
+
+  Engine shmem_eng(simnet::Platform::perlmutter_gpu(), 2, quiet_options());
+  shmem::World shmem_world(shmem_eng);
+  (void)put_signal_point_allocations(shmem_world, 10000);
+  const std::uint64_t shmem_again =
+      put_signal_point_allocations(shmem_world, 10000);
+  const std::uint64_t shmem_fewer =
+      put_signal_point_allocations(shmem_world, 1000);
+  EXPECT_EQ(shmem_again, shmem_fewer) << "a kept SHMEM world grows with puts";
+  EXPECT_GT(shmem_again, 0u);
+
+  if (kCountsRealloc) {
+    // The count sees queue growth: new worlds allocate more for more puts.
+    mpi::World a(mpi_eng), b(mpi_eng);
+    EXPECT_GT(one_sided_point_allocations(a, 10000),
+              one_sided_point_allocations(b, 1000));
+    shmem::World c(shmem_eng), d(shmem_eng);
+    EXPECT_GT(put_signal_point_allocations(c, 10000),
+              put_signal_point_allocations(d, 1000));
+  }
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
-// util: stats, rng, units, table, csv, histogram, flags.
+// util: stats, rng, units, table, csv, histogram, flags, zero bytes,
+// realloc-grown vectors.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -14,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include "core/cli.hpp"
@@ -24,12 +28,14 @@
 #include "util/indexed_heap.hpp"
 #include "util/pair_map.hpp"
 #include "util/parse.hpp"
+#include "util/pod_vector.hpp"
 #include "util/rng.hpp"
 #include "util/sorted_run.hpp"
 #include "util/stats.hpp"
 #include "util/status.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
+#include "util/zero_bytes.hpp"
 
 namespace mrl {
 namespace {
@@ -846,6 +852,87 @@ TEST(FlagSet, UsageListsEveryRegisteredFlagOnce) {
         "--trace-format", "--trace-ranks", "--profile"}) {
     EXPECT_EQ(usage_lines_for(shared, name), 1) << name;
   }
+}
+
+// Resident pages of the page-aligned span covering [p, p + n), per mincore.
+std::uint64_t resident_pages(const std::byte* p, std::size_t n) {
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const auto lo = reinterpret_cast<std::uintptr_t>(p) / page * page;
+  const auto hi = reinterpret_cast<std::uintptr_t>(p) + n;
+  std::vector<unsigned char> vec((hi - lo + page - 1) / page);
+  EXPECT_EQ(mincore(reinterpret_cast<void*>(lo), hi - lo, vec.data()), 0);
+  std::uint64_t resident = 0;
+  for (unsigned char v : vec) resident += v & 1u;
+  return resident;
+}
+
+TEST(ZeroBytes, LargeSizesCommitOnlyTouchedPagesAfterArenaChurn) {
+  // Leave a free hole larger than the buffer in the malloc arena, kept off
+  // the heap top by a live block: a calloc carved from it is zero-filled,
+  // page by page, where a mapping of its own commits nothing.
+  constexpr std::size_t kMid = 64 << 10;
+  std::vector<void*> mids;
+  for (int i = 0; i < 1200; ++i) mids.push_back(std::malloc(kMid));
+  void* fence = std::malloc(64);
+  for (void* m : mids) std::free(m);
+
+  constexpr std::size_t kBytes = std::size_t{64} << 20;
+  constexpr std::size_t kStride = std::size_t{8} << 20;
+  util::ZeroBytes buf(kBytes);
+  for (std::size_t off = 0; off < kBytes; off += kStride) {
+    EXPECT_EQ(buf.data()[off], std::byte{0});
+    buf.data()[off] = std::byte{1};
+  }
+  const std::uint64_t touches = kBytes / kStride;
+  const auto page = static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+  // A transparent huge page may commit 2 MiB per touch.
+  const std::uint64_t most = touches * ((2u << 20) / page) + 16;
+  const std::uint64_t resident = resident_pages(buf.data(), kBytes);
+  EXPECT_GE(resident, touches);
+  EXPECT_LE(resident, most);
+  std::free(fence);
+}
+
+TEST(ZeroBytes, ZeroClearsSmallAndMappedBuffers) {
+  for (std::size_t n : {std::size_t{4096}, util::ZeroBytes::kMapBytes * 4}) {
+    util::ZeroBytes buf(n);
+    std::memset(buf.data(), 0xff, n);
+    buf.zero();
+    std::size_t nonzero = 0;
+    for (std::size_t i = 0; i < n; ++i) nonzero += buf.data()[i] != std::byte{0};
+    EXPECT_EQ(nonzero, 0u) << n;
+  }
+  // A mapped buffer hands its pages back: zeroing commits nothing.
+  util::ZeroBytes big(util::ZeroBytes::kMapBytes * 4);
+  std::memset(big.data(), 1, big.size());
+  big.zero();
+  EXPECT_EQ(resident_pages(big.data(), big.size()), 0u);
+}
+
+TEST(PodVector, GrowsKeepsOrderAndKeepsCapacityOnClear) {
+  // 10^4 words cross kReallocBytes: both growth paths run.
+  util::PodVector<std::uint64_t> v;
+  for (std::uint64_t i = 0; i < 10000; ++i) v.push_back(i);
+  ASSERT_EQ(v.size(), 10000u);
+  v.erase_front(9990);
+  ASSERT_EQ(v.size(), 10u);
+  EXPECT_EQ(v.front(), 9990u);
+  EXPECT_EQ(*(v.end() - 1), 9999u);
+  const std::uint64_t more[3] = {1, 2, 3};
+  v.append(more, 3);
+  EXPECT_EQ(v.size(), 13u);
+  EXPECT_EQ(*(v.end() - 1), 3u);
+  const std::size_t cap = v.capacity();
+  EXPECT_GE(cap, 10000u);
+  v.clear();
+  EXPECT_TRUE(v.empty());
+  EXPECT_EQ(v.capacity(), cap);
+  v.assign(more, 2);
+  EXPECT_EQ(v.size(), 2u);
+  EXPECT_EQ(v.front(), 1u);
+  util::PodVector<std::uint64_t> moved(std::move(v));
+  EXPECT_EQ(moved.size(), 2u);
+  EXPECT_EQ(v.size(), 0u);  // NOLINT(bugprone-use-after-move): left empty
 }
 
 }  // namespace
