@@ -38,16 +38,15 @@ SweepConfig SweepConfig::defaults(SweepKind kind) {
 namespace {
 
 /// One grid point: returns sender-side elapsed virtual microseconds.
-/// Point runners borrow a world of the caller's worker, which runs every
-/// grid point it draws on the same engine and worlds (see Worker).
+/// Point runners borrow a caller-owned engine — workers reuse one engine
+/// (and its persistent rank threads) across all the grid points they draw.
 constexpr std::uint64_t kSlots = 8;  // buffer slots reused modulo the window
 
-Result<double> run_two_sided_point(mpi::World& world, const SweepConfig& cfg,
-                                   std::uint64_t bytes, std::uint64_t m,
-                                   int iters) {
+Result<double> run_two_sided_point(runtime::Engine& eng, const SweepConfig& cfg,
+                           std::uint64_t bytes, std::uint64_t m, int iters) {
   const std::uint64_t slots = std::min(m, kSlots);
   double elapsed = 0;
-  const auto res = world.run([&](mpi::Comm& c) {
+  const auto res = mpi::World::run(eng, [&](mpi::Comm& c) {
     c.world().capture_payloads = false;  // timing-only transfers
     // Sized by role: ranks that neither send nor receive hold no buffer.
     const bool talks = c.rank() == cfg.sender || c.rank() == cfg.receiver;
@@ -85,12 +84,11 @@ Result<double> run_two_sided_point(mpi::World& world, const SweepConfig& cfg,
   return elapsed;
 }
 
-Result<double> run_one_sided_point(mpi::World& world, const SweepConfig& cfg,
-                                   std::uint64_t bytes, std::uint64_t m,
-                                   int iters) {
+Result<double> run_one_sided_point(runtime::Engine& eng, const SweepConfig& cfg,
+                           std::uint64_t bytes, std::uint64_t m, int iters) {
   const std::uint64_t slots = std::min(m, kSlots);
   double elapsed = 0;
-  const auto res = world.run([&](mpi::Comm& c) {
+  const auto res = mpi::World::run(eng, [&](mpi::Comm& c) {
     c.world().capture_payloads = false;  // timing-only transfers
     // Sized by role: the sender needs only an origin buffer, the receiver
     // only an exposure; every other rank exposes an empty window.
@@ -115,16 +113,16 @@ Result<double> run_one_sided_point(mpi::World& world, const SweepConfig& cfg,
   return elapsed;
 }
 
-Result<double> run_shmem_point(shmem::World& world, const SweepConfig& cfg,
-                               std::uint64_t bytes, std::uint64_t m,
-                               int iters) {
+Result<double> run_shmem_point(runtime::Engine& eng, const SweepConfig& cfg,
+                       std::uint64_t bytes, std::uint64_t m, int iters) {
   const std::uint64_t slots = std::min(m, kSlots);
   double elapsed = 0;
   shmem::World::Options opt;
   opt.heap_bytes =
       std::max<std::uint64_t>(bytes * slots + (slots + 1) * 8, 1u << 20);
   opt.capture_payloads = false;  // timing-only transfers
-  const auto res = world.run(
+  const auto res = shmem::World::run(
+      eng,
       [&](shmem::Ctx& s) {
         auto data = s.allocate<std::byte>(bytes * slots);
         auto sig = s.allocate<std::uint64_t>(slots);
@@ -148,12 +146,11 @@ Result<double> run_shmem_point(shmem::World& world, const SweepConfig& cfg,
   return elapsed;
 }
 
-Result<double> run_cas_point(shmem::World& world, const SweepConfig& cfg,
-                             std::uint64_t /*bytes*/, std::uint64_t m,
-                             int iters) {
+Result<double> run_cas_point(runtime::Engine& eng, const SweepConfig& cfg,
+                     std::uint64_t /*bytes*/, std::uint64_t m, int iters) {
   const std::uint64_t slots = std::min(m, kSlots);
   double elapsed = 0;
-  const auto res = world.run([&](shmem::Ctx& s) {
+  const auto res = shmem::World::run(eng, [&](shmem::Ctx& s) {
     auto word = s.allocate<std::uint64_t>(slots);
     s.barrier_all();
     const double t0 = s.now();
@@ -170,31 +167,6 @@ Result<double> run_cas_point(shmem::World& world, const SweepConfig& cfg,
   if (!res.ok()) return res.status;
   return elapsed;
 }
-
-/// One sweep worker's simulation state, kept across the grid points it
-/// draws: an engine (its rank fibers park between runs) and the worlds
-/// built on it on first use. A world's run() starts from a new world's
-/// state, so each point is an isolated simulation, bit-identical to one on
-/// a fresh engine, that reuses the storage earlier points grew.
-class Worker {
- public:
-  Worker(const simnet::Platform& platform, int nranks)
-      : eng_(platform, nranks) {}
-
-  mpi::World& mpi() {
-    if (!mpi_) mpi_ = std::make_unique<mpi::World>(eng_);
-    return *mpi_;
-  }
-  shmem::World& shmem() {
-    if (!shmem_) shmem_ = std::make_unique<shmem::World>(eng_);
-    return *shmem_;
-  }
-
- private:
-  runtime::Engine eng_;
-  std::unique_ptr<mpi::World> mpi_;
-  std::unique_ptr<shmem::World> shmem_;
-};
 
 }  // namespace
 
@@ -227,36 +199,39 @@ Result<std::vector<SweepPoint>> run_sweep(const simnet::Platform& platform,
   const int jobs = resolve_jobs(cfg.jobs);
   std::vector<SweepPoint> out(cells.size());
   std::vector<Status> errs(cells.size());
-  // One Worker per worker thread, reused across every grid point that
-  // worker draws.
-  std::vector<std::unique_ptr<Worker>> workers(static_cast<std::size_t>(jobs));
+  // One engine (and persistent rank-thread pool) per worker, reused across
+  // every grid point that worker draws. Each point is a fully isolated
+  // simulation (fabric/clock/trace reset per run), so reuse is
+  // bit-equivalent to a fresh engine per point.
+  std::vector<std::unique_ptr<runtime::Engine>> engines(
+      static_cast<std::size_t>(jobs));
   parallel_for_indexed(cells.size(), jobs, [&](int worker, std::size_t i) {
-    auto& w = workers[static_cast<std::size_t>(worker)];
-    if (!w) w = std::make_unique<Worker>(platform, cfg.nranks);
+    auto& eng = engines[static_cast<std::size_t>(worker)];
+    if (!eng) {
+      eng = std::make_unique<runtime::Engine>(platform, cfg.nranks);
+    }
     const Cell& cell = cells[i];
     Result<double> elapsed = 0.0;
     switch (cfg.kind) {
       case SweepKind::kTwoSided:
-        elapsed = run_two_sided_point(w->mpi(), cfg, cell.bytes, cell.m,
+        elapsed = run_two_sided_point(*eng, cfg, cell.bytes, cell.m,
                                       cell.iters);
         break;
       case SweepKind::kOneSidedMpi:
-        elapsed = run_one_sided_point(w->mpi(), cfg, cell.bytes, cell.m,
+        elapsed = run_one_sided_point(*eng, cfg, cell.bytes, cell.m,
                                       cell.iters);
         break;
       case SweepKind::kShmemPutSignal:
-        elapsed = run_shmem_point(w->shmem(), cfg, cell.bytes, cell.m,
-                                  cell.iters);
+        elapsed = run_shmem_point(*eng, cfg, cell.bytes, cell.m, cell.iters);
         break;
       case SweepKind::kAtomicCas:
-        elapsed = run_cas_point(w->shmem(), cfg, cell.bytes, cell.m,
-                                cell.iters);
+        elapsed = run_cas_point(*eng, cfg, cell.bytes, cell.m, cell.iters);
         break;
     }
     if (!elapsed.is_ok()) {
       // Deadlock/watchdog at this grid point (possible under faults): record
-      // into the point's pre-assigned slot; the worker stays reusable for
-      // its remaining points.
+      // into the point's pre-assigned slot; the engine stays reusable for
+      // the worker's remaining points.
       errs[i] = elapsed.status();
       return;
     }

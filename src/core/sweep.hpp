@@ -50,9 +50,7 @@ struct SweepConfig {
 
 /// Runs the sweep on `platform`; one engine run per grid point. Grid points
 /// execute `cfg.jobs`-wide in parallel; output order matches the
-/// (msg_sizes x msgs_per_sync) iteration order regardless of jobs. Each
-/// worker runs its points on one engine and one world of each kind, kept
-/// for the whole call (DESIGN.md "Storage lifetime").
+/// (msg_sizes x msgs_per_sync) iteration order regardless of jobs.
 ///
 /// A grid point that ends in deadlock or trips the engine's virtual-time
 /// watchdog (possible under an aggressive FaultSpec) surfaces as an error

@@ -9,27 +9,18 @@
 namespace mrl::mpi {
 
 World::World(runtime::Engine& engine)
-    : engine_(engine), nranks_(engine.nranks()) {}
-
-World::~World() = default;
-
-void World::reset() {
-  const auto n = static_cast<std::size_t>(nranks_);
-  mailbox_.resize(n);
-  for (Mailbox& m : mailbox_) m.clear();
-  inbox_pushes_.assign(n, 0);
+    : engine_(engine), nranks_(engine.nranks()) {
+  mailbox_.resize(static_cast<std::size_t>(nranks_));
+  inbox_pushes_.resize(static_cast<std::size_t>(nranks_), 0);
   fifo_last_.reset(nranks_);
   fifo_seq_.reset(nranks_);
-  coll_.reset();
-  capture_payloads = true;
-  chk_chan_ = -1;
-  for (const std::unique_ptr<Win>& win : windows_) win->space_.reset();
 }
 
-runtime::RunResult World::run(const std::function<void(Comm&)>& body) {
-  reset();
-  return engine_.run([this, &body](runtime::Rank& rank) {
-    Comm comm(this, &rank);
+runtime::RunResult World::run(runtime::Engine& engine,
+                              const std::function<void(Comm&)>& body) {
+  World world(engine);
+  return engine.run([&world, &body](runtime::Rank& rank) {
+    Comm comm(&world, &rank);
     body(comm);
   });
 }

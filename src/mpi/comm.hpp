@@ -48,8 +48,6 @@ class Mailbox {
   [[nodiscard]] const Msg* find(int src, int tag) const;
   /// Removes `m`, which find() returned since the last push or take.
   void take(const Msg* m);
-  /// Drops every unmatched message.
-  void clear() { queues_.clear(); }
 
  private:
   struct SourceQueue {
@@ -63,27 +61,12 @@ static_assert(sizeof(Mailbox) == sizeof(std::vector<Msg>),
               "an idle mailbox must cost one vector header per rank");
 
 /// Shared state for one communicator world: mailboxes, FIFO clamps,
-/// collective rendezvous, and RMA windows. A World may run many times on
-/// its engine: each run() starts from the state of a new World, and the
-/// per-rank storage that earlier runs grew (window delivery queues,
-/// channel maps) is cleared, not freed (DESIGN.md "Storage lifetime").
+/// collective rendezvous, and RMA windows. Created by World::run().
 class World {
  public:
-  explicit World(runtime::Engine& engine);
-  ~World();
-
-  World(const World&) = delete;
-  World& operator=(const World&) = delete;
-
-  /// Runs `body` as an SPMD program over the engine's ranks, from the
-  /// state of a new World.
-  runtime::RunResult run(const std::function<void(Comm&)>& body);
-
-  /// Runs `body` once on a new World over `engine`.
+  /// Runs `body` as an SPMD program over `engine`'s ranks.
   static runtime::RunResult run(runtime::Engine& engine,
-                                const std::function<void(Comm&)>& body) {
-    return World(engine).run(body);
-  }
+                                const std::function<void(Comm&)>& body);
 
   /// When false, message/put payloads are not captured or delivered (timing
   /// only) — used by bandwidth sweeps whose data content is irrelevant.
@@ -93,8 +76,7 @@ class World {
   friend class Comm;
   friend class Win;
 
-  /// Restores what a new World holds, keeping storage: run() calls it.
-  void reset();
+  explicit World(runtime::Engine& engine);
 
   runtime::Engine& engine_;
   int nranks_;
@@ -126,7 +108,6 @@ class World {
   /// registered on first collective when the checker is on).
   int chk_chan_ = -1;
 
-  /// Created by the first run that needs each; later runs reuse them.
   std::vector<std::unique_ptr<Win>> windows_;
 };
 

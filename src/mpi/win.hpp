@@ -94,7 +94,6 @@ class Win {
 
  private:
   friend class Comm;
-  friend class World;
 
   World* world_;
   /// Exposed regions, pending and outstanding puts, the fence rendezvous

@@ -133,15 +133,6 @@ Space::Space(runtime::Engine& eng, util::PairMap<simnet::TimeUs>& fifo,
   outstanding_.resize(n);
 }
 
-void Space::reset() {
-  std::fill(region_.begin(), region_.end(), Region{});
-  for (DeliveryQueue& q : queues_) q.clear();
-  for (std::vector<Outstanding>& outs : outstanding_) outs.clear();
-  sync_.reset();
-  chk_space_ = -1;
-  chk_chan_ = -1;
-}
-
 void Space::register_checker() {
   check::Checker& chk = eng_.checker();
   if (!chk.enabled() || chk_space_ >= 0) return;

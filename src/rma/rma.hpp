@@ -101,13 +101,6 @@ class DeliveryQueue {
                                       simnet::TimeUs now) const;
   [[nodiscard]] std::size_t size() const { return pending_.size(); }
   [[nodiscard]] std::size_t payload_bytes() const { return payload_.size(); }
-  /// Drops every pending put and restarts the push counter; the storage is
-  /// kept for the next run.
-  void clear() {
-    pending_.clear();
-    payload_.clear();
-    pushes_ = 0;
-  }
   /// Gate satisfied by the next push: a blocked target's queue only grows.
   [[nodiscard]] runtime::WaitGate next_push() const {
     return runtime::WaitGate{&pushes_, pushes_ + 1};
@@ -140,9 +133,6 @@ template <typename Acc>
 class Rendezvous {
  public:
   Acc& acc() { return acc_; }
-
-  /// Back to generation 0 with nobody entered, as constructed.
-  void reset() { *this = Rendezvous{}; }
 
   /// Joins the open generation at `now` and returns it. The `n`-th entrant
   /// runs `on_last(latest entry time)`, which returns the completion time
@@ -239,11 +229,6 @@ class Space {
   [[nodiscard]] const DeliveryQueue& queue(int rank) const {
     return queues_[static_cast<std::size_t>(rank)];
   }
-
-  /// Back to the state of a new space, for the next run on the engine:
-  /// no regions, pending or outstanding puts, sync generations or checker
-  /// ids. The queues and per-origin records keep their storage.
-  void reset();
 
   /// Registers the space and its sync channel with a checker that is on,
   /// inside a perform body. The operations that issue an access or enter a

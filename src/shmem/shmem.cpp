@@ -4,36 +4,26 @@
 
 namespace mrl::shmem {
 
-World::World(runtime::Engine& engine)
+World::World(runtime::Engine& engine, Options opt)
     : engine_(engine),
+      opt_(opt),
       npes_(engine.nranks()),
-      heap_(static_cast<std::size_t>(npes_)),
-      space_(engine, fifo_last_, "symheap", "shmem.world", "symmetric heap") {}
-
-void World::reset(Options opt) {
-  opt_ = opt;
-  heap_used_ = 0;
-  alloc_log_.clear();
-  fifo_last_.reset(npes_);
-  space_.reset();
+      space_(engine, fifo_last_, "symheap", "shmem.world", "symmetric heap") {
+  heap_.reserve(static_cast<std::size_t>(npes_));
   for (int pe = 0; pe < npes_; ++pe) {
-    util::ZeroBytes& heap = heap_[static_cast<std::size_t>(pe)];
-    // An empty heap has no base, as on a new World (accesses then abort
-    // as "unexposed", not "outside").
-    if (heap.size() < opt_.heap_bytes || opt_.heap_bytes == 0) {
-      heap = util::ZeroBytes(opt_.heap_bytes);
-    } else {
-      heap.zero();
-    }
-    space_.region(pe) = rma::Space::Region{heap.data(), opt_.heap_bytes};
+    heap_.emplace_back(opt_.heap_bytes);
+    space_.region(pe) =
+        rma::Space::Region{heap_.back().data(), opt_.heap_bytes};
   }
+  fifo_last_.reset(npes_);
 }
 
-runtime::RunResult World::run(const std::function<void(Ctx&)>& body,
+runtime::RunResult World::run(runtime::Engine& engine,
+                              const std::function<void(Ctx&)>& body,
                               Options opt) {
-  reset(opt);
-  return engine_.run([this, &body](runtime::Rank& rank) {
-    Ctx ctx(this, &rank);
+  World world(engine, opt);
+  return engine.run([&world, &body](runtime::Rank& rank) {
+    Ctx ctx(&world, &rank);
     body(ctx);
   });
 }

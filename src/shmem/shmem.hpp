@@ -42,9 +42,6 @@ struct Sym {
 };
 
 /// Shared world state: per-PE heap arenas, pending deliveries, rendezvous.
-/// A World may run many times on its engine: each run() starts from the
-/// state of a new World with the given options, zeroed heaps included, and
-/// keeps the storage earlier runs grew (DESIGN.md "Storage lifetime").
 class World {
  public:
   struct Options {
@@ -54,43 +51,24 @@ class World {
     bool capture_payloads = true;
   };
 
-  explicit World(runtime::Engine& engine);
-
-  World(const World&) = delete;
-  World& operator=(const World&) = delete;
-
-  /// Runs `body` as an SPMD SHMEM program over the engine's ranks (PEs),
-  /// from the state of a new World with options `opt`.
-  runtime::RunResult run(const std::function<void(Ctx&)>& body, Options opt);
-  runtime::RunResult run(const std::function<void(Ctx&)>& body) {
-    return run(body, Options{});
-  }
-
-  /// Runs `body` once on a new World over `engine`.
+  /// Runs `body` as an SPMD SHMEM program over the engine's ranks (PEs).
   static runtime::RunResult run(runtime::Engine& engine,
                                 const std::function<void(Ctx&)>& body,
-                                Options opt) {
-    return World(engine).run(body, opt);
-  }
+                                Options opt);
   static runtime::RunResult run(runtime::Engine& engine,
                                 const std::function<void(Ctx&)>& body) {
-    return World(engine).run(body);
+    return run(engine, body, Options{});
   }
 
  private:
   friend class Ctx;
 
-  /// Restores what a new World with `opt` holds, keeping storage: run()
-  /// calls it. A PE keeps its heap while it is large enough, zeroed whole,
-  /// because puts may write anywhere in the heap, allocated or not.
-  void reset(Options opt);
+  World(runtime::Engine& engine, Options opt);
 
   runtime::Engine& engine_;
   Options opt_;
   int npes_;
-  /// Per PE arena, at least opt_.heap_bytes long; its region is exactly
-  /// opt_.heap_bytes, so bounds checks see the size asked for.
-  std::vector<util::ZeroBytes> heap_;
+  std::vector<util::ZeroBytes> heap_;               // per PE arena
   std::uint64_t heap_used_ = 0;                     // symmetric bump pointer
   // Allocation log: the k-th collective allocate() on every PE must return
   // the same offset; entries are (bytes, offset).
@@ -100,8 +78,8 @@ class World {
   util::PairMap<simnet::TimeUs> fifo_last_;
   /// The heap slices as regions, pending and outstanding deliveries, the
   /// barrier_all / sum_all rendezvous and the checker ids. The checker
-  /// resets at engine-run start, after reset(), so the heap registers with
-  /// it on first use.
+  /// resets at engine-run start, after World construction, so the heap
+  /// registers with it on first use.
   rma::Space space_;
 };
 

@@ -1,18 +1,16 @@
-// A growable array of trivially copyable values whose large storage grows
-// with `realloc`.
+// A growable array of trivially copyable values whose storage grows with
+// `realloc`.
 //
 // std::vector grows by allocating a new block, copying and freeing the old
 // one, so growing to N bytes leaves about N more bytes of freed blocks and
-// writes every page of each. realloc grows a large block in place: glibc
-// extends a block at the top of the heap, and moves a block it mapped with
-// mremap, copying nothing. RMA delivery queues use it: a roofline point
+// writes every page of each. realloc grows a block in place where it can:
+// glibc extends a block at the top of the heap, and moves a block it mapped
+// with mremap, copying nothing. RMA delivery queues use it: a roofline point
 // queues 1-2 MB of puts in flight, and as one block that memory goes back to
-// the malloc arena when the world ends, where the next world's queues reuse
-// it without faulting its pages in again. A freed chain twice that size
-// crosses glibc's trim threshold and goes back to the kernel instead
-// (DESIGN.md "Storage lifetime"). Blocks below kReallocBytes move the way
-// std::vector moves them, through operator new: 100k stencil queues grown
-// with realloc held 3.9 MiB more heap. clear() keeps the capacity.
+// the malloc arena when the world ends, where the next world's queues can
+// reuse it without faulting its pages in again. A freed chain twice that
+// size crosses glibc's trim threshold and goes back to the kernel instead
+// (DESIGN.md "Storage lifetime"). clear() keeps the capacity.
 #pragma once
 
 #include <cstddef>
@@ -30,11 +28,8 @@ class PodVector {
                 "PodVector moves its elements with memcpy and realloc");
 
  public:
-  /// Blocks from here up grow with realloc.
-  static constexpr std::size_t kReallocBytes = std::size_t{64} << 10;
-
   PodVector() = default;
-  ~PodVector() { release(); }
+  ~PodVector() { std::free(data_); }
 
   PodVector(PodVector&& o) noexcept
       : data_(std::exchange(o.data_, nullptr)),
@@ -79,37 +74,14 @@ class PodVector {
   void clear() { size_ = 0; }
 
  private:
-  /// Whether a block of `cap` values comes from malloc and grows with
-  /// realloc (else from operator new).
-  static bool reallocs(std::size_t cap) {
-    return cap * sizeof(T) >= kReallocBytes;
-  }
-
   /// Grows like std::vector: to twice the size, or to `need` if larger.
   /// Out of line, like std::vector's, so pushes inline only the check.
   [[gnu::noinline]] void grow(std::size_t need) {
     const std::size_t cap = need > 2 * size_ ? need : 2 * size_;
-    const std::size_t bytes = cap * sizeof(T);
-    if (reallocs(cap_)) {
-      void* p = std::realloc(data_, bytes);
-      if (p == nullptr) throw std::bad_alloc();
-      data_ = static_cast<T*>(p);
-    } else {
-      void* p = reallocs(cap) ? std::malloc(bytes) : ::operator new(bytes);
-      if (p == nullptr) throw std::bad_alloc();
-      if (size_ != 0) std::memcpy(p, data_, size_ * sizeof(T));
-      ::operator delete(data_);
-      data_ = static_cast<T*>(p);
-    }
+    void* p = std::realloc(data_, cap * sizeof(T));
+    if (p == nullptr) throw std::bad_alloc();
+    data_ = static_cast<T*>(p);
     cap_ = cap;
-  }
-
-  void release() {
-    if (reallocs(cap_)) {
-      std::free(data_);
-    } else {
-      ::operator delete(data_);
-    }
   }
 
   T* data_ = nullptr;

@@ -14,7 +14,6 @@
 
 #include <cstddef>
 #include <cstdlib>
-#include <cstring>
 #include <new>
 #include <utility>
 
@@ -25,8 +24,6 @@ class ZeroBytes {
   /// Sizes from here up get their own mapping; below it, calloc.
   static constexpr std::size_t kMapBytes = std::size_t{128} << 10;
 
-  /// No bytes (data() is null).
-  ZeroBytes() = default;
   /// `n` zero bytes; `n == 0` holds no memory (data() is null).
   explicit ZeroBytes(std::size_t n) : data_(allocate(n)), size_(n) {}
   ~ZeroBytes() { release(); }
@@ -35,27 +32,9 @@ class ZeroBytes {
   ZeroBytes(ZeroBytes&& o) noexcept
       : data_(std::exchange(o.data_, nullptr)),
         size_(std::exchange(o.size_, 0)) {}
-  ZeroBytes& operator=(ZeroBytes&& o) noexcept {
-    if (this != &o) {
-      release();
-      data_ = std::exchange(o.data_, nullptr);
-      size_ = std::exchange(o.size_, 0);
-    }
-    return *this;
-  }
   ZeroBytes(const ZeroBytes&) = delete;
   ZeroBytes& operator=(const ZeroBytes&) = delete;
-
-  /// Makes every byte read zero again. A mapping drops its pages, which are
-  /// then uncommitted like fresh ones; a small block is memset.
-  void zero() {
-    if (size_ >= kMapBytes) {
-      // MADV_DONTNEED on private anonymous memory: the next touch of each
-      // page maps a fresh zero page.
-      if (::madvise(data_, size_, MADV_DONTNEED) == 0) return;
-    }
-    if (size_ != 0) std::memset(data_, 0, size_);
-  }
+  ZeroBytes& operator=(ZeroBytes&&) = delete;
 
   [[nodiscard]] std::byte* data() { return data_; }
   [[nodiscard]] const std::byte* data() const { return data_; }
@@ -84,8 +63,8 @@ class ZeroBytes {
     }
   }
 
-  std::byte* data_ = nullptr;
-  std::size_t size_ = 0;
+  std::byte* data_;
+  std::size_t size_;
 };
 
 }  // namespace mrl::util

@@ -3,22 +3,18 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 #include <numeric>
 #include <random>
-#include <string>
 #include <vector>
 
 #include "mpi/comm.hpp"
 #include "mpi/win.hpp"
-#include "observed_run.hpp"
 #include "simnet/platform.hpp"
 
 namespace mrl::mpi {
 namespace {
 
 using runtime::Engine;
-using runtime::RunResult;
 
 simnet::Platform plat() { return simnet::Platform::perlmutter_cpu(); }
 
@@ -1071,141 +1067,6 @@ TEST(Metrics, DisabledMetricsLeaveTraceUntouched) {
     EXPECT_EQ(off[i].t_issue, on[i].t_issue) << i;
     EXPECT_EQ(off[i].t_arrival, on[i].t_arrival) << i;
     EXPECT_EQ(off[i].bytes, on[i].bytes) << i;
-  }
-}
-
-// --- A World kept across runs -------------------------------------------
-//
-// Sweeps run every grid point a worker draws on one World (core/sweep.cpp).
-// Whatever an earlier run left in it, a point must observe exactly what it
-// observes on a new World: the run's result, its trace summary, the engine's
-// self-counters, the checker's verdicts and the bytes that landed.
-
-using testutil::ObservedRun;
-using testutil::expect_same;
-using testutil::observe;
-
-// A sweep-style one-sided point: ranks 0 and 2 each put `m` doubles into 8
-// slots of rank 1's window 0 and flush; every rank exposes `nwins` windows,
-// and a fence on each applies the puts. The two origins' puts overlap,
-// which the checker reports. `timing_only` turns payload capture off, as
-// sweeps do. `landed` sums rank 1's window 0 after the fences.
-RunResult one_sided(World& w, std::uint64_t m, int nwins, bool timing_only,
-                    double& landed) {
-  return w.run([&](Comm& c) {
-    if (timing_only) c.world().capture_payloads = false;
-    std::vector<std::vector<double>> mem(static_cast<std::size_t>(nwins),
-                                         std::vector<double>(8));
-    std::vector<WinHandle> wins;
-    for (auto& buf : mem) {
-      wins.push_back(c.create_win(buf.data(), buf.size() * sizeof(double)));
-    }
-    if (c.rank() != 1) {
-      for (std::uint64_t j = 0; j < m; ++j) {
-        const double v = static_cast<double>(c.rank() * m + j);
-        wins[0].put(&v, sizeof(v), 1, (j % 8) * sizeof(double));
-      }
-      wins[0].flush(1);
-    }
-    for (WinHandle& win : wins) win.fence();
-    if (c.rank() == 1) {
-      landed = std::accumulate(mem[0].begin(), mem[0].end(), 0.0);
-    }
-  });
-}
-
-// A sweep-style two-sided point: rank 0 sends `m` messages, then both meet
-// at a barrier.
-RunResult two_sided(World& w, std::uint64_t m, double& landed) {
-  return w.run([&](Comm& c) {
-    std::vector<double> buf(8);
-    std::vector<Request> reqs;
-    for (std::uint64_t j = 0; j < m; ++j) {
-      if (c.rank() == 0) {
-        reqs.push_back(c.isend(&buf[j % 8], sizeof(double), 1, 3));
-      } else if (c.rank() == 1) {
-        reqs.push_back(c.irecv(&buf[j % 8], sizeof(double), 0, 3));
-      }
-    }
-    c.waitall(reqs);
-    if (c.rank() == 1) landed = std::accumulate(buf.begin(), buf.end(), 0.0);
-    c.barrier();
-  });
-}
-
-// Ends in deadlock with puts queued on a window, a message unmatched and a
-// barrier half entered: rank 0 puts and sends with two_sided's tag, ranks 0
-// and 1 wait for messages nobody sends, and rank 2 waits in a barrier.
-RunResult deadlocked(World& w) {
-  return w.run([](Comm& c) {
-    std::vector<double> buf(8, 7.0);
-    WinHandle win = c.create_win(buf.data(), buf.size() * sizeof(double));
-    int x = 0;
-    if (c.rank() == 0) {
-      for (int j = 0; j < 100; ++j) win.put(&buf[0], sizeof(double), 1, 0);
-      c.send(&x, sizeof(x), 1, 3);
-    }
-    if (c.rank() == 2) {
-      c.barrier();
-    } else {
-      c.recv(&x, sizeof(x), 1 - c.rank(), 4);
-    }
-  });
-}
-
-enum class Before { kLargerPoint, kCheckedRun, kDeadlock };
-
-using Probe = std::function<RunResult(World&, double&)>;
-
-// Runs `probe` on a new World and on a World that first ran `before`, each
-// on its own engine (the checker on iff `check`), and compares.
-void expect_kept_world_matches_fresh(const Probe& probe, Before before,
-                                     bool check) {
-  runtime::EngineOptions o;
-  o.check = check;
-  Engine fresh_eng(plat(), 3, o);
-  World fresh(fresh_eng);
-  double landed = 0;
-  RunResult r = probe(fresh, landed);
-  const ObservedRun want = observe(fresh_eng, landed, std::move(r));
-
-  Engine eng(plat(), 3, o);
-  World kept(eng);
-  double ignored = 0;
-  switch (before) {
-    case Before::kLargerPoint:
-      EXPECT_EQ(one_sided(kept, 2000, 3, true, ignored).ok(), !check);
-      break;
-    case Before::kCheckedRun:
-      eng.checker().set_enabled(true);
-      EXPECT_FALSE(one_sided(kept, 100, 2, false, ignored).ok());
-      eng.checker().set_enabled(check);
-      break;
-    case Before::kDeadlock:
-      EXPECT_EQ(deadlocked(kept).status.code(), ErrorCode::kDeadlock);
-      break;
-  }
-  landed = 0;
-  r = probe(kept, landed);
-  expect_same(observe(eng, landed, std::move(r)), want);
-}
-
-TEST(KeptWorld, PointsMatchAFreshWorld) {
-  const Probe probes[] = {
-      [](World& w, double& d) { return one_sided(w, 40, 1, false, d); },
-      [](World& w, double& d) { return one_sided(w, 40, 1, true, d); },
-      [](World& w, double& d) { return two_sided(w, 40, d); },
-  };
-  for (bool check : {false, true}) {
-    for (Before before :
-         {Before::kLargerPoint, Before::kCheckedRun, Before::kDeadlock}) {
-      for (std::size_t p = 0; p < std::size(probes); ++p) {
-        SCOPED_TRACE("probe " + std::to_string(p) + ", before " +
-                     std::to_string(static_cast<int>(before)) +
-                     (check ? ", checked" : ""));
-        expect_kept_world_matches_fresh(probes[p], before, check);
-      }
-    }
   }
 }
 

@@ -4,9 +4,7 @@
 
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <numeric>
-#include <string>
 #include <vector>
 
 #if defined(__linux__)
@@ -14,7 +12,6 @@
 #include <unistd.h>
 #endif
 
-#include "observed_run.hpp"
 #include "shmem/shmem.hpp"
 #include "simnet/platform.hpp"
 
@@ -758,182 +755,6 @@ TEST(Metrics, PutSignalCountsOnePut) {
   // The landed payload shows up as a delivery on the target.
   EXPECT_EQ(rep.ranks[1].ops.recvs, 1u);
   EXPECT_GE(rep.ranks[1].ops.waits, 1u);
-}
-
-// --- A World kept across runs -------------------------------------------
-//
-// Sweeps run every grid point a worker draws on one World (core/sweep.cpp).
-// Whatever an earlier run left in it, a point must observe exactly what it
-// observes on a new World: the run's result, its trace summary, the engine's
-// self-counters, the checker's verdicts and the bytes that landed.
-
-using testutil::ObservedRun;
-using testutil::expect_same;
-using testutil::observe;
-
-// A sweep-style put_signal point: PEs 0 and 2 each put_signal `m` words
-// into 8 slots of PE 1's heap, quiet and meet PE 1 at a barrier, which
-// applies the puts. The two origins' puts overlap, which the checker
-// reports. `timing_only` turns payload capture off, as sweeps do. `landed`
-// sums PE 1's data and signal words.
-runtime::RunResult put_signal(World& w, std::uint64_t m,
-                              std::uint64_t heap_bytes, bool timing_only,
-                              double& landed) {
-  World::Options opt;
-  opt.heap_bytes = heap_bytes;
-  opt.capture_payloads = !timing_only;
-  return w.run(
-      [&](Ctx& s) {
-        auto data = s.allocate<std::uint64_t>(8);
-        auto sig = s.allocate<std::uint64_t>(8);
-        if (s.pe() != 1) {
-          for (std::uint64_t j = 0; j < m; ++j) {
-            const std::uint64_t v = s.pe() * m + j;
-            s.put_signal_nbi(data.at(j % 8), &v, 1, sig.at(j % 8), j + 1, 1);
-          }
-          s.quiet();
-        }
-        s.barrier_all();
-        if (s.pe() == 1) {
-          for (std::uint64_t i = 0; i < 8; ++i) {
-            landed += static_cast<double>(s.local(data)[i]) +
-                      static_cast<double>(s.local(sig)[i]);
-          }
-        }
-      },
-      opt);
-}
-
-// Ends in deadlock with puts queued and a barrier half entered: PE 0 puts
-// to PE 1 and waits for a signal nobody sets, while PEs 1 and 2 wait in a
-// barrier, which leaves the puts unapplied.
-runtime::RunResult deadlocked(World& w) {
-  return w.run([](Ctx& s) {
-    auto sig = s.allocate<std::uint64_t>(1);
-    const std::uint64_t v = 7;
-    if (s.pe() == 0) {
-      for (int j = 0; j < 100; ++j) s.put_nbi(sig, &v, 1, 1);
-      s.wait_until(sig, 99);
-    } else {
-      s.barrier_all();
-    }
-  });
-}
-
-enum class Before { kLargerPoint, kCheckedRun, kDeadlock };
-
-using Probe = std::function<runtime::RunResult(World&, double&)>;
-
-// Runs `probe` on a new World and on a World that first ran `before`, each
-// on its own engine (the checker on iff `check`), and compares.
-void expect_kept_world_matches_fresh(const Probe& probe, Before before,
-                                     bool check) {
-  runtime::EngineOptions o;
-  o.check = check;
-  Engine fresh_eng(simnet::Platform::perlmutter_gpu(), 3, o);
-  World fresh(fresh_eng);
-  double landed = 0;
-  runtime::RunResult r = probe(fresh, landed);
-  const ObservedRun want = observe(fresh_eng, landed, std::move(r));
-
-  Engine eng(simnet::Platform::perlmutter_gpu(), 3, o);
-  World kept(eng);
-  double ignored = 0;
-  switch (before) {
-    case Before::kLargerPoint:
-      EXPECT_EQ(put_signal(kept, 2000, 1 << 20, true, ignored).ok(), !check);
-      break;
-    case Before::kCheckedRun:
-      eng.checker().set_enabled(true);
-      EXPECT_FALSE(put_signal(kept, 100, 4096, false, ignored).ok());
-      eng.checker().set_enabled(check);
-      break;
-    case Before::kDeadlock:
-      EXPECT_EQ(deadlocked(kept).status.code(), ErrorCode::kDeadlock);
-      break;
-  }
-  landed = 0;
-  r = probe(kept, landed);
-  expect_same(observe(eng, landed, std::move(r)), want);
-}
-
-TEST(KeptWorld, PointsMatchAFreshWorld) {
-  const Probe probes[] = {
-      [](World& w, double& d) { return put_signal(w, 40, 4096, false, d); },
-      [](World& w, double& d) { return put_signal(w, 40, 4096, true, d); },
-  };
-  for (bool check : {false, true}) {
-    for (Before before :
-         {Before::kLargerPoint, Before::kCheckedRun, Before::kDeadlock}) {
-      for (std::size_t p = 0; p < std::size(probes); ++p) {
-        SCOPED_TRACE("probe " + std::to_string(p) + ", before " +
-                     std::to_string(static_cast<int>(before)) +
-                     (check ? ", checked" : ""));
-        expect_kept_world_matches_fresh(probes[p], before, check);
-      }
-    }
-  }
-}
-
-TEST(KeptWorld, HeapReadsZeroPastTheLastAllocation) {
-  // Put bounds are the heap size, not the allocated prefix: a put or a
-  // local store past the last allocation must not survive into the next
-  // run: a small heap that stays, a larger one that replaces it, and a
-  // smaller heap carved from that.
-  Engine eng(simnet::Platform::perlmutter_gpu(), 2);
-  World w(eng);
-  constexpr std::uint64_t kWords = (256u << 10) / 8;  // a mapped heap
-  for (std::uint64_t heap_words : {std::uint64_t{512}, kWords, kWords / 2}) {
-    World::Options opt;
-    opt.heap_bytes = heap_words * 8;
-    const auto dirty = w.run(
-        [&](Ctx& s) {
-          auto one = s.allocate<std::uint64_t>(1);
-          const std::uint64_t v = ~0ULL;
-          s.put_nbi(Sym<std::uint64_t>{opt.heap_bytes - 8}, &v, 1,
-                    1 - s.pe());
-          s.local(one)[heap_words / 2] = v;  // a store past the allocation
-          s.barrier_all();
-        },
-        opt);
-    ASSERT_TRUE(dirty.ok()) << dirty.status.to_string();
-    const auto clean = w.run(
-        [&](Ctx& s) {
-          auto all = s.allocate<std::uint64_t>(heap_words);
-          std::uint64_t nonzero = 0;
-          for (std::uint64_t i = 0; i < heap_words; ++i) {
-            nonzero += s.local(all)[i] != 0;
-          }
-          EXPECT_EQ(nonzero, 0u) << heap_words << " words";
-          s.barrier_all();
-        },
-        opt);
-    ASSERT_TRUE(clean.ok()) << clean.status.to_string();
-  }
-}
-
-// PE 0 puts one word at `off` to PE 1 on a World that first ran with a
-// 1 MiB heap, then with a 1 KiB one.
-void put_on_kept_world_at(std::uint64_t off) {
-  Engine eng(simnet::Platform::perlmutter_gpu(), 2);
-  World w(eng);
-  World::Options big;
-  big.heap_bytes = 1 << 20;
-  (void)w.run([](Ctx& s) { s.barrier_all(); }, big);
-  World::Options small;
-  small.heap_bytes = 1024;
-  (void)w.run(
-      [=](Ctx& s) {
-        const std::uint64_t v = 1;
-        if (s.pe() == 0) s.put_nbi(Sym<std::uint64_t>{off}, &v, 1, 1);
-        s.barrier_all();
-      },
-      small);
-}
-
-TEST(KeptWorld, BoundsFollowTheRequestedHeapSize) {
-  put_on_kept_world_at(1024 - 8);  // the last word is fine
-  EXPECT_DEATH(put_on_kept_world_at(1024), "put outside symmetric heap");
 }
 
 }  // namespace
