@@ -76,6 +76,14 @@ void Checker::reset(int nranks) {
   suppressed_ = 0;
 }
 
+void Checker::clear_verdicts() {
+  spaces_.clear();
+  channels_.clear();
+  violations_.clear();
+  std::fill(per_rank_violations_.begin(), per_rank_violations_.end(), 0);
+  suppressed_ = 0;
+}
+
 int Checker::add_space(std::string name) {
   Space s;
   s.name = std::move(name);

@@ -146,6 +146,11 @@ class Checker {
   /// channels registered by a previous run are dropped; communication worlds
   /// re-register lazily from inside perform bodies.
   void reset(int nranks);
+  /// Drops the previous run's verdicts, per-rank counts and registered
+  /// spaces and channels without allocating (start of each Engine::run with
+  /// the checker off), so report() and violations() never describe a run
+  /// that is over.
+  void clear_verdicts();
 
   // --- registration (first use, inside a perform body) ---
 

@@ -240,10 +240,12 @@ RoundTrip Space::get(runtime::Rank& r, const simnet::LogGP& pp, int target,
   eng_.perform(r, [&] {
     const std::byte* src = at(target, off, bytes, "get");
     const simnet::Platform& pf = eng_.platform();
-    const double rtt = pf.hw_rtt_us(r.id(), target, r.size());
-    const double bw = pf.pair_peak_gbs(r.id(), target, r.size());
-    const simnet::RoundTripFault rtf = eng_.fabric().sample_round_trip(
-        r.endpoint(), pf.endpoint_of_rank(target, r.size()), r.now());
+    const int src_ep = r.endpoint();
+    const int dst_ep = pf.endpoint_of_rank(target, r.size());
+    const double rtt = pf.endpoint_rtt_us(src_ep, dst_ep);
+    const double bw = pf.endpoint_peak_gbs(src_ep, dst_ep);
+    const simnet::RoundTripFault rtf =
+        eng_.fabric().sample_round_trip(src_ep, dst_ep, r.now());
     rt.q_us = rtf.extra_us + eng_.fabric().faults().backoff_us(rtf.drops);
     rt.s_us = static_cast<double>(bytes) * gbs_to_us_per_byte(bw);
     rt.total_us = pp.L_us + rtt + rt.s_us + rt.q_us;

@@ -197,7 +197,11 @@ void Engine::reset_run_state_locked(const std::function<void(Rank&)>& body) {
     std::fill(rank_cause_nspans_.begin(), rank_cause_nspans_.end(), 0u);
   }
   metrics_.reset(nranks_);
-  if (checker_.enabled()) checker_.reset(nranks_);
+  if (checker_.enabled()) {
+    checker_.reset(nranks_);
+  } else {
+    checker_.clear_verdicts();
+  }
   const bool heap = opt_.scheduler == SchedulerKind::kIndexedHeap;
   counters_ = EngineCounters{};
   counters_.ready_pushes = static_cast<std::uint64_t>(nranks_);

@@ -30,18 +30,25 @@ int Platform::endpoint_of_rank(int rank, int nranks) const {
 }
 
 double Platform::hw_rtt_us(int rank_a, int rank_b, int nranks) const {
-  const int ea = endpoint_of_rank(rank_a, nranks);
-  const int eb = endpoint_of_rank(rank_b, nranks);
-  if (ea == eb) return 2.0 * local_latency_us_;
-  return topo_->route_latency_us(ea, eb) + topo_->route_latency_us(eb, ea);
+  return endpoint_rtt_us(endpoint_of_rank(rank_a, nranks),
+                         endpoint_of_rank(rank_b, nranks));
+}
+
+double Platform::endpoint_rtt_us(int ep_a, int ep_b) const {
+  if (ep_a == ep_b) return 2.0 * local_latency_us_;
+  return topo_->route_latency_us(ep_a, ep_b) +
+         topo_->route_latency_us(ep_b, ep_a);
 }
 
 double Platform::pair_peak_gbs(int rank_a, int rank_b, int nranks) const {
-  const int ea = endpoint_of_rank(rank_a, nranks);
-  const int eb = endpoint_of_rank(rank_b, nranks);
-  if (ea == eb) return local_bw_gbs_;
+  return endpoint_peak_gbs(endpoint_of_rank(rank_a, nranks),
+                           endpoint_of_rank(rank_b, nranks));
+}
+
+double Platform::endpoint_peak_gbs(int ep_a, int ep_b) const {
+  if (ep_a == ep_b) return local_bw_gbs_;
   double bw = std::numeric_limits<double>::infinity();
-  for (const DirectedLink& dl : topo_->route(ea, eb)) {
+  for (const DirectedLink& dl : topo_->route(ep_a, ep_b)) {
     bw = std::min(bw, topo_->link(dl.link).bandwidth_gbs);
   }
   return bw;

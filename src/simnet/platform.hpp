@@ -110,10 +110,14 @@ class Platform {
   /// Hardware round-trip latency between the endpoints hosting two ranks
   /// (used for atomics, which bypass the software put path).
   [[nodiscard]] double hw_rtt_us(int rank_a, int rank_b, int nranks) const;
+  /// The same between two endpoints.
+  [[nodiscard]] double endpoint_rtt_us(int ep_a, int ep_b) const;
 
   /// Peak single-pair bandwidth between ranks 0 and nranks-1 (the roofline
   /// ceiling for pairwise sweeps).
   [[nodiscard]] double pair_peak_gbs(int rank_a, int rank_b, int nranks) const;
+  /// The same between two endpoints: the narrowest link on the route.
+  [[nodiscard]] double endpoint_peak_gbs(int ep_a, int ep_b) const;
 
   /// Builds a fresh fabric over this platform's topology.
   [[nodiscard]] std::unique_ptr<Fabric> make_fabric() const;

@@ -14,10 +14,10 @@
 //     rank owns a dim-slice of all rows; each lookup touches all P ranks),
 //     kHybrid (Pr × Pc grid; each lookup touches Pc ranks).
 //   - Software combining. Per batch and per owner, requested row slices are
-//     deduplicated, sorted by local offset and merged into maximal
-//     contiguous gets — the classic answer to the per-message α the roofline
-//     model charges small ops. Skew makes combining *more* effective (hot
-//     rows repeat within a batch), which is exactly the measurable ablation.
+//     deduplicated and merged into maximal contiguous gets in offset order
+//     — the classic answer to the per-message α the roofline model charges
+//     small ops. Skew makes combining *more* effective (hot rows repeat
+//     within a batch), which is exactly the measurable ablation.
 //   - Hot-row replication. Rows [0, hot_rows) — the Zipf head, since row ids
 //     are assigned in popularity order — are treated as replicated on every
 //     rank and served without network traffic.
@@ -115,7 +115,8 @@ struct Grid {
                                         std::uint64_t dim);
 
 /// Inverse layout map: element `e` of rank `pe`'s local table holds
-/// table[row][col]. Used to fill shards and to verify fetched spans.
+/// table[row][col]. The reference that fill_shard and span_matches, which
+/// walk the same map span by span, are tested against.
 struct RowCol {
   std::uint64_t row = 0;
   std::uint64_t col = 0;
@@ -133,22 +134,33 @@ struct GetSpan {
 
 /// Builds the get list covering `batch_rows` under `policy`. With
 /// `combine` false: one span per (row, shard slice) in lookup order,
-/// duplicates kept — the naive per-row gather. With `combine` true: spans
-/// are deduplicated per owner, sorted by offset and merged into maximal
-/// contiguous runs. Returns the naive span count (the combining ablation's
-/// denominator); `out` receives the spans to issue, in deterministic order.
+/// duplicates kept — the naive per-row gather. With `combine` true: per
+/// owner, the requested row slices deduplicated and merged into maximal
+/// contiguous runs, owners ascending and offsets ascending within an owner.
+/// Combining sorts the distinct rows once, in `scratch`, and never sorts
+/// spans. Returns the naive span count (the combining ablation's
+/// denominator); `out` receives the spans to issue.
+std::uint64_t build_spans(ShardPolicy policy, int nranks, std::uint64_t rows,
+                          std::uint64_t dim,
+                          const std::vector<std::uint64_t>& batch_rows,
+                          bool combine, std::vector<GetSpan>& out,
+                          std::vector<std::uint64_t>& scratch);
+/// The same, with scratch storage of its own for one call.
 std::uint64_t build_spans(ShardPolicy policy, int nranks, std::uint64_t rows,
                           std::uint64_t dim,
                           const std::vector<std::uint64_t>& batch_rows,
                           bool combine, std::vector<GetSpan>& out);
 
-/// Hands the heap pages freed by a finished run back to the kernel.
-/// glibc keeps freed chunks resident, and after a run's 64 rank shards,
-/// span lists and staging buffers are freed how much of them stays resident
-/// depends on which runs came before; the next run's peak then stacks on
-/// that remainder. Both runners call this after their World::run, so a
-/// process serving many query streams peaks at the largest single run.
-void release_freed_heap();
+/// Writes rank `pe`'s local table: its local_elems(...) elements, each
+/// table_value of the (row, col) elem_to_rowcol maps it to.
+void fill_shard(ShardPolicy policy, int pe, int nranks, std::uint64_t rows,
+                std::uint64_t dim, float* shard);
+
+/// True when every one of `span.elems` floats in `got` equals the
+/// table_value of the element it was fetched from (exact ==).
+[[nodiscard]] bool span_matches(ShardPolicy policy, int nranks,
+                                std::uint64_t rows, std::uint64_t dim,
+                                const GetSpan& span, const float* got);
 
 Result run_mpi(const simnet::Platform& platform, int nranks,
                const Config& cfg);

@@ -660,5 +660,34 @@ TEST(CheckDisabled, ChecksAreFreeWhenOff) {
   EXPECT_TRUE(st.is_ok()) << st.to_string();
 }
 
+TEST(CheckDisabled, CheckerOffRunDropsEarlierVerdicts) {
+  // A racy checked run, then a clean run with the checker switched off on
+  // the same engine: the second run's report must not carry the first's.
+  Engine eng(simnet::Platform::perlmutter_cpu(1), 3, checked());
+  const auto racy = mpi::World::run(eng, [](mpi::Comm& c) {
+    std::vector<double> buf(8, 0.0);
+    auto win = c.create_win(buf.data(), buf.size() * sizeof(double));
+    double v = c.rank();
+    if (c.rank() < 2) {
+      win.put(&v, sizeof(v), 2, 0);
+      win.flush(2);
+    }
+    win.fence();
+  });
+  ASSERT_EQ(racy.status.code(), ErrorCode::kFailedPrecondition);
+  ASSERT_TRUE(eng.checker().has_violations());
+
+  eng.checker().set_enabled(false);
+  const auto clean = mpi::World::run(eng, [](mpi::Comm& c) { c.barrier(); });
+  ASSERT_TRUE(clean.ok()) << clean.status.to_string();
+  EXPECT_FALSE(eng.checker().has_violations());
+  EXPECT_EQ(eng.checker().violation_count(), 0u);
+  EXPECT_TRUE(eng.checker().violations().empty());
+  for (const std::uint64_t n : eng.checker().violation_counts()) {
+    EXPECT_EQ(n, 0u);
+  }
+  EXPECT_EQ(eng.checker().report(), "RMA checker: 0 violation(s)");
+}
+
 }  // namespace
 }  // namespace mrl

@@ -4,11 +4,13 @@
 // --check runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "check/checker.hpp"
 #include "runtime/engine.hpp"
 #include "simnet/platform.hpp"
+#include "util/rng.hpp"
 #include "workloads/embedding/embedding.hpp"
 
 namespace mrl::workloads::embedding {
@@ -58,6 +60,29 @@ TEST(EmbeddingShard, AllPoliciesCoverTheTableExactlyOnce) {
     expect_exact_cover(p, 5, 37, 13);  // nothing divides anything
     expect_exact_cover(p, 4, 64, 8);   // everything divides everything
     expect_exact_cover(p, 6, 10, 4);   // fewer columns than grid columns
+  }
+}
+
+TEST(EmbeddingShard, FillShardMatchesElemToRowCol) {
+  for (const ShardPolicy p :
+       {ShardPolicy::kRow, ShardPolicy::kColumn, ShardPolicy::kHybrid}) {
+    for (const auto& [nranks, rows, dim] :
+         {std::tuple<int, std::uint64_t, std::uint64_t>{5, 37, 13},
+          {4, 64, 8},
+          {6, 10, 4}}) {
+      for (int pe = 0; pe < nranks; ++pe) {
+        const std::uint64_t elems = local_elems(p, pe, nranks, rows, dim);
+        std::vector<float> shard(elems + 1, -1.0f);
+        fill_shard(p, pe, nranks, rows, dim, shard.data());
+        for (std::uint64_t e = 0; e < elems; ++e) {
+          const RowCol rc = elem_to_rowcol(p, pe, nranks, rows, dim, e);
+          ASSERT_EQ(shard[e], table_value(rc.row, rc.col))
+              << to_string(p) << " P=" << nranks << " pe " << pe << " elem "
+              << e;
+        }
+        EXPECT_EQ(shard[elems], -1.0f) << "wrote past the shard";
+      }
+    }
   }
 }
 
@@ -199,6 +224,145 @@ TEST(EmbeddingSpans, TotalElementsMatchRequestedRows) {
     std::uint64_t total = 0;
     for (const GetSpan& s : spans) total += s.elems;
     EXPECT_EQ(total, 5u * 10u) << to_string(p);
+  }
+}
+
+// Every row's slice on every owner, read back through elem_to_rowcol.
+std::vector<std::vector<GetSpan>> row_slices(ShardPolicy policy, int nranks,
+                                             std::uint64_t rows,
+                                             std::uint64_t dim) {
+  std::vector<std::vector<GetSpan>> slices(rows);
+  for (int pe = 0; pe < nranks; ++pe) {
+    const std::uint64_t elems = local_elems(policy, pe, nranks, rows, dim);
+    for (std::uint64_t e = 0; e < elems; ++e) {
+      std::vector<GetSpan>& row =
+          slices[elem_to_rowcol(policy, pe, nranks, rows, dim, e).row];
+      if (row.empty() || row.back().owner != pe) {
+        row.push_back(GetSpan{pe, e, 0});
+      }
+      ++row.back().elems;
+    }
+  }
+  return slices;
+}
+
+// The span list as a sort-and-merge over the naive per-row spans: what
+// build_spans must equal element for element.
+std::vector<GetSpan> oracle_spans(
+    const std::vector<std::vector<GetSpan>>& slices,
+    const std::vector<std::uint64_t>& batch, bool combine) {
+  std::vector<GetSpan> out;
+  for (const std::uint64_t row : batch) {
+    out.insert(out.end(), slices[row].begin(), slices[row].end());
+  }
+  if (!combine) return out;
+  std::sort(out.begin(), out.end(), [](const GetSpan& a, const GetSpan& b) {
+    if (a.owner != b.owner) return a.owner < b.owner;
+    return a.elem_off < b.elem_off;
+  });
+  std::vector<GetSpan> merged;
+  for (const GetSpan& s : out) {
+    if (!merged.empty() && merged.back().owner == s.owner &&
+        s.elem_off <= merged.back().elem_off + merged.back().elems) {
+      GetSpan& m = merged.back();
+      m.elems = std::max(m.elem_off + m.elems, s.elem_off + s.elems) -
+                m.elem_off;
+      continue;
+    }
+    merged.push_back(s);
+  }
+  return merged;
+}
+
+TEST(EmbeddingSpans, MatchSortAndMergeOracleOnRandomBatches) {
+  Xoshiro256 rng(29);
+  std::vector<GetSpan> spans;
+  std::vector<std::uint64_t> scratch;
+  // (P, rows, dim): nothing divides anything; everything divides; dim < Pc
+  // leaves empty slices under kColumn/kHybrid; a single rank.
+  for (const auto& [nranks, rows, dim] :
+       {std::tuple<int, std::uint64_t, std::uint64_t>{5, 37, 13},
+        {4, 64, 8},
+        {6, 10, 4},
+        {8, 23, 3},
+        {1, 9, 5}}) {
+    for (const ShardPolicy p :
+         {ShardPolicy::kRow, ShardPolicy::kColumn, ShardPolicy::kHybrid}) {
+      const auto slices = row_slices(p, nranks, rows, dim);
+      for (int trial = 0; trial < 40; ++trial) {
+        std::vector<std::uint64_t> batch;
+        const std::uint64_t n = rng.uniform(3 * rows);
+        for (std::uint64_t i = 0; i < n; ++i) {
+          // Mostly a narrow window, so duplicates and runs are common.
+          batch.push_back(rng.bernoulli(0.7) ? rng.uniform(std::min<
+                                                   std::uint64_t>(rows, 8))
+                                             : rng.uniform(rows));
+        }
+        if (trial % 3 == 0) batch.push_back(rows - 1);
+        for (const bool combine : {false, true}) {
+          const std::vector<GetSpan> want =
+              oracle_spans(slices, batch, combine);
+          const std::uint64_t naive = build_spans(
+              p, nranks, rows, dim, batch, combine, spans, scratch);
+          const auto where = [&] {
+            return std::string(to_string(p)) + " P=" +
+                   std::to_string(nranks) + " rows=" + std::to_string(rows) +
+                   " dim=" + std::to_string(dim) + " trial " +
+                   std::to_string(trial) + (combine ? " combined" : "");
+          };
+          EXPECT_EQ(naive, oracle_spans(slices, batch, false).size())
+              << where();
+          ASSERT_EQ(spans.size(), want.size()) << where();
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(spans[i].owner, want[i].owner) << where() << " #" << i;
+            ASSERT_EQ(spans[i].elem_off, want[i].elem_off)
+                << where() << " #" << i;
+            ASSERT_EQ(spans[i].elems, want[i].elems) << where() << " #" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Payload check
+// ---------------------------------------------------------------------------
+
+// Fetches `s` by hand from a filled copy of its owner's shard.
+std::vector<float> fetch(ShardPolicy policy, int nranks, std::uint64_t rows,
+                         std::uint64_t dim, const GetSpan& s) {
+  std::vector<float> shard(local_elems(policy, s.owner, nranks, rows, dim));
+  fill_shard(policy, s.owner, nranks, rows, dim, shard.data());
+  const auto first = shard.begin() + static_cast<std::ptrdiff_t>(s.elem_off);
+  return {first, first + static_cast<std::ptrdiff_t>(s.elems)};
+}
+
+TEST(EmbeddingVerify, SpanCheckCatchesOnePerturbedFloat) {
+  const int nranks = 6;  // hybrid is a 2 x 3 grid
+  const std::uint64_t rows = 37, dim = 13;
+  for (const ShardPolicy p :
+       {ShardPolicy::kRow, ShardPolicy::kColumn, ShardPolicy::kHybrid}) {
+    // c: columns per local row of rank 1 (elements before the row changes).
+    const std::uint64_t row0 = elem_to_rowcol(p, 1, nranks, rows, dim, 0).row;
+    std::uint64_t c = 1;
+    while (elem_to_rowcol(p, 1, nranks, rows, dim, c).row == row0) ++c;
+    ASSERT_GT(c, 1u) << to_string(p);
+    // Rank 1's local rows 2..4, starting mid-row: the span crosses two
+    // local-row boundaries.
+    const GetSpan s{1, 2 * c + 1, 2 * c};
+    const std::vector<float> good = fetch(p, nranks, rows, dim, s);
+    ASSERT_EQ(good.size(), s.elems);
+    EXPECT_TRUE(span_matches(p, nranks, rows, dim, s, good.data()))
+        << to_string(p);
+    // First element, last element, and the first element past the local-row
+    // boundary (local row 3 starts at 3c, span element c - 1).
+    for (const std::uint64_t at : {std::uint64_t{0}, s.elems - 1, c - 1}) {
+      std::vector<float> got = good;
+      got[at] += 1.0f / 1048576.0f;
+      EXPECT_FALSE(span_matches(p, nranks, rows, dim, s, got.data()))
+          << to_string(p) << " element " << at;
+    }
   }
 }
 
