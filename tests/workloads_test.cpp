@@ -2,6 +2,8 @@
 // serial reference numerics, across platforms and rank counts (TEST_P).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "simnet/platform.hpp"
 #include "workloads/hashtable/hashtable.hpp"
 #include "workloads/sptrsv/sptrsv.hpp"
@@ -424,6 +426,101 @@ TEST(HashtablePerf, OneSidedWinsAtScaleLosesAtTwoRanks) {
   const auto one2 = hashtable::run_one_sided(p, 2, cfg);
   const auto two2 = hashtable::run_two_sided(p, 2, cfg);
   EXPECT_GT(one2.time_us, two2.time_us);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned simulated outputs
+// ---------------------------------------------------------------------------
+
+// Every runner's simulated output at a small shape with a non-square rank
+// count (a 3x2 or 2x3 grid, so there are boundary ranks): 6 CPU ranks on
+// Perlmutter, 6 PEs on Summit's GPUs. The values are exact: a change that
+// only restructures a runner must leave every one of them unchanged.
+struct Pin {
+  double time_us;
+  std::uint64_t num_msgs;
+  double avg_msgs_per_sync;
+  std::uint64_t collisions;  ///< hashtable only
+  double err;                ///< max_abs_err (stencil) or rel_err (SpTRSV)
+};
+
+void expect_pin(const char* name, const Status& st, const Pin& got,
+                const Pin& want) {
+  ASSERT_TRUE(st.is_ok()) << name << ": " << st.to_string();
+  const bool same = got.time_us == want.time_us &&
+                    got.num_msgs == want.num_msgs &&
+                    got.avg_msgs_per_sync == want.avg_msgs_per_sync &&
+                    got.collisions == want.collisions && got.err == want.err;
+  if (!same) {
+    char buf[256];
+    std::snprintf(buf, sizeof(buf), "{%.17g, %llu, %.17g, %llu, %.17g}",
+                  got.time_us, static_cast<unsigned long long>(got.num_msgs),
+                  got.avg_msgs_per_sync,
+                  static_cast<unsigned long long>(got.collisions), got.err);
+    ADD_FAILURE() << name << " moved; it now reads " << buf;
+  }
+}
+
+TEST(PinnedOutputs, Stencil) {
+  const auto cpu = simnet::Platform::perlmutter_cpu();
+  const auto gpu = simnet::Platform::summit_gpu();
+  const stencil::Config cfg = small_stencil();
+  auto pin = [](const stencil::Result& r) {
+    return Pin{r.time_us, r.msgs.num_msgs, r.msgs.avg_msgs_per_sync, 0,
+               r.max_abs_err};
+  };
+  const auto two = stencil::run_two_sided(cpu, 6, cfg);
+  expect_pin("two_sided", two.status, pin(two),
+             {48.291499999999992, 56, 2.3333333333333335, 0, 0});
+  const auto one = stencil::run_one_sided(cpu, 6, cfg);
+  expect_pin("one_sided", one.status, pin(one),
+             {100.55999999999996, 56, 2.3333333333333335, 0, 0});
+  const auto shm = stencil::run_shmem_gpu(gpu, 6, cfg);
+  expect_pin("shmem_gpu", shm.status, pin(shm),
+             {83.838160000000016, 56, 2.3333333333333335, 0, 0});
+  const auto hst = stencil::run_host_staged_gpu(gpu, 6, cfg);
+  expect_pin("host_staged_gpu", hst.status, pin(hst),
+             {143.40448000000001, 56, 2.3333333333333335, 0, 0});
+}
+
+TEST(PinnedOutputs, Sptrsv) {
+  const auto cpu = simnet::Platform::perlmutter_cpu();
+  const auto gpu = simnet::Platform::summit_gpu();
+  const auto L = sptrsv::SupernodalMatrix::generate(small_gen());
+  const sptrsv::Config cfg;
+  auto pin = [](const sptrsv::Result& r) {
+    return Pin{r.time_us, r.msgs.num_msgs, r.msgs.avg_msgs_per_sync, 0,
+               r.rel_err};
+  };
+  const auto two = sptrsv::run_two_sided(cpu, 6, L, cfg);
+  expect_pin("two_sided", two.status, pin(two),
+             {111.14512878787869, 47, 1.5666666666666667,
+              0, 6.9274925881395128e-16});
+  const auto one = sptrsv::run_one_sided(cpu, 6, L, cfg);
+  expect_pin("one_sided", one.status, pin(one),
+             {176.04753787878761, 47, 1, 0, 8.6593657351743912e-16});
+  const auto shm = sptrsv::run_shmem_gpu(gpu, 6, L, cfg);
+  expect_pin("shmem_gpu", shm.status, pin(shm),
+             {172.19593714285725, 47, 1.5666666666666667,
+              0, 6.9274925881395128e-16});
+}
+
+TEST(PinnedOutputs, Hashtable) {
+  const auto cpu = simnet::Platform::perlmutter_cpu();
+  const auto gpu = simnet::Platform::summit_gpu();
+  auto pin = [](const hashtable::Result& r) {
+    return Pin{r.time_us, r.msgs.num_msgs, r.msgs.avg_msgs_per_sync,
+               r.collisions, 0};
+  };
+  const auto one = hashtable::run_one_sided(cpu, 6, small_ht());
+  expect_pin("one_sided", one.status, pin(one),
+             {1285.6585000000439, 3371, 561.83333333333337, 181, 0});
+  const auto two = hashtable::run_two_sided(cpu, 6, small_ht());
+  expect_pin("two_sided", two.status, pin(two),
+             {1536.7999999998456, 15000, 5.0813008130081299, 181, 0});
+  const auto shm = hashtable::run_shmem_gpu(gpu, 6, small_ht());
+  expect_pin("shmem_gpu", shm.status, pin(shm),
+             {1411.009480000009, 3371, 561.83333333333337, 181, 0});
 }
 
 }  // namespace
