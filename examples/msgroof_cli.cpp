@@ -65,6 +65,13 @@ std::string epilog() {
          "process-wide aggregate.\n";
 }
 
+/// Reports a failed `st` on stderr; true when it failed.
+bool failed(const Status& st) {
+  if (st.is_ok()) return false;
+  std::fprintf(stderr, "FAILED: %s\n", st.to_string().c_str());
+  return true;
+}
+
 int cmd_platforms() {
   TextTable t({"name", "max ranks", "kind", "pair peak (0..n-1)",
                "hw RTT (0..n-1)"});
@@ -84,10 +91,7 @@ int cmd_sweep(const simnet::Platform& plat, core::SweepKind kind,
   cfg.iters = 4;
   cfg.jobs = jobs;
   const auto sweep = core::run_sweep(plat, cfg);
-  if (!sweep.is_ok()) {
-    std::fprintf(stderr, "FAILED: %s\n", sweep.status().to_string().c_str());
-    return 1;
-  }
+  if (failed(sweep.status())) return 1;
   const auto& pts = sweep.value();
   const auto fit = core::fit_roofline(pts);
 
@@ -97,11 +101,7 @@ int cmd_sweep(const simnet::Platform& plat, core::SweepKind kind,
   fig.add_points("measured", '*', pts);
   std::printf("%s", fig.render().c_str());
   if (!csv_path.empty()) {
-    const Status st = write_csv_file(csv_path, fig.csv_rows());
-    if (!st.is_ok()) {
-      std::fprintf(stderr, "FAILED: %s\n", st.to_string().c_str());
-      return 1;
-    }
+    if (failed(write_csv_file(csv_path, fig.csv_rows()))) return 1;
     std::printf("[csv] %s\n", csv_path.c_str());
   }
   return 0;
@@ -114,10 +114,7 @@ int cmd_stencil(const simnet::Platform& plat, int nranks, int n, int iters) {
   const auto r =
       plat.is_gpu() ? workloads::stencil::run_shmem_gpu(plat, nranks, cfg)
                     : workloads::stencil::run_two_sided(plat, nranks, cfg);
-  if (!r.status.is_ok()) {
-    std::fprintf(stderr, "FAILED: %s\n", r.status.to_string().c_str());
-    return 1;
-  }
+  if (failed(r.status)) return 1;
   std::printf("stencil %dx%d, %d ranks on %s: %s (verified: %s, comm %s)\n",
               cfg.n, cfg.n, nranks, plat.name().c_str(),
               format_time_us(r.time_us).c_str(),
@@ -154,10 +151,7 @@ int cmd_sptrsv(const simnet::Platform& plat, int ranks, int n) {
   const auto r =
       plat.is_gpu() ? workloads::sptrsv::run_shmem_gpu(plat, ranks, L, cfg)
                     : workloads::sptrsv::run_two_sided(plat, ranks, L, cfg);
-  if (!r.status.is_ok()) {
-    std::fprintf(stderr, "FAILED: %s\n", r.status.to_string().c_str());
-    return 1;
-  }
+  if (failed(r.status)) return 1;
   std::printf("sptrsv n=%d (%d supernodes, %llu nnz), %d ranks on %s: %s "
               "(rel err %.2e)\n",
               L.n(), L.num_supernodes(),
@@ -174,10 +168,7 @@ int cmd_hashtable(const simnet::Platform& plat, int ranks,
   const auto r =
       plat.is_gpu() ? workloads::hashtable::run_shmem_gpu(plat, ranks, cfg)
                     : workloads::hashtable::run_one_sided(plat, ranks, cfg);
-  if (!r.status.is_ok()) {
-    std::fprintf(stderr, "FAILED: %s\n", r.status.to_string().c_str());
-    return 1;
-  }
+  if (failed(r.status)) return 1;
   std::printf("hashtable %llu inserts, %d ranks on %s: %s (%s updates/s, "
               "%llu collisions, verified: %s)\n",
               static_cast<unsigned long long>(r.inserted), ranks,
@@ -196,36 +187,19 @@ int cmd_trace(const simnet::Platform& plat, int ranks, const std::string& out) {
   runtime::EngineOptions opt;
   opt.trace = true;
   runtime::Engine eng(plat, ranks, opt);
-  int px = 0, py = 0;
-  workloads::stencil::choose_grid(ranks, &px, &py);
   const auto res = mpi::World::run(eng, [&](mpi::Comm& c) {
-    const auto d =
-        workloads::stencil::make_decomp(cfg.n, c.size(), c.rank(), px, py);
-    workloads::stencil::LocalBlock blk(cfg, d);
-    // One quick round of real halo traffic for the trace.
-    const int peers[4] = {d.west, d.east, d.north, d.south};
-    std::vector<mpi::Request> reqs;
-    reqs.reserve(8);  // a send and a receive per peer, reused per iteration
+    // px = py = 0: the near-square process grid.
+    workloads::stencil::LocalBlock blk(
+        cfg, workloads::stencil::make_decomp(cfg.n, c.size(), c.rank(), 0, 0));
+    // A few quick rounds of real halo traffic for the trace.
+    std::vector<mpi::Request> reqs;  // reused every iteration
     for (int it = 0; it < cfg.iters; ++it) {
       blk.pack_edges();
-      reqs.clear();
-      for (int s2 = 0; s2 < 4; ++s2) {
-        if (peers[s2] < 0) continue;
-        reqs.push_back(c.isend(blk.out(s2),
-                               blk.edge_count(s2) * sizeof(double), peers[s2],
-                               s2 ^ 1));
-        reqs.push_back(c.irecv(blk.in(s2),
-                               blk.edge_count(s2) * sizeof(double), peers[s2],
-                               s2));
-      }
-      c.waitall(reqs);
+      workloads::stencil::exchange_two_sided(c, blk, reqs);
       blk.sweep();
     }
   });
-  if (!res.ok()) {
-    std::fprintf(stderr, "FAILED: %s\n", res.status.to_string().c_str());
-    return 1;
-  }
+  if (failed(res.status)) return 1;
   if (!simnet::export_trace_chrome(eng.trace(), out)) return 1;
   std::printf("wrote %zu message slices to %s (open in chrome://tracing)\n",
               eng.trace().records().size(), out.c_str());

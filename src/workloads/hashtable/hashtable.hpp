@@ -38,8 +38,8 @@ struct Result {
   double updates_per_sec = 0;  ///< aggregate inserts/s (the paper's "GUPS")
   std::uint64_t inserted = 0;
   std::uint64_t collisions = 0;  ///< inserts that went to overflow
-  bool verified = false;
-  bool verify_ok = false;
+  bool verified = false;   ///< the check ran: cfg.verify and an OK run
+  bool verify_ok = false;  ///< ... and every key is stored where it belongs
   simnet::TraceSummary msgs;
   Status status;
 };

@@ -20,6 +20,10 @@
 //   one-sided  — MPI_Put(data) + flush + MPI_Put(signal) + flush (4 ops) and
 //                the paper's Listing-1 receiver-acknowledgment scan loop
 //   shmem GPU  — put_signal_nbi + wait_until_any (1 op per message)
+//
+// The variants share everything but the communication (solver_core.hpp):
+// the DAG core, right-hand side, timed region, verification and Result. A
+// variant keeps its exposure, one slot-addressed send and its receive loop.
 #pragma once
 
 #include <cstdint>
@@ -129,8 +133,9 @@ struct SolvePlan {
   int expected_x = 0;      ///< x messages I will receive
   int expected_lsum = 0;   ///< partial-sum messages I will receive
 
-  /// One-sided slot maps (receiver-side order; identical on every rank).
-  /// x slot for (rank, J) and lsum slot for (diag owner, I, contributor).
+  /// Receive-slot maps, for every rank (receiver-side order; identical in
+  /// every rank's plan). x slot for (rank, J) and lsum slot for (diag owner,
+  /// I, contributor).
   std::vector<std::vector<int>> x_cols;       ///< per rank: sorted cols expected
   std::vector<std::vector<std::pair<int, int>>> lsum_pairs;  ///< per rank: (I, src)
 
@@ -159,7 +164,7 @@ struct Config {
 struct Result {
   double time_us = 0;
   double rel_err = 0;
-  bool verified = false;
+  bool verified = false;  ///< rel_err was computed: cfg.verify and an OK run
   simnet::TraceSummary msgs;  ///< data messages (kSend / kPut / kPutSignal)
   Status status;
 };

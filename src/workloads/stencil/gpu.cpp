@@ -5,29 +5,18 @@
 // number so they never need resetting. Halo buffers are double-buffered by
 // iteration parity: a neighbor may run one iteration ahead, and its next put
 // must not clobber data this PE has not consumed yet.
-#include <algorithm>
 #include <cstring>
 
 #include "shmem/shmem.hpp"
-#include "workloads/stencil/stencil.hpp"
+#include "workloads/stencil/driver.hpp"
 
 namespace mrl::workloads::stencil {
 
 Result run_shmem_gpu(const simnet::Platform& platform, int nranks,
                      const Config& cfg) {
-  runtime::Engine eng(platform, nranks);
-
-  const std::vector<double> reference =
-      cfg.verify ? serial_reference(cfg) : std::vector<double>{};
-
-  Result out;
-  std::vector<double> errs(static_cast<std::size_t>(nranks), 0.0);
-  double t0 = 0, t1 = 0;
-
-  int px = cfg.px, py = cfg.py;
-  if (px <= 0 || py <= 0) choose_grid(nranks, &px, &py);
-  const int max_w = (cfg.n + px - 1) / px;
-  const int max_h = (cfg.n + py - 1) / py;
+  Driver drv(platform, nranks, cfg);
+  const int max_w = (cfg.n + drv.px() - 1) / drv.px();
+  const int max_h = (cfg.n + drv.py() - 1) / drv.py();
 
   shmem::World::Options wopt;
   wopt.heap_bytes =
@@ -35,71 +24,49 @@ Result run_shmem_gpu(const simnet::Platform& platform, int nranks,
       8 * 8 + (1u << 16);
 
   const auto run = shmem::World::run(
-      eng,
+      drv.engine(),
       [&](shmem::Ctx& s) {
-        const Decomp d = make_decomp(cfg.n, nranks, s.pe(), px, py);
-        LocalBlock blk(cfg, d);
+        LocalBlock blk(cfg, drv.decomp(s.pe()));
         // Symmetric incoming halo buffers (max-sized, two parities) and
         // 2x4 signals.
         shmem::Sym<double> in_sym[2][4];
-        for (int par = 0; par < 2; ++par) {
-          in_sym[par][0] = s.allocate<double>(static_cast<std::uint64_t>(max_h));
-          in_sym[par][1] = s.allocate<double>(static_cast<std::uint64_t>(max_h));
-          in_sym[par][2] = s.allocate<double>(static_cast<std::uint64_t>(max_w));
-          in_sym[par][3] = s.allocate<double>(static_cast<std::uint64_t>(max_w));
+        for (auto& par : in_sym) {
+          for (int side = 0; side < 4; ++side) {  // W, E: columns; N, S: rows
+            par[side] = s.allocate<double>(
+                static_cast<std::uint64_t>(side < 2 ? max_h : max_w));
+          }
         }
         auto sig = s.allocate<std::uint64_t>(8);  // [parity*4 + side]
 
-        const int peers[4] = {d.west, d.east, d.north, d.south};
         std::int32_t mask[4];
-        for (int i = 0; i < 4; ++i) mask[i] = peers[i] < 0 ? 1 : 0;
-        auto opposite = [](int side) { return side ^ 1; };
+        for (int i = 0; i < 4; ++i) mask[i] = blk.decomp().peer(i) < 0 ? 1 : 0;
 
-        s.barrier_all();
-        if (s.pe() == 0) t0 = s.now();
-        for (int it = 0; it < cfg.iters; ++it) {
+        drv.run(s.rank_ctx(), blk, [&] { s.barrier_all(); }, [&](int it) {
           const int par = it % 2;
-          blk.pack_edges();
+          const std::uint64_t value = static_cast<std::uint64_t>(it) + 1;
           for (int side = 0; side < 4; ++side) {
-            if (peers[side] < 0) continue;
+            const int peer = blk.decomp().peer(side);
+            if (peer < 0) continue;
             // My out[side] lands in the peer's parity buffer for
-            // in[opposite(side)], then the matching signal is set to it+1.
+            // in[side ^ 1], then the matching signal is set to it+1.
             const std::uint64_t slot =
-                static_cast<std::uint64_t>(par * 4 + opposite(side));
-            s.put_signal_nbi(in_sym[par][opposite(side)], blk.out(side),
-                             blk.edge_count(side), sig.at(slot),
-                             static_cast<std::uint64_t>(it) + 1, peers[side]);
+                static_cast<std::uint64_t>(par * 4 + (side ^ 1));
+            s.put_signal_nbi(in_sym[par][side ^ 1], blk.out(side),
+                             blk.edge_count(side), sig.at(slot), value, peer);
           }
           s.wait_until_all(sig.at(static_cast<std::uint64_t>(par * 4)), 4,
-                           mask, static_cast<std::uint64_t>(it) + 1);
+                           mask, value);
           // Stage symmetric halo buffers into the block's working halos.
           for (int side = 0; side < 4; ++side) {
-            if (peers[side] < 0) continue;
+            if (blk.decomp().peer(side) < 0) continue;
             std::memcpy(blk.in(side), s.local(in_sym[par][side]),
                         blk.edge_count(side) * sizeof(double));
           }
           s.quiet();  // source buffers reusable next iteration
-          blk.sweep();
-          s.compute(sweep_time_us(platform, blk.sweep_bytes(),
-                                  static_cast<std::uint64_t>(d.w()) *
-                                      static_cast<std::uint64_t>(d.h())));
-        }
-        s.barrier_all();
-        if (s.pe() == 0) t1 = s.now();
-        if (cfg.verify) {
-          errs[static_cast<std::size_t>(s.pe())] =
-              blk.compare(reference, cfg.n);
-        }
+        });
       },
       wopt);
-
-  out.status = run.status;
-  out.time_us = t1 - t0;
-  out.verified = cfg.verify;
-  out.max_abs_err = *std::max_element(errs.begin(), errs.end());
-  out.msgs = eng.trace().summarize(simnet::OpKind::kPutSignal);
-  if (eng.metrics().enabled()) out.metrics = eng.metrics_report();
-  return out;
+  return drv.finish(run, simnet::OpKind::kPutSignal);
 }
 
 }  // namespace mrl::workloads::stencil

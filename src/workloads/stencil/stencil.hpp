@@ -1,9 +1,12 @@
 // 2D 5-point Jacobi stencil with halo exchange — the paper's BSP workload
-// (Sec III-A). Three variants share one numerical kernel and decomposition:
+// (Sec III-A). Four variants share one numerical kernel, decomposition and
+// iteration loop (pack -> exchange -> sweep -> compute charge) and differ
+// only in their halo exchange:
 //
-//   two-sided    — 4x MPI_Isend/Irecv + Waitall per iteration
-//   one-sided    — 4x MPI_Put inside a pair of MPI_Win_fence
-//   shmem (GPU)  — nvshmem-style put_signal_nbi + wait_until_all
+//   two-sided          — 4x MPI_Isend/Irecv + Waitall per iteration
+//   one-sided          — 4x MPI_Put inside a pair of MPI_Win_fence
+//   shmem (GPU)        — nvshmem-style put_signal_nbi + wait_until_all
+//   host-staged (GPU)  — the two-sided exchange between PCIe staging copies
 //
 // Halos travel through contiguous side buffers (packed columns), so message
 // size = edge length * 8 bytes and msg/sync = #neighbors (<= 4), matching
@@ -16,6 +19,11 @@
 #include "runtime/engine.hpp"
 #include "simnet/platform.hpp"
 #include "simnet/trace.hpp"
+
+namespace mrl::mpi {
+class Comm;
+class Request;
+}  // namespace mrl::mpi
 
 namespace mrl::workloads::stencil {
 
@@ -31,7 +39,7 @@ struct Config {
 struct Result {
   double time_us = 0;        ///< virtual makespan of the iteration loop
   double max_abs_err = 0;    ///< vs serial reference (0 expected)
-  bool verified = false;
+  bool verified = false;     ///< the comparison ran: cfg.verify and an OK run
   simnet::TraceSummary msgs; ///< data-message stats (for roofline dots)
   /// Populated when the engine ran with EngineOptions::metrics enabled
   /// (includes per-fiber stack high-water marks).
@@ -49,8 +57,10 @@ struct Decomp {
 
   [[nodiscard]] int w() const { return x1 - x0; }
   [[nodiscard]] int h() const { return y1 - y0; }
-  [[nodiscard]] int neighbors() const {
-    return (west >= 0) + (east >= 0) + (north >= 0) + (south >= 0);
+  /// Neighbor on LocalBlock side `side` (kWest..kSouth), -1 at a global edge.
+  [[nodiscard]] int peer(int side) const {
+    const int peers[4] = {west, east, north, south};
+    return peers[side];
   }
 };
 
@@ -66,7 +76,7 @@ double initial_value(int n, int row, int col, std::uint64_t seed);
 /// Serial reference: `iters` Jacobi sweeps on the full grid (row-major).
 std::vector<double> serial_reference(const Config& cfg);
 
-/// Per-rank working state shared by all three variants.
+/// Per-rank working state shared by all four variants.
 class LocalBlock {
  public:
   LocalBlock(const Config& cfg, const Decomp& d);
@@ -121,6 +131,12 @@ class LocalBlock {
 /// the occupancy/bandwidth kernel envelope.
 double sweep_time_us(const simnet::Platform& platform, std::uint64_t bytes,
                      std::uint64_t cells);
+
+/// One two-sided halo exchange: per neighbor in W, E, N, S order, isend my
+/// out[side] (tagged with the side it lands on at the peer) and irecv
+/// in[side]; then waitall. `reqs` is caller storage, reused across calls.
+void exchange_two_sided(mpi::Comm& c, LocalBlock& blk,
+                        std::vector<mpi::Request>& reqs);
 
 Result run_two_sided(const simnet::Platform& platform, int nranks,
                      const Config& cfg);

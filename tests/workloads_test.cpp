@@ -4,6 +4,7 @@
 
 #include <cstdio>
 
+#include "runtime/engine.hpp"
 #include "simnet/platform.hpp"
 #include "workloads/hashtable/hashtable.hpp"
 #include "workloads/sptrsv/sptrsv.hpp"
@@ -426,6 +427,30 @@ TEST(HashtablePerf, OneSidedWinsAtScaleLosesAtTwoRanks) {
   const auto one2 = hashtable::run_one_sided(p, 2, cfg);
   const auto two2 = hashtable::run_two_sided(p, 2, cfg);
   EXPECT_GT(one2.time_us, two2.time_us);
+}
+
+// ---------------------------------------------------------------------------
+// Failed runs
+// ---------------------------------------------------------------------------
+
+TEST(FailedRuns, AreNotVerified) {
+  // A 1 us watchdog stops every run early; none may read as matching its
+  // reference.
+  const double saved = runtime::default_watchdog_virtual_us();
+  runtime::set_default_watchdog_virtual_us(1.0);
+  const auto cpu = simnet::Platform::perlmutter_cpu();
+  const auto st = stencil::run_two_sided(cpu, 6, small_stencil());
+  const auto L = sptrsv::SupernodalMatrix::generate(small_gen());
+  const auto sp = sptrsv::run_two_sided(cpu, 6, L, sptrsv::Config{});
+  const auto ht = hashtable::run_one_sided(cpu, 6, small_ht());
+  runtime::set_default_watchdog_virtual_us(saved);
+  EXPECT_FALSE(st.status.is_ok());
+  EXPECT_FALSE(st.verified);
+  EXPECT_FALSE(sp.status.is_ok());
+  EXPECT_FALSE(sp.verified);
+  EXPECT_FALSE(ht.status.is_ok());
+  EXPECT_FALSE(ht.verified);
+  EXPECT_FALSE(ht.verify_ok);
 }
 
 // ---------------------------------------------------------------------------
