@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
                "avg msg", "msg latency"});
   auto row = [&](const char* name, const char* plat, const sp::Result& r) {
     t.add_row({name, plat, format_time_us(r.time_us),
-               format_double(r.rel_err, 14),
+               r.verified ? format_double(r.rel_err, 14) : "FAILED",
                format_bytes(static_cast<std::uint64_t>(r.msgs.avg_msg_bytes)),
                format_time_us(r.msgs.avg_latency_us)});
   };

@@ -372,8 +372,8 @@ Result Server::finish(const runtime::RunResult& run, double time_us) {
     out.bytes += t.bytes;
     bad = bad || t.bad;
   }
-  out.verified = cfg_.verify;
-  out.verify_ok = cfg_.verify && run.ok() && !bad;
+  out.verified = cfg_.verify && run.ok();
+  out.verify_ok = out.verified && !bad;
   out.msgs = eng_.trace().summarize();
   release_freed_heap();
   return out;

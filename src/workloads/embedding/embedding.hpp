@@ -71,8 +71,8 @@ struct Result {
   std::uint64_t gets_naive = 0;   ///< row-slice fetches before combining
   std::uint64_t cache_hits = 0;   ///< lookups served by hot-row replicas
   std::uint64_t bytes = 0;        ///< payload bytes fetched over the fabric
-  bool verified = false;
-  bool verify_ok = false;
+  bool verified = false;   ///< the check ran: cfg.verify and an OK run
+  bool verify_ok = false;  ///< ... and every fetched float matched
   simnet::TraceSummary msgs;
   Status status;
 };

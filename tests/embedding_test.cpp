@@ -406,6 +406,18 @@ TEST_P(EmbeddingRun, ShmemServesVerifiedPayloads) {
   EXPECT_LE(r.gets, r.gets_naive);
 }
 
+TEST(EmbeddingRunFailure, StoppedRunIsNotVerified) {
+  // A 1 us watchdog stops the serving loop early; its partial payloads
+  // must not read as checked.
+  const double saved = runtime::default_watchdog_virtual_us();
+  runtime::set_default_watchdog_virtual_us(1.0);
+  const Result r = run_mpi(simnet::Platform::perlmutter_cpu(1), 4, small_cfg());
+  runtime::set_default_watchdog_virtual_us(saved);
+  EXPECT_FALSE(r.status.is_ok());
+  EXPECT_FALSE(r.verified);
+  EXPECT_FALSE(r.verify_ok);
+}
+
 INSTANTIATE_TEST_SUITE_P(Policies, EmbeddingRun,
                          ::testing::Values(ShardPolicy::kRow,
                                            ShardPolicy::kColumn,
