@@ -400,6 +400,76 @@ TEST(Split, TinyMessagesLoseFromSplitting) {
   EXPECT_LT(pts[1].speedup_vs_1, 1.0);
 }
 
+// Exact Fig 10 split and Fig 4 CAS-probe outputs, recorded before both moved
+// onto run_sweep's point runners; any change to the measured loop shows here.
+struct SplitPin {
+  std::uint64_t volume_bytes;
+  int ways;
+  double time_us;
+  double gbs;
+  double speedup_vs_1;
+};
+
+void expect_split_pins(const std::vector<SplitPoint>& pts,
+                       const std::vector<SplitPin>& want) {
+  ASSERT_EQ(pts.size(), want.size());
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    EXPECT_EQ(pts[i].volume_bytes, want[i].volume_bytes) << i;
+    EXPECT_EQ(pts[i].ways, want[i].ways) << i;
+    EXPECT_EQ(pts[i].time_us, want[i].time_us) << i;
+    EXPECT_EQ(pts[i].gbs, want[i].gbs) << i;
+    EXPECT_EQ(pts[i].speedup_vs_1, want[i].speedup_vs_1) << i;
+  }
+}
+
+TEST(PinnedOutputs, SplitSweepPerlmutterGpu) {
+  SplitConfig cfg;
+  cfg.volumes = {4096, 1 << 20};
+  cfg.ways = {1, 2, 4, 8};
+  cfg.iters = 8;
+  expect_split_pins(
+      run_split_sweep(simnet::Platform::perlmutter_gpu(), cfg),
+      {
+          {4096, 1, 4.1641599999999999, 0.98363175286252214, 1},
+          {4096, 2, 4.5822399999999988, 0.89388595970529716,
+           0.90876078075351818},
+          {4096, 4, 5.5412800000000004, 0.73917939537435395,
+           0.75147980250050517},
+          {4096, 8, 7.5208000000000004, 0.5446229124561216,
+           0.55368577810871178},
+          {1 << 20, 1, 45.943359999999998, 22.823232780536731, 1},
+          {1 << 20, 2, 25.471839999999993, 41.16608772668171,
+           1.8036922342477031},
+          {1 << 20, 4, 15.986080000000001, 65.593065967391624,
+           2.8739603455005853},
+          {1 << 20, 8, 15.9864, 65.591752990041542, 2.8739028173947854},
+      });
+}
+
+TEST(PinnedOutputs, SplitSweepSummitGpu) {
+  SplitConfig cfg;
+  cfg.volumes = {1 << 20};
+  cfg.ways = {1, 4};
+  cfg.iters = 6;
+  expect_split_pins(run_split_sweep(simnet::Platform::summit_gpu(), cfg),
+                    {
+                        {1 << 20, 1, 46.943360000000006,
+                         22.337046176498653, 1},
+                        {1 << 20, 4, 28.972160000000013,
+                         36.192537939870533, 1.6202920320749292},
+                    });
+}
+
+TEST(PinnedOutputs, Fig04CasLatencies) {
+  EXPECT_EQ(
+      measure_cas_latency_us(simnet::Platform::perlmutter_gpu(), 4, 1, 0),
+      0.80063999999999913);
+  EXPECT_EQ(measure_cas_latency_us(simnet::Platform::summit_gpu(), 6, 1, 0),
+            1.0006400000000037);
+  EXPECT_EQ(measure_cas_latency_us(simnet::Platform::summit_gpu(), 6, 4, 0),
+            1.6006399999999985);
+}
+
 TEST(Report, FigureRendersDotsAndCurves) {
   RooflineFigure fig("test figure", params());
   fig.add_model_curves({1, 100});
