@@ -3,16 +3,13 @@
 //   2. link channel count (what creates the Fig 10 split win),
 //   3. Listing-1 poll cost (what stops one-sided SpTRSV scaling),
 //   4. put-with-signal (1 fused op) vs the 4-op one-sided MPI message,
-//   5. engine scheduling fast paths: persistent rank fibers vs the legacy
-//      fresh-engine-per-grid-point execution,
 //   7. scheduler core: indexed min-heap vs legacy linear scan.
-// (Ablation 6, fibers vs the removed OS-thread backend, is gone with that
-// backend; the numbering is kept so EXPERIMENTS.md stays aligned.)
+// (Ablations 5 and 6 are gone; the numbering is kept so EXPERIMENTS.md
+// stays aligned.)
 #include <chrono>
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
-#include "core/split.hpp"
 #include "core/sweep.hpp"
 #include "runtime/engine.hpp"
 #include "simnet/platform.hpp"
@@ -58,14 +55,14 @@ int main(int argc, char** argv) {
     scfg.ways = {1, 4};
     scfg.iters = args.full ? 16 : 6;
     {
-      const auto pts =
-          core::run_split_sweep(simnet::Platform::perlmutter_gpu(), scfg);
+      const auto pts = bench::unwrap(
+          core::run_split_sweep(simnet::Platform::perlmutter_gpu(), scfg));
       t.add_row({"Perlmutter GPU (4 x 25 GB/s)",
                  format_double(pts[1].speedup_vs_1, 2) + "x"});
     }
     {
-      const auto pts =
-          core::run_split_sweep(simnet::Platform::summit_gpu(), scfg);
+      const auto pts = bench::unwrap(
+          core::run_split_sweep(simnet::Platform::summit_gpu(), scfg));
       t.add_row({"Summit GPU (2 x 25 GB/s)",
                  format_double(pts[1].speedup_vs_1, 2) + "x"});
     }
@@ -123,49 +120,6 @@ int main(int argc, char** argv) {
         t.render("ablation 4: hardware put-with-signal support "
                  "(the paper's 'intuitively inferred' win)")
             .c_str());
-  }
-
-  // 5. Engine scheduling fast paths. Sweeps execute thousands of tiny
-  //    independent simulations; the legacy path built a fresh engine (and
-  //    created nranks fibers) for every grid point, while the current
-  //    run_sweep reuses one engine per worker. Time both over the same
-  //    many-point grid of trivial runs to isolate the dispatch overhead.
-  {
-    using clock = std::chrono::steady_clock;
-    const int points = args.full ? 2000 : 500;
-    const int nranks = 8;
-    const auto plat = simnet::Platform::perlmutter_cpu();
-    const auto body = [](runtime::Rank& r) { r.advance(1.0); };
-
-    const auto t0 = clock::now();
-    for (int i = 0; i < points; ++i) {
-      runtime::Engine eng(plat, nranks);  // legacy: fresh fibers per point
-      const auto res = eng.run(body);
-      MRL_CHECK(res.ok());
-    }
-    const auto t1 = clock::now();
-    runtime::Engine eng(plat, nranks);  // current: persistent fibers
-    for (int i = 0; i < points; ++i) {
-      const auto res = eng.run(body);
-      MRL_CHECK(res.ok());
-    }
-    const auto t2 = clock::now();
-
-    const double fresh_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    const double reuse_ms = std::chrono::duration<double, std::milli>(t2 - t1).count();
-    TextTable t({"execution mode", "wall-clock", "per point"});
-    t.add_row({"fresh engine per point (legacy)",
-               format_double(fresh_ms, 1) + " ms",
-               format_time_us(1000.0 * fresh_ms / points)});
-    t.add_row({"persistent engine reuse (run_sweep)",
-               format_double(reuse_ms, 1) + " ms",
-               format_time_us(1000.0 * reuse_ms / points)});
-    std::printf("%s", t.render("ablation 5: engine scheduling fast paths "
-                               "(" + std::to_string(points) + " points x " +
-                               std::to_string(nranks) + " ranks)")
-                          .c_str());
-    std::printf("  -> reuse speedup: %.2fx\n\n",
-                reuse_ms > 0 ? fresh_ms / reuse_ms : 0.0);
   }
 
   // 7. Scheduler core: indexed min-heap vs the legacy linear scan. Every

@@ -77,16 +77,16 @@ int main(int argc, char** argv) {
   // Atomic compare-and-swap latencies (the paper's Sec III-C numbers).
   TextTable t({"platform", "pair", "CAS latency", "paper"});
   t.add_row({"Perlmutter GPU", "gpu1 -> gpu0",
-             format_time_us(core::measure_cas_latency_us(
-                 simnet::Platform::perlmutter_gpu(), 4, 1, 0)),
+             format_time_us(bench::unwrap(core::measure_cas_latency_us(
+                 simnet::Platform::perlmutter_gpu(), 4, 1, 0))),
              "0.8 us"});
   t.add_row({"Summit GPU", "gpu1 -> gpu0 (intra-socket)",
-             format_time_us(core::measure_cas_latency_us(
-                 simnet::Platform::summit_gpu(), 6, 1, 0)),
+             format_time_us(bench::unwrap(core::measure_cas_latency_us(
+                 simnet::Platform::summit_gpu(), 6, 1, 0))),
              "1.0 us"});
   t.add_row({"Summit GPU", "gpu4 -> gpu0 (cross-socket)",
-             format_time_us(core::measure_cas_latency_us(
-                 simnet::Platform::summit_gpu(), 6, 4, 0)),
+             format_time_us(bench::unwrap(core::measure_cas_latency_us(
+                 simnet::Platform::summit_gpu(), 6, 4, 0))),
              "1.6 us"});
   std::printf("%s\n", t.render("atomic compare-and-swap").c_str());
 

@@ -8,7 +8,7 @@
 
 #include "bench/bench_common.hpp"
 #include "core/plot.hpp"
-#include "core/split.hpp"
+#include "core/sweep.hpp"
 #include "simnet/platform.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
 
   core::SplitConfig cfg = core::SplitConfig::defaults();
   if (args.full) cfg.iters = 16;
-  const auto pts = core::run_split_sweep(simnet::Platform::perlmutter_gpu(),
-                                         cfg);
+  const auto pts = bench::unwrap(
+      core::run_split_sweep(simnet::Platform::perlmutter_gpu(), cfg));
 
   core::AsciiPlot plot("Fig 10: achieved bandwidth by split factor",
                        "message volume (bytes)", "achieved GB/s");

@@ -1,8 +1,7 @@
 #include "core/sweep.hpp"
 
 #include <algorithm>
-#include <cstring>
-
+#include <map>
 #include <memory>
 
 #include "core/fit.hpp"
@@ -152,12 +151,15 @@ Result<double> run_cas_point(runtime::Engine& eng, const SweepConfig& cfg,
   double elapsed = 0;
   const auto res = shmem::World::run(eng, [&](shmem::Ctx& s) {
     auto word = s.allocate<std::uint64_t>(slots);
+    std::uint64_t next[kSlots] = {};  // each slot's value, so every CAS wins
     s.barrier_all();
     const double t0 = s.now();
     if (s.pe() == cfg.sender) {
       for (int it = 0; it < iters; ++it) {
         for (std::uint64_t j = 0; j < m; ++j) {
-          s.atomic_compare_swap(word.at(j % slots), 0, 1, cfg.receiver);
+          std::uint64_t& k = next[j % slots];
+          s.atomic_compare_swap(word.at(j % slots), k, k + 1, cfg.receiver);
+          ++k;
         }
       }
       elapsed = s.now() - t0;
@@ -259,26 +261,75 @@ Result<std::vector<SweepPoint>> run_sweep(const simnet::Platform& platform,
   return out;
 }
 
-double measure_cas_latency_us(const simnet::Platform& platform, int nranks,
-                              int origin, int target, int reps) {
-  MRL_CHECK(origin != target && reps > 0);
-  runtime::Engine eng(platform, nranks);
-  double elapsed = 0;
-  const auto res = shmem::World::run(eng, [&](shmem::Ctx& s) {
-    auto word = s.allocate<std::uint64_t>(1);
-    s.barrier_all();
-    const double t0 = s.now();
-    if (s.pe() == origin) {
-      for (int i = 0; i < reps; ++i) {
-        s.atomic_compare_swap(word, static_cast<std::uint64_t>(i),
-                              static_cast<std::uint64_t>(i + 1), target);
+Result<double> measure_cas_latency_us(const simnet::Platform& platform,
+                                      int nranks, int origin, int target) {
+  SweepConfig cfg;
+  cfg.kind = SweepKind::kAtomicCas;
+  cfg.msg_sizes = {8};
+  cfg.msgs_per_sync = {32};
+  cfg.iters = 2;  // 32 x 2 = 64 CASes
+  cfg.nranks = nranks;
+  cfg.sender = origin;
+  cfg.receiver = target;
+  auto pts = run_sweep(platform, cfg);
+  if (!pts.is_ok()) return pts.status();
+  return pts.value()[0].eff_latency_us;
+}
+
+SplitConfig SplitConfig::defaults() {
+  SplitConfig cfg;
+  for (std::uint64_t v = 1024; v <= (16ull << 20); v *= 2) {
+    cfg.volumes.push_back(v);
+  }
+  cfg.ways = {1, 2, 4, 8};
+  return cfg;
+}
+
+Result<std::vector<SplitPoint>> run_split_sweep(
+    const simnet::Platform& platform, const SplitConfig& cfg) {
+  const std::size_t nways = cfg.ways.size();
+  std::vector<SplitPoint> out(cfg.volumes.size() * nways);
+  for (std::size_t w = 0; w < nways; ++w) {
+    const int ways = cfg.ways[w];
+    const auto m = static_cast<std::uint64_t>(std::max(ways, 0));
+    SweepConfig sweep;
+    sweep.kind = SweepKind::kShmemPutSignal;
+    sweep.msgs_per_sync = {m};
+    sweep.iters = cfg.iters;
+    sweep.nranks = cfg.nranks;
+    sweep.sender = cfg.sender;
+    sweep.receiver = cfg.receiver;
+    for (std::uint64_t volume : cfg.volumes) {
+      if (m == 0 || volume < m || volume % m != 0) {
+        return Status(ErrorCode::kInvalidArgument,
+                      "split volume " + std::to_string(volume) +
+                          " B does not divide into " + std::to_string(ways) +
+                          " messages");
       }
-      elapsed = s.now() - t0;
+      sweep.msg_sizes.push_back(volume / m);
     }
-    s.barrier_all();
-  });
-  MRL_CHECK_MSG(res.ok(), res.status.message().c_str());
-  return elapsed / reps;
+    auto pts = run_sweep(platform, sweep);
+    if (!pts.is_ok()) return pts.status();
+    for (std::size_t v = 0; v < cfg.volumes.size(); ++v) {
+      SplitPoint& pt = out[v * nways + w];
+      pt.volume_bytes = cfg.volumes[v];
+      pt.ways = ways;
+      pt.time_us = pts.value()[v].eff_latency_us * ways;
+      pt.gbs = pts.value()[v].measured_gbs;
+    }
+  }
+  // Fill speedups relative to the unsplit (ways == 1) time per volume.
+  std::map<std::uint64_t, double> base;
+  for (const SplitPoint& p : out) {
+    if (p.ways == 1) base[p.volume_bytes] = p.time_us;
+  }
+  for (SplitPoint& p : out) {
+    const auto it = base.find(p.volume_bytes);
+    if (it != base.end() && p.time_us > 0) {
+      p.speedup_vs_1 = it->second / p.time_us;
+    }
+  }
+  return out;
 }
 
 Result<RooflineParams> calibrate_roofline(const simnet::Platform& platform,

@@ -3,19 +3,8 @@
 #include <algorithm>
 
 #include "util/status.hpp"
-#include "util/units.hpp"
 
 namespace mrl::simnet {
-
-double LinkSpec::channel_ser_us(std::uint64_t bytes) const {
-  MRL_CHECK(bandwidth_gbs > 0 && channels > 0);
-  return static_cast<double>(bytes) * gbs_to_us_per_byte(channel_gbs());
-}
-
-double LinkSpec::full_ser_us(std::uint64_t bytes) const {
-  MRL_CHECK(bandwidth_gbs > 0);
-  return static_cast<double>(bytes) * gbs_to_us_per_byte(bandwidth_gbs);
-}
 
 LinkState::LinkState(const LinkSpec& spec)
     : lane_next_free_(static_cast<std::size_t>(spec.channels), kTimeZero),

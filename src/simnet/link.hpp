@@ -31,10 +31,6 @@ struct LinkSpec {
   [[nodiscard]] double channel_gbs() const {
     return bandwidth_gbs / channels;
   }
-  /// Microseconds to push `bytes` through one lane.
-  [[nodiscard]] double channel_ser_us(std::uint64_t bytes) const;
-  /// Microseconds to push `bytes` at full aggregate bandwidth.
-  [[nodiscard]] double full_ser_us(std::uint64_t bytes) const;
 };
 
 /// Mutable contention state for ONE direction of a link: when each lane is

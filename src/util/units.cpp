@@ -18,11 +18,6 @@ double gbs_to_us_per_byte(double gbs) {
   return 1e-3 / gbs;
 }
 
-double us_per_byte_to_gbs(double us_per_byte) {
-  MRL_CHECK(us_per_byte > 0.0);
-  return 1e-3 / us_per_byte;
-}
-
 std::string format_double(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);

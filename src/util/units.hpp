@@ -17,9 +17,6 @@ double bytes_per_us_to_gbs(double bytes, double t_us);
 /// GB/s -> microseconds per byte (the LogGP "G" parameter).
 double gbs_to_us_per_byte(double gbs);
 
-/// Microseconds per byte -> GB/s.
-double us_per_byte_to_gbs(double us_per_byte);
-
 /// "4 KiB", "131 KiB", "2 MiB", "24 B" — binary prefixes.
 std::string format_bytes(std::uint64_t bytes);
 

@@ -4,20 +4,9 @@
 
 #include "util/status.hpp"
 #include "workloads/sptrsv/sptrsv.hpp"
+#include "workloads/stencil/stencil.hpp"
 
 namespace mrl::workloads::sptrsv {
-
-ProcessGrid ProcessGrid::near_square(int nranks) {
-  MRL_CHECK(nranks >= 1);
-  int best = 1;
-  for (int p = 1; p * p <= nranks; ++p) {
-    if (nranks % p == 0) best = p;
-  }
-  ProcessGrid g;
-  g.pr = best;
-  g.pc = nranks / best;
-  return g;
-}
 
 int SolvePlan::x_slot(int rank, int J) const {
   const auto& cols = x_cols[static_cast<std::size_t>(rank)];
@@ -37,7 +26,8 @@ int SolvePlan::lsum_slot(int rank, int I, int src) const {
 
 SolvePlan SolvePlan::build(const SupernodalMatrix& L, int nranks, int me) {
   SolvePlan plan;
-  plan.grid = ProcessGrid::near_square(nranks);
+  // The stencil's near-square grid: rows of ranks pr, columns pc.
+  stencil::choose_grid(nranks, &plan.grid.pc, &plan.grid.pr);
   plan.me = me;
   const int S = L.num_supernodes();
   plan.col_blocks.resize(static_cast<std::size_t>(S));

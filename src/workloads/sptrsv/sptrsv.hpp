@@ -109,7 +109,6 @@ struct ProcessGrid {
     return (I % pr) * pc + (J % pc);
   }
   [[nodiscard]] int size() const { return pr * pc; }
-  static ProcessGrid near_square(int nranks);
 };
 
 /// Everything a rank needs to run the solve, precomputed identically on all

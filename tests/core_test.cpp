@@ -15,7 +15,6 @@
 #include "core/parallel.hpp"
 #include "core/plot.hpp"
 #include "core/report.hpp"
-#include "core/split.hpp"
 #include "core/sweep.hpp"
 #include "runtime/engine.hpp"
 #include "simnet/platform.hpp"
@@ -183,7 +182,8 @@ TEST(Sweep, OneSidedLosesOnSummitSpectrumMpi) {
 
 TEST(Sweep, CasLatencyProbeMatchesShmemCalibration) {
   EXPECT_NEAR(
-      measure_cas_latency_us(simnet::Platform::perlmutter_gpu(), 2, 1, 0),
+      measure_cas_latency_us(simnet::Platform::perlmutter_gpu(), 2, 1, 0)
+          .value(),
       0.8, 0.1);
 }
 
@@ -385,7 +385,8 @@ TEST(Split, LargeMessagesGainFromSplittingOnPerlmutterGpu) {
   cfg.volumes = {1 << 20};  // 1 MiB >> the 131 KiB crossover
   cfg.ways = {1, 4};
   cfg.iters = 4;
-  const auto pts = run_split_sweep(simnet::Platform::perlmutter_gpu(), cfg);
+  const auto pts =
+      run_split_sweep(simnet::Platform::perlmutter_gpu(), cfg).value();
   ASSERT_EQ(pts.size(), 2u);
   EXPECT_GT(pts[1].speedup_vs_1, 2.0);  // paper: up to 2.9x
   EXPECT_LT(pts[1].speedup_vs_1, 4.0);
@@ -396,12 +397,24 @@ TEST(Split, TinyMessagesLoseFromSplitting) {
   cfg.volumes = {4096};
   cfg.ways = {1, 4};
   cfg.iters = 4;
-  const auto pts = run_split_sweep(simnet::Platform::perlmutter_gpu(), cfg);
+  const auto pts =
+      run_split_sweep(simnet::Platform::perlmutter_gpu(), cfg).value();
   EXPECT_LT(pts[1].speedup_vs_1, 1.0);
 }
 
-// Exact Fig 10 split and Fig 4 CAS-probe outputs, recorded before both moved
-// onto run_sweep's point runners; any change to the measured loop shows here.
+TEST(Split, IndivisibleVolumeIsInvalidArgument) {
+  SplitConfig cfg;
+  cfg.ways = {1, 4};
+  for (std::uint64_t volume : {2, 6}) {
+    cfg.volumes = {1024, volume};
+    const auto pts = run_split_sweep(simnet::Platform::perlmutter_gpu(), cfg);
+    ASSERT_FALSE(pts.is_ok()) << volume;
+    EXPECT_EQ(pts.status().code(), ErrorCode::kInvalidArgument) << volume;
+  }
+}
+
+// Exact Fig 10 split and Fig 4 CAS-probe outputs: a change to the measured
+// loop that moves any simulated number fails here.
 struct SplitPin {
   std::uint64_t volume_bytes;
   int ways;
@@ -428,7 +441,7 @@ TEST(PinnedOutputs, SplitSweepPerlmutterGpu) {
   cfg.ways = {1, 2, 4, 8};
   cfg.iters = 8;
   expect_split_pins(
-      run_split_sweep(simnet::Platform::perlmutter_gpu(), cfg),
+      run_split_sweep(simnet::Platform::perlmutter_gpu(), cfg).value(),
       {
           {4096, 1, 4.1641599999999999, 0.98363175286252214, 1},
           {4096, 2, 4.5822399999999988, 0.89388595970529716,
@@ -451,23 +464,26 @@ TEST(PinnedOutputs, SplitSweepSummitGpu) {
   cfg.volumes = {1 << 20};
   cfg.ways = {1, 4};
   cfg.iters = 6;
-  expect_split_pins(run_split_sweep(simnet::Platform::summit_gpu(), cfg),
-                    {
-                        {1 << 20, 1, 46.943360000000006,
-                         22.337046176498653, 1},
-                        {1 << 20, 4, 28.972160000000013,
-                         36.192537939870533, 1.6202920320749292},
-                    });
+  expect_split_pins(
+      run_split_sweep(simnet::Platform::summit_gpu(), cfg).value(),
+      {
+          {1 << 20, 1, 46.943360000000006, 22.337046176498653, 1},
+          {1 << 20, 4, 28.972160000000013, 36.192537939870533,
+           1.6202920320749292},
+      });
 }
 
 TEST(PinnedOutputs, Fig04CasLatencies) {
   EXPECT_EQ(
-      measure_cas_latency_us(simnet::Platform::perlmutter_gpu(), 4, 1, 0),
+      measure_cas_latency_us(simnet::Platform::perlmutter_gpu(), 4, 1, 0)
+          .value(),
       0.80063999999999913);
-  EXPECT_EQ(measure_cas_latency_us(simnet::Platform::summit_gpu(), 6, 1, 0),
-            1.0006400000000037);
-  EXPECT_EQ(measure_cas_latency_us(simnet::Platform::summit_gpu(), 6, 4, 0),
-            1.6006399999999985);
+  EXPECT_EQ(
+      measure_cas_latency_us(simnet::Platform::summit_gpu(), 6, 1, 0).value(),
+      1.0006400000000037);
+  EXPECT_EQ(
+      measure_cas_latency_us(simnet::Platform::summit_gpu(), 6, 4, 0).value(),
+      1.6006399999999985);
 }
 
 TEST(Report, FigureRendersDotsAndCurves) {

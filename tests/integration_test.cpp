@@ -183,38 +183,69 @@ TEST(Schedulers, TraceBytesIdentical) {
 }
 
 TEST(Determinism, RandomTrafficIsReproducible) {
+  // Random traffic: every rank sends 30 messages of random sizes to random
+  // peers, then receives whatever the peers address to it in arrival order
+  // (any source, any tag). What each rank gets follows from replaying every
+  // sender's draws.
+  constexpr int kRanks = 16;
+  constexpr int kMsgs = 30;
+  struct Draw {
+    int dst = 0;
+    std::uint64_t bytes = 0;
+  };
+  std::vector<std::vector<Draw>> draws(kRanks);
+  std::vector<int> want_msgs(kRanks, 0);
+  std::vector<std::uint64_t> want_bytes(kRanks, 0);
+  for (int r = 0; r < kRanks; ++r) {
+    Xoshiro256 rng = Xoshiro256::for_stream(11, static_cast<std::uint64_t>(r));
+    for (int i = 0; i < kMsgs; ++i) {
+      Draw d;
+      d.dst = (r + 1 + static_cast<int>(rng.uniform(7))) % kRanks;
+      d.bytes = rng.uniform(4096) + 1;
+      draws[static_cast<std::size_t>(r)].push_back(d);
+      ++want_msgs[static_cast<std::size_t>(d.dst)];
+      want_bytes[static_cast<std::size_t>(d.dst)] += d.bytes;
+    }
+  }
+
+  struct Outcome {
+    std::vector<double> end_us = std::vector<double>(kRanks, 0.0);
+    std::vector<std::uint64_t> got_bytes =
+        std::vector<std::uint64_t>(kRanks, 0);
+  };
   const simnet::Platform plat = simnet::Platform::perlmutter_cpu();
   auto run_once = [&] {
-    runtime::Engine eng(plat, 16);
-    double sum = 0;
+    Outcome out;
+    runtime::Engine eng(plat, kRanks);
     const auto res = mpi::World::run(eng, [&](mpi::Comm& c) {
-      Xoshiro256 rng = Xoshiro256::for_stream(11, c.rank());
-      // Random ring-ish traffic: every rank sends 30 messages of random
-      // sizes to random peers, receives exactly 30 (counts precomputed by
-      // symmetry: everyone sends k to (rank + i) % size).
-      for (int i = 0; i < 30; ++i) {
-        const int dst =
-            (c.rank() + 1 + static_cast<int>(rng.uniform(7))) % c.size();
-        std::vector<std::byte> buf(rng.uniform(4096) + 1);
-        mpi::Request req =
-            c.isend(buf.data(), buf.size(), dst, /*tag=*/i % 3);
-        static_cast<void>(req);
+      const auto me = static_cast<std::size_t>(c.rank());
+      std::vector<std::vector<std::byte>> bufs;
+      std::vector<mpi::Request> reqs;
+      for (int i = 0; i < kMsgs; ++i) {
+        const Draw& d = draws[me][static_cast<std::size_t>(i)];
+        bufs.emplace_back(d.bytes);
+        reqs.push_back(
+            c.isend(bufs.back().data(), d.bytes, d.dst, /*tag=*/i % 3));
       }
-      c.barrier();  // everything delivered (modeled barrier dominates)
-      // Drain whatever arrived for me.
-      std::vector<std::byte> rbuf(4097);
-      while (true) {
-        // No probe API: receive until the mailbox is empty via a sentinel
-        // count — each rank received some number of messages; just stop at
-        // the barrier-consistent state by receiving nothing further.
-        break;
+      std::vector<std::byte> rbuf(4096);
+      for (int k = 0; k < want_msgs[me]; ++k) {
+        out.got_bytes[me] +=
+            c.recv(rbuf.data(), rbuf.size(), mpi::kAnySource, mpi::kAnyTag)
+                .bytes;
       }
-      if (c.rank() == 0) sum = c.now();
+      c.waitall(reqs);
+      c.barrier();
+      out.end_us[me] = c.now();
     });
-    EXPECT_TRUE(res.ok());
-    return sum;
+    EXPECT_TRUE(res.ok()) << res.status.to_string();
+    return out;
   };
-  EXPECT_EQ(run_once(), run_once());
+  const Outcome a = run_once();
+  const Outcome b = run_once();
+  EXPECT_EQ(a.got_bytes, want_bytes);
+  EXPECT_EQ(b.got_bytes, want_bytes);
+  EXPECT_EQ(a.end_us, b.end_us);
+  for (double t : a.end_us) EXPECT_GT(t, 0.0);
 }
 
 // ---------------------------------------------------------------------------
