@@ -203,6 +203,28 @@ TEST(CheckCorpus, MpiCreateWinCannotPairWithUserBarrier) {
   EXPECT_TRUE(contains(s, "win.create")) << s;
 }
 
+TEST(CheckCorpus, MpiCreateWinEnteringLastAfterUserBarriers) {
+  // The mismatching entrant is the last of its generation: the verdict
+  // must not depend on whether the checker sees its signature before or
+  // after that entry completes the rendezvous.
+  Engine eng(simnet::Platform::perlmutter_cpu(1), 3, checked());
+  const auto res = mpi::World::run(eng, [](mpi::Comm& c) {
+    if (c.rank() < 2) {
+      c.compute(1.0 + c.rank());
+      c.barrier();
+    } else {
+      c.compute(10.0);
+      std::vector<double> buf(8, 0.0);
+      c.create_win(buf.data(), buf.size() * sizeof(double));
+    }
+  });
+  EXPECT_EQ(res.status.to_string(),
+            "FAILED_PRECONDITION: RMA checker: 1 violation(s)\n"
+            "  [1] collective mismatch on mpi.world (gen 0): rank 2 "
+            "@10.300us entered win.create(root=-1, bytes=0) but rank 0 "
+            "@1.300us entered barrier(root=-1, bytes=0)");
+}
+
 TEST(CheckCorpus, ShmemMissingQuietBeforePutSignal) {
   Engine eng(simnet::Platform::perlmutter_gpu(), 2, checked());
   const auto res = shmem::World::run(eng, [](shmem::Ctx& s) {

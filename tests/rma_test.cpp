@@ -1,17 +1,24 @@
 // The shared RMA delivery core (src/rma/): the deferred-delivery queue
 // against a naive oracle, on random streams and on streams shaped like
-// real traffic, and the overflow-safe bounds test. Space and
-// Rendezvous are exercised through the runtimes (tests_mpi, tests_shmem).
+// real traffic, and the overflow-safe bounds test. The rest of Space is
+// exercised through the runtimes (tests_mpi, tests_shmem); the barrier
+// pins below fix, exactly, what every sync built on its rendezvous costs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "mpi/comm.hpp"
+#include "mpi/win.hpp"
 #include "rma/rma.hpp"
+#include "shmem/shmem.hpp"
+#include "simnet/platform.hpp"
 #include "util/rng.hpp"
 
 namespace mrl::rma {
@@ -321,6 +328,162 @@ TEST(Bounds, InBoundsIsOverflowSafe) {
   // off + bytes wraps around to 8, which a naive sum would accept.
   EXPECT_FALSE(in_bounds(~0ULL - 7, 16, 64));
   EXPECT_FALSE(in_bounds(8, ~0ULL - 3, 64));
+}
+
+// --- barrier pins -----------------------------------------------------------
+// MPI barriers, create_win, window fences and SHMEM barriers with staggered
+// entrants: each rank's exact end clock, its metrics `collectives` / `syncs`
+// counts and the kind of every span it recorded. A fence or barrier_all
+// with puts pending completes at the later of the rendezvous and the
+// drain, so those cases size their puts to arrive after the rendezvous.
+
+struct SyncPin {
+  std::vector<double> end;  ///< per-rank clock after the last sync
+  std::vector<std::uint64_t> collectives;
+  std::vector<std::uint64_t> syncs;
+  std::vector<std::string> spans;  ///< "r<rank> <kind>" in record order
+};
+
+runtime::EngineOptions pin_options() {
+  runtime::EngineOptions o;
+  o.metrics = true;
+  o.spans = true;
+  return o;
+}
+
+SyncPin collect(const runtime::Engine& eng, std::vector<double> end) {
+  SyncPin p;
+  p.end = std::move(end);
+  const runtime::MetricsReport rep = eng.metrics_report();
+  for (const auto& r : rep.ranks) {
+    p.collectives.push_back(r.ops.collectives);
+    p.syncs.push_back(r.ops.syncs);
+  }
+  for (const simnet::SpanRecord& s : eng.spans().records()) {
+    std::string span = "r";
+    span += std::to_string(s.rank);
+    span += ' ';
+    span += simnet::to_string(s.kind);
+    p.spans.push_back(span);
+  }
+  return p;
+}
+
+/// Compares exactly and prints the actual clocks at full precision.
+void expect_pin(const SyncPin& got, const std::vector<double>& end,
+                const std::vector<std::uint64_t>& collectives,
+                const std::vector<std::uint64_t>& syncs,
+                const std::vector<std::string>& spans) {
+  for (std::size_t i = 0; i < got.end.size(); ++i) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", got.end[i]);
+    std::string where = "rank ";
+    where += std::to_string(i);
+    where += " end ";
+    where += buf;
+    SCOPED_TRACE(where);
+    ASSERT_LT(i, end.size());
+    EXPECT_EQ(got.end[i], end[i]);
+  }
+  EXPECT_EQ(got.end.size(), end.size());
+  EXPECT_EQ(got.collectives, collectives);
+  EXPECT_EQ(got.syncs, syncs);
+  EXPECT_EQ(got.spans, spans);
+}
+
+TEST(BarrierPins, MpiBarrier) {
+  runtime::Engine eng(simnet::Platform::perlmutter_cpu(1), 4, pin_options());
+  std::vector<double> end(4);
+  const auto r = mpi::World::run(eng, [&](mpi::Comm& c) {
+    c.compute(1.5 * (3 - c.rank()));
+    c.barrier();
+    c.compute(0.25 * c.rank());
+    c.barrier();
+    end[static_cast<std::size_t>(c.rank())] = c.now();
+  });
+  ASSERT_TRUE(r.ok()) << r.status.to_string();
+  const double t = 19.050000000000001;
+  expect_pin(collect(eng, end), {t, t, t, t}, {2, 2, 2, 2}, {2, 2, 2, 2},
+             {"r0 collective", "r1 collective", "r2 collective",
+              "r3 collective", "r0 collective", "r1 collective",
+              "r2 collective", "r3 collective"});
+}
+
+TEST(BarrierPins, CreateWin) {
+  runtime::Engine eng(simnet::Platform::perlmutter_cpu(1), 3, pin_options());
+  std::vector<double> end(3);
+  const auto r = mpi::World::run(eng, [&](mpi::Comm& c) {
+    std::vector<double> buf(8, 0.0);
+    c.compute(2.0 * c.rank());
+    c.create_win(buf.data(), buf.size() * sizeof(double));
+    end[static_cast<std::size_t>(c.rank())] = c.now();
+  });
+  ASSERT_TRUE(r.ok()) << r.status.to_string();
+  const double t = 10.9;
+  expect_pin(collect(eng, end), {t, t, t}, {1, 1, 1}, {1, 1, 1},
+             {"r0 collective", "r1 collective", "r2 collective"});
+}
+
+TEST(BarrierPins, WinFenceDrainsTwoOrigins) {
+  runtime::Engine eng(simnet::Platform::perlmutter_cpu(1), 3, pin_options());
+  std::vector<double> end(3);
+  constexpr std::size_t kN = 1 << 15;  // 256 KiB per origin
+  const auto r = mpi::World::run(eng, [&](mpi::Comm& c) {
+    std::vector<double> buf(2 * kN, 0.0);
+    mpi::WinHandle win = c.create_win(buf.data(), buf.size() * sizeof(double));
+    const std::vector<double> src(kN, 1.0 + c.rank());
+    if (c.rank() < 2) {
+      c.compute(0.5 + 3.0 * c.rank());
+      win.put(src.data(), kN * sizeof(double), 2,
+              static_cast<std::uint64_t>(c.rank()) * kN * sizeof(double));
+    } else {
+      c.compute(1.25);
+    }
+    win.fence();
+    end[static_cast<std::size_t>(c.rank())] = c.now();
+    if (c.rank() == 2) {
+      EXPECT_EQ(buf[0], 1.0);
+      EXPECT_EQ(buf[2 * kN - 1], 2.0);
+    }
+  });
+  ASSERT_TRUE(r.ok()) << r.status.to_string();
+  // The drain sets the end: rank 1's put lands after the rendezvous.
+  const double t = 21.242000000000001;
+  expect_pin(collect(eng, end), {t, t, t}, {1, 1, 1}, {2, 2, 2},
+             {"r0 collective", "r1 collective", "r2 collective", "r0 fence",
+              "r1 fence", "r2 fence"});
+}
+
+TEST(BarrierPins, ShmemBarrierAllDrainsPutSignal) {
+  runtime::Engine eng(simnet::Platform::perlmutter_gpu(), 3, pin_options());
+  std::vector<double> end(3);
+  constexpr std::uint64_t kN = 1 << 15;
+  const auto r = shmem::World::run(eng, [&](shmem::Ctx& s) {
+    auto data = s.allocate<double>(2 * kN);
+    auto sig = s.allocate<std::uint64_t>(2);
+    const std::vector<double> src(kN, 1.0 + s.pe());
+    if (s.pe() < 2) {
+      s.compute(0.5 + 3.0 * s.pe());
+      const auto me = static_cast<std::uint64_t>(s.pe());
+      s.put_signal_nbi(data.at(me * kN), src.data(), kN, sig.at(me), me + 7,
+                       2);
+    } else {
+      s.compute(1.25);
+    }
+    s.barrier_all();
+    end[static_cast<std::size_t>(s.pe())] = s.now();
+    if (s.pe() == 2) {
+      EXPECT_EQ(s.local(data)[0], 1.0);
+      EXPECT_EQ(s.local(data)[2 * kN - 1], 2.0);
+      EXPECT_EQ(s.local(sig)[0], 7u);
+      EXPECT_EQ(s.local(sig)[1], 8u);
+    }
+  });
+  ASSERT_TRUE(r.ok()) << r.status.to_string();
+  // The drain sets the end: PE 1's put lands after the rendezvous.
+  const double t = 17.986080000000001;
+  expect_pin(collect(eng, end), {t, t, t}, {1, 1, 1}, {1, 1, 1},
+             {"r0 barrier", "r1 barrier", "r2 barrier"});
 }
 
 }  // namespace
