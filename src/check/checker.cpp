@@ -698,8 +698,6 @@ void set_default_check_history(std::uint64_t n) {
 }
 
 namespace {
-std::atomic<bool> g_default_check_report{false};
-
 void json_string(std::ostream& os, const std::string& s) {
   os << '"';
   for (const char ch : s) {
@@ -722,13 +720,6 @@ std::string fmt_us(simnet::TimeUs t) {
   return buf;
 }
 }  // namespace
-
-bool default_check_report() {
-  return g_default_check_report.load(std::memory_order_relaxed);
-}
-void set_default_check_report(bool on) {
-  g_default_check_report.store(on, std::memory_order_relaxed);
-}
 
 void write_check_report_json(const std::vector<Violation>& violations,
                              std::ostream& os) {

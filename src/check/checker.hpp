@@ -89,7 +89,7 @@ enum class PutClass : std::uint8_t {
 
 /// Collective signature checked across ranks at each rendezvous generation.
 struct CollSig {
-  const char* kind = "";     ///< "barrier", "allreduce_sum", "bcast", ...
+  const char* kind = "";     ///< "barrier", "win.create", "win.fence", ...
   int root = -1;             ///< rooted collectives only; -1 otherwise
   std::uint64_t bytes = 0;   ///< payload element bytes; 0 for barriers
 };
@@ -371,12 +371,6 @@ void set_default_check(bool on);
 [[nodiscard]] std::uint64_t default_check_history();
 void set_default_check_history(std::uint64_t n);
 
-/// Whether engines publish their verdicts to the CheckReportRegistry at run
-/// end (initially false; the `--check-report PATH` flag flips it on along
-/// with the checker itself).
-[[nodiscard]] bool default_check_report();
-void set_default_check_report(bool on);
-
 /// Machine-readable JSON for a verdict list: schema tag
 /// "msgroof.check_report.v1", a violation count, and one object per verdict
 /// with every Violation field (times in microseconds, fixed 3-decimal
@@ -384,8 +378,9 @@ void set_default_check_report(bool on);
 void write_check_report_json(const std::vector<Violation>& violations,
                              std::ostream& os);
 
-/// Process-wide collection of every published run's verdicts, for the
-/// `--check-report PATH` dump. Publishes arrive in nondeterministic order
+/// Process-wide collection of the verdicts of every checked run that
+/// recorded any (Engine::run publishes them), for the `--check-report
+/// PATH` dump. Publishes arrive in nondeterministic order
 /// under parallel sweeps, so the dump sorts violations lexicographically by
 /// their full field tuple — the bytes are independent of scheduler and
 /// --jobs, like the metrics registry.

@@ -1,6 +1,5 @@
 #include "coll/algorithms.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "util/status.hpp"
@@ -8,49 +7,10 @@
 namespace mrl::coll {
 
 namespace {
-constexpr int kTagBarrier = 9001;
-constexpr int kTagBcast = 9002;
 constexpr int kTagRd = 9003;
 constexpr int kTagRingRs = 9004;  // reduce-scatter phase
 constexpr int kTagRingAg = 9005;  // allgather phase
 }  // namespace
-
-void dissemination_barrier(mpi::Comm& c) {
-  const int p = c.size();
-  std::byte token{};
-  for (int dist = 1; dist < p; dist *= 2) {
-    const int to = (c.rank() + dist) % p;
-    const int from = (c.rank() - dist % p + p) % p;
-    mpi::Request sreq = c.isend(&token, 1, to, kTagBarrier);
-    c.recv(&token, 1, from, kTagBarrier);
-    c.wait(sreq);
-  }
-}
-
-void binomial_bcast(mpi::Comm& c, void* buf, std::uint64_t bytes, int root) {
-  const int p = c.size();
-  MRL_CHECK(root >= 0 && root < p);
-  // Rotate ranks so the root is virtual rank 0.
-  const int vrank = (c.rank() - root + p) % p;
-  // Receive once from the parent, then forward down the tree.
-  int mask = 1;
-  while (mask < p) {
-    if (vrank & mask) {
-      const int parent = (vrank - mask + root) % p;
-      c.recv(buf, bytes, parent, kTagBcast);
-      break;
-    }
-    mask *= 2;
-  }
-  mask /= 2;
-  while (mask > 0) {
-    if (vrank + mask < p) {
-      const int child = (vrank + mask + root) % p;
-      c.send(buf, bytes, child, kTagBcast);
-    }
-    mask /= 2;
-  }
-}
 
 void rd_allreduce_sum(mpi::Comm& c, double* data, std::size_t count) {
   const int p = c.size();

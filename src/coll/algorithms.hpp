@@ -1,11 +1,9 @@
 // Collective algorithms built on real point-to-point messages (in contrast
-// to mpi::Comm's modeled-cost collectives). These are the building blocks of
+// to mpi::Comm's modeled-cost barrier). These are the building blocks of
 // NCCL/RCCL-style communication — the paper's stated future work ("AI
 // applications using NCCL, RCCL, HCCL") — and double as an ablation of the
 // modeled-collective design choice.
 //
-//   dissemination_barrier — ceil(log2 P) rounds of paired token messages
-//   binomial_bcast        — classic binomial broadcast tree
 //   rd_allreduce_sum      — recursive doubling (any P via pre/post folding)
 //   ring_allreduce_sum    — bandwidth-optimal 2(P-1)-step chunked ring
 //                           (the NCCL algorithm)
@@ -18,12 +16,6 @@
 #include "shmem/shmem.hpp"
 
 namespace mrl::coll {
-
-/// Dissemination barrier over p2p messages.
-void dissemination_barrier(mpi::Comm& c);
-
-/// Binomial-tree broadcast of `bytes` from `root`.
-void binomial_bcast(mpi::Comm& c, void* buf, std::uint64_t bytes, int root);
 
 /// Recursive-doubling allreduce (sum) on `count` doubles in place. Handles
 /// non-power-of-two P by folding extra ranks into the largest power of two.

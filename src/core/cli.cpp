@@ -204,10 +204,8 @@ void add_observer_flags(util::FlagSet& fs, bool link_summary) {
   fs.add(dump_flag("--check-report",
                    "implies --check; write every checker verdict as sorted "
                    "JSON to PATH at exit, even when the run failed",
-                   &Outputs::check_report, [] {
-                     check::set_default_check(true);
-                     check::set_default_check_report(true);
-                   }));
+                   &Outputs::check_report,
+                   [] { check::set_default_check(true); }));
   fs.add(dump_flag("--trace",
                    "enable per-rank spans and write the captured (slowest) "
                    "run's timeline to PATH at exit",

@@ -39,7 +39,7 @@ void parallel_for_indexed(std::size_t n, int jobs,
   jobs = resolve_jobs(jobs);
   if (n == 0) return;
   if (jobs == 1 || n == 1) {
-    // Exact sequential legacy path: caller's thread, ascending order.
+    // One job: every index on the caller's thread, in ascending order.
     for (std::size_t i = 0; i < n; ++i) fn(0, i);
     return;
   }

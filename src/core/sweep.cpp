@@ -38,7 +38,7 @@ namespace {
 
 /// One grid point: returns sender-side elapsed virtual microseconds.
 /// Point runners borrow a caller-owned engine — workers reuse one engine
-/// (and its persistent rank threads) across all the grid points they draw.
+/// (and its per-rank state) across all the grid points they draw.
 constexpr std::uint64_t kSlots = 8;  // buffer slots reused modulo the window
 
 Result<double> run_two_sided_point(runtime::Engine& eng, const SweepConfig& cfg,
@@ -201,10 +201,9 @@ Result<std::vector<SweepPoint>> run_sweep(const simnet::Platform& platform,
   const int jobs = resolve_jobs(cfg.jobs);
   std::vector<SweepPoint> out(cells.size());
   std::vector<Status> errs(cells.size());
-  // One engine (and persistent rank-thread pool) per worker, reused across
-  // every grid point that worker draws. Each point is a fully isolated
-  // simulation (fabric/clock/trace reset per run), so reuse is
-  // bit-equivalent to a fresh engine per point.
+  // One engine per worker, reused across every grid point that worker
+  // draws. Each point is a fully isolated simulation (fabric/clock/trace
+  // reset per run), so reuse is bit-equivalent to a fresh engine per point.
   std::vector<std::unique_ptr<runtime::Engine>> engines(
       static_cast<std::size_t>(jobs));
   parallel_for_indexed(cells.size(), jobs, [&](int worker, std::size_t i) {

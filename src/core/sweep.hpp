@@ -42,9 +42,9 @@ struct SweepConfig {
   int sender = 0;
   int receiver = 1;
   /// Concurrent grid points (each on its own engine). <= 0 uses
-  /// core::default_jobs(); 1 is the exact sequential legacy path. Results
-  /// are bit-identical for every value — grid points are isolated
-  /// simulations written to pre-assigned output slots.
+  /// core::default_jobs(); 1 runs the points in order on the caller's
+  /// thread. Results are bit-identical for every value — grid points are
+  /// isolated simulations written to pre-assigned output slots.
   int jobs = 0;
 
   /// Default grid: sizes 8 B .. 4 MiB (x4), msg/sync 1 .. 1e4 (x10).

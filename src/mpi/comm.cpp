@@ -1,10 +1,6 @@
 #include "mpi/comm.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "mpi/win.hpp"
-#include "util/status.hpp"
 
 namespace mrl::mpi {
 
@@ -53,49 +49,17 @@ WinHandle Comm::create_win(void* base, std::uint64_t bytes) {
   return WinHandle(win, this);
 }
 
-const World::CollResult& Comm::collective(double cost_us, double sum_contrib,
-                                          double max_contrib,
-                                          const void* payload,
-                                          std::uint64_t payload_bytes,
-                                          const check::CollSig& sig) {
-  auto& rv = world_->coll_;
-  std::uint64_t my_gen = 0;
-  world_->engine_.perform(*rank_, [&] {
-    auto& chk = world_->engine_.checker();
-    if (chk.enabled()) {
-      if (world_->chk_chan_ < 0) {
-        world_->chk_chan_ = chk.add_channel("mpi.world");
-      }
-      const check::CollEnter ce = chk.on_collective_enter(
-          world_->chk_chan_, rank(), sig, rank_->now());
-      if (!ce.ok) {
-        // Mismatched collectives abort immediately: letting the kind-blind
-        // rendezvous below pair them would deadlock or corrupt payloads.
-        world_->engine_.abort_run(*rank_, ErrorCode::kFailedPrecondition,
-                                  chk.report());
-      }
+void Comm::barrier() { barrier_kind("barrier"); }
+
+void Comm::barrier_kind(const char* kind) {
+  runtime::Engine& eng = world_->engine_;
+  world_->barrier_.join(eng, *rank_, p2p_params(), kind, "collective", [&] {
+    if (world_->chk_chan_ < 0) {
+      world_->chk_chan_ = eng.checker().add_channel("mpi.world");
     }
-    World::CollResult& acc = rv.acc();
-    acc.sum += sum_contrib;
-    acc.max = std::max(acc.max, max_contrib);
-    if (payload != nullptr && payload_bytes > 0) {
-      const auto* p = static_cast<const std::byte*>(payload);
-      acc.payload.assign(p, p + payload_bytes);
-    }
-    my_gen = rv.enter(world_->nranks_, rank_->now(),
-                      [&](simnet::TimeUs max_enter) {
-                        return max_enter + cost_us;
-                      });
+    return world_->chk_chan_;
   });
-  const World::CollResult& res =
-      rv.wait(world_->engine_, *rank_, "collective", my_gen);
-  auto& chk = world_->engine_.checker();
-  if (chk.enabled() && world_->chk_chan_ >= 0) {
-    chk.on_collective_complete(world_->chk_chan_, rank(), my_gen);
-  }
-  rank_->bump_epoch();
-  world_->engine_.metrics().on_collective(rank());
-  return res;
+  eng.metrics().on_collective(rank());
 }
 
 }  // namespace mrl::mpi

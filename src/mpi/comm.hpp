@@ -4,16 +4,15 @@
 // The API mirrors the subset of MPI the paper's three workloads use:
 // Isend/Irecv/Send/Recv (with ANY_SOURCE / ANY_TAG), Wait/Waitall, RMA
 // windows with Put / fence / flush / flush_local / compare-and-swap /
-// fetch-add, and Barrier / Allreduce / Bcast collectives. Every operation
+// fetch-add, and Barrier. Every operation
 // charges the issuing rank the per-op LogGP overhead `o` of its runtime
 // flavor, so the paper's "one-sided needs 4 MPI operations per message"
-// penalty is emergent, not hard-coded. RMA delivery and the collective
+// penalty is emergent, not hard-coded. RMA delivery and the barrier
 // rendezvous are the shared RMA core (rma/rma.hpp) that minishmem uses too.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -61,7 +60,7 @@ static_assert(sizeof(Mailbox) == sizeof(std::vector<Msg>),
               "an idle mailbox must cost one vector header per rank");
 
 /// Shared state for one communicator world: mailboxes, FIFO clamps,
-/// collective rendezvous, and RMA windows. Created by World::run().
+/// the barrier rendezvous, and RMA windows. Created by World::run().
 class World {
  public:
   /// Runs `body` as an SPMD program over `engine`'s ranks.
@@ -95,17 +94,10 @@ class World {
   /// fifo_seq_.at(src, dst) instead).
   std::vector<std::uint64_t> inbox_pushes_;
 
-  /// What a collective reduces: the sum and max of the contributions and
-  /// the root's broadcast payload.
-  struct CollResult {
-    double sum = 0;
-    double max = -std::numeric_limits<double>::infinity();
-    std::vector<std::byte> payload;
-  };
-  /// Collective rendezvous (single communicator).
-  rma::Rendezvous<CollResult> coll_;
-  /// RMA-checker channel for the world collective rendezvous (lazily
-  /// registered on first collective when the checker is on).
+  /// Barrier rendezvous (single communicator).
+  rma::Rendezvous barrier_;
+  /// RMA-checker channel for the barriers (lazily registered on the first
+  /// barrier when the checker is on).
   int chk_chan_ = -1;
 
   std::vector<std::unique_ptr<Win>> windows_;
@@ -137,9 +129,6 @@ class Comm {
 
   // --- collectives (modeled cost: log2(P) rounds of (2o + L)) ---
   void barrier();
-  double allreduce_sum(double v);
-  double allreduce_max(double v);
-  void bcast(void* buf, std::uint64_t bytes, int root);
 
   // --- one-sided ---
   /// Collective window creation; every rank passes its local exposure
@@ -163,19 +152,9 @@ class Comm {
   RecvInfo match_and_consume(void* buf, std::uint64_t max_bytes, int src,
                              int tag);
 
-  /// Modeled-cost collective rendezvous. Contributes the reduction values
-  /// (and, for the root, the broadcast payload), blocks until every rank has
-  /// entered, and returns the completed generation's result. `sig` is
-  /// the checker's collective signature (kind must be a string literal);
-  /// mismatched signatures across ranks abort the run with a diagnostic.
-  const World::CollResult& collective(double cost_us, double sum_contrib,
-                                      double max_contrib, const void* payload,
-                                      std::uint64_t payload_bytes,
-                                      const check::CollSig& sig);
-
-  /// barrier() with a distinct checker signature kind (create_win tags its
-  /// internal barrier "win.create" so it cannot silently match a user
-  /// barrier on another rank).
+  /// barrier() with checker signature `kind` (a string literal): create_win
+  /// tags its internal barrier "win.create" so it cannot silently match a
+  /// user barrier on another rank, which would abort the run.
   void barrier_kind(const char* kind);
 
   World* world_;

@@ -61,7 +61,7 @@ std::uint64_t Win::fetch_add(Comm& c, std::uint64_t add, int target,
 }
 
 void Win::fence(Comm& c) {
-  space_.sync_all(c.rank_ctx(), c.rma_params(), "win.fence", "win.fence", 0);
+  space_.sync_all(c.rank_ctx(), c.rma_params(), "win.fence", "win.fence");
 }
 
 std::size_t Win::unapplied_count(int rank) const {

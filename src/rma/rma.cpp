@@ -349,14 +349,6 @@ simnet::TimeUs Space::apply(int rank, simnet::TimeUs cutoff) {
       scratch_);
 }
 
-simnet::TimeUs Space::drain(simnet::TimeUs done) {
-  for (int r = 0; r < eng_.nranks(); ++r) {
-    done = std::max(done, apply(r, simnet::kTimeInf));
-    outstanding_[static_cast<std::size_t>(r)].clear();
-  }
-  return done;
-}
-
 void Space::wait_delivery(runtime::Rank& r, const char* what) {
   const DeliveryQueue& q = queue(r.id());
   eng_.wait(
@@ -394,36 +386,67 @@ void Space::complete(runtime::Rank& r, double o_us, int target, bool remote,
   if (remote) r.bump_epoch();
 }
 
-double Space::sync_all(runtime::Rank& r, const simnet::LogGP& pp,
-                       const char* kind, const char* what, double v) {
+void Space::sync_all(runtime::Rank& r, const simnet::LogGP& pp,
+                     const char* kind, const char* what) {
+  sync_.join(
+      eng_, r, pp, kind, what,
+      [this] {
+        register_checker();
+        return chk_chan_;
+      },
+      [this](simnet::TimeUs done) {
+        // Completion applies every pending put and forgets every
+        // outstanding one.
+        for (int rank = 0; rank < eng_.nranks(); ++rank) {
+          done = std::max(done, apply(rank, simnet::kTimeInf));
+          outstanding_[static_cast<std::size_t>(rank)].clear();
+        }
+        return done;
+      });
+}
+
+void Rendezvous::join(
+    runtime::Engine& eng, runtime::Rank& r, const simnet::LogGP& pp,
+    const char* kind, const char* what, util::FunctionRef<int()> channel,
+    util::FunctionRef<simnet::TimeUs(simnet::TimeUs)> drain) {
   r.advance(pp.o_us);
-  const int n = eng_.nranks();
+  const int n = eng.nranks();
   const double cost = rendezvous_rounds(n) * (2.0 * pp.o_us + pp.L_us);
   std::uint64_t gen = 0;
-  eng_.perform(r, [&] {
-    sync_.acc() += v;
-    gen = sync_.enter(n, r.now(), [&](simnet::TimeUs max_enter) {
-      return drain(max_enter + cost);
-    });
-    if (check::Checker* chk = checker()) {
-      // Enter after the last entrant's drain above: applying reports put
-      // handles back to the checker, and the channel's space-clear on the
-      // final entry would otherwise dangle them.
-      const check::CollEnter ce = chk->on_collective_enter(
-          chk_chan_, r.id(), check::CollSig{kind, -1, 0}, r.now());
+  int chan = -1;
+  eng.perform(r, [&] {
+    gen = gen_;
+    max_enter_ = std::max(max_enter_, r.now());
+    if (++entered_ == n) {
+      Slot& slot = ring_[gen % ring_.size()];
+      slot.gen = gen;
+      slot.done_at = drain ? drain(max_enter_ + cost) : max_enter_ + cost;
+      entered_ = 0;
+      max_enter_ = 0;
+      ++gen_;
+    }
+    check::Checker& chk = eng.checker();
+    if (chk.enabled()) {
+      chan = channel();
+      const check::CollEnter ce = chk.on_collective_enter(
+          chan, r.id(), check::CollSig{kind, -1, 0}, r.now());
       if (!ce.ok) {
-        // A kind-blind rendezvous pairing, say, barrier_all with sum_all
-        // would silently corrupt the sum; abort with the diagnostic.
-        eng_.abort_run(r, ErrorCode::kFailedPrecondition, chk->report());
+        // A kind-blind rendezvous would pair, say, create_win with a user
+        // barrier; abort with the diagnostic.
+        eng.abort_run(r, ErrorCode::kFailedPrecondition, chk.report());
       }
     }
   });
-  const double sum = sync_.wait(eng_, r, what, gen);
-  if (check::Checker* chk = registered_checker()) {
-    chk->on_collective_complete(chk_chan_, r.id(), gen);
-  }
+  const Slot& slot = ring_[gen % ring_.size()];
+  eng.wait(r, what, runtime::WaitGate{&gen_, gen + 1},
+           [&]() -> std::optional<double> {
+             if (gen_ <= gen) return std::nullopt;
+             MRL_CHECK_MSG(slot.gen == gen,
+                           "rendezvous result slot overwritten");
+             return slot.done_at;
+           });
+  if (chan >= 0) eng.checker().on_collective_complete(chan, r.id(), gen);
   r.bump_epoch();
-  return sum;
 }
 
 }  // namespace mrl::rma

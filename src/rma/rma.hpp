@@ -6,7 +6,7 @@
 // each operation lives here once, with its bounds checks and checker hooks:
 // the per-target DeliveryQueue, the Space that owns one window's or heap's
 // state and runs the operations on it, and the generation-ring Rendezvous
-// behind MPI collectives, fences and SHMEM barriers. Nothing here has
+// behind MPI barriers, fences and SHMEM barriers. Nothing here has
 // options.
 #pragma once
 
@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "check/checker.hpp"
@@ -119,67 +118,39 @@ class DeliveryQueue {
 static_assert(sizeof(DeliveryQueue) == 56, "a delivery queue must stay small");
 
 /// Rounds of a dissemination-style rendezvous of `n` entrants: its
-/// modelled cost is this many rounds of (2o + L [+ payload]).
+/// modelled cost is this many rounds of (2o + L).
 inline double rendezvous_rounds(int n) {
   return std::ceil(std::log2(static_cast<double>(std::max(2, n))));
 }
 
-/// A rendezvous of `n` entrants, one generation at a time. Each entrant
-/// adds to acc() and enter()s inside a perform body; the last one seals
-/// the generation, and all wait() for it. Sealed results sit in a small
-/// generation-indexed ring, so a late waker of generation g still reads
-/// its result after g + 1 has started.
-template <typename Acc>
+/// The barrier of every rank behind MPI barriers and create_win, window
+/// fences and SHMEM barriers, one generation at a time. A completed
+/// generation's time sits in a small generation-indexed ring, so a late
+/// waker of generation g still reads it after g + 1 has started.
 class Rendezvous {
  public:
-  Acc& acc() { return acc_; }
-
-  /// Joins the open generation at `now` and returns it. The `n`-th entrant
-  /// runs `on_last(latest entry time)`, which returns the completion time
-  /// (a fence's or barrier's drain goes there), moves acc() into the
-  /// result slot and advances the generation counter.
-  std::uint64_t enter(
-      int n, simnet::TimeUs now,
-      util::FunctionRef<simnet::TimeUs(simnet::TimeUs)> on_last) {
-    const std::uint64_t gen = gen_;
-    max_enter_ = std::max(max_enter_, now);
-    if (++entered_ == n) {
-      Slot& slot = ring_[gen % ring_.size()];
-      slot.gen = gen;
-      slot.done_at = on_last(max_enter_);
-      slot.result = std::exchange(acc_, Acc{});
-      entered_ = 0;
-      max_enter_ = 0;
-      ++gen_;
-    }
-    return gen;
-  }
-
-  /// Blocks `r` until generation `gen` completes and returns its result;
-  /// gated on the generation counter (runtime::WaitGate, DESIGN.md §10).
-  const Acc& wait(runtime::Engine& eng, runtime::Rank& r, const char* what,
-                  std::uint64_t gen) {
-    const Slot& slot = ring_[gen % ring_.size()];
-    eng.wait(r, what, runtime::WaitGate{&gen_, gen + 1},
-             [&]() -> std::optional<double> {
-               if (gen_ <= gen) return std::nullopt;
-               MRL_CHECK_MSG(slot.gen == gen,
-                             "rendezvous result slot overwritten");
-               return slot.done_at;
-             });
-    return slot.result;
-  }
+  /// Blocks `r` until every rank has joined: charges o, then joins the
+  /// open generation in one perform body. The last entrant completes it at
+  /// its latest entry + rendezvous_rounds(n) * (2o + L), or at what `drain`
+  /// (a fence's or barrier's drain of the pending puts) returns for that
+  /// time. A checker that is on then sees the entry on the channel
+  /// `channel()` returns (registering it on first use): after the drain,
+  /// because applying reports put handles back to the checker and the
+  /// channel's final entry clears its space. A `kind` that differs from the
+  /// other entrants' aborts the run. `what` names the wait; r's epoch ends.
+  void join(runtime::Engine& eng, runtime::Rank& r, const simnet::LogGP& pp,
+            const char* kind, const char* what,
+            util::FunctionRef<int()> channel,
+            util::FunctionRef<simnet::TimeUs(simnet::TimeUs)> drain = {});
 
  private:
   struct Slot {
     std::uint64_t gen = ~0ULL;
     simnet::TimeUs done_at = 0;
-    Acc result{};
   };
-  std::uint64_t gen_ = 0;
+  std::uint64_t gen_ = 0;  ///< the open generation; gates the waits
   int entered_ = 0;
   simnet::TimeUs max_enter_ = 0;
-  Acc acc_{};
   std::array<Slot, 4> ring_{};
 };
 
@@ -293,13 +264,12 @@ class Space {
   void complete(runtime::Rank& r, double o_us, int target, bool remote,
                 simnet::SpanKind kind);
 
-  /// A fence or barrier of every rank that also sums their `v`: charges o
-  /// and (2o + L) rendezvous rounds. The last entrant drains every put
-  /// before the checker sees it enter, so no put record outlives the
-  /// channel's clearing of the space; a checker signature `kind` that
-  /// differs from the other entrants' aborts the run. `what` names the wait.
-  double sync_all(runtime::Rank& r, const simnet::LogGP& pp, const char* kind,
-                  const char* what, double v);
+  /// A fence or barrier of every rank: the Rendezvous join, whose last
+  /// entrant drains every put, on the space's sync channel. A checker
+  /// signature `kind` that differs from the other entrants' aborts the run.
+  /// `what` names the wait.
+  void sync_all(runtime::Rank& r, const simnet::LogGP& pp, const char* kind,
+                const char* what);
 
  private:
   /// An origin's puts toward `target` since its last remote completion
@@ -329,11 +299,6 @@ class Space {
   inline std::byte* at(int target, std::uint64_t off, std::uint64_t bytes,
                        const char* op);
 
-  /// Fence / barrier completion, run by the last entrant: applies every
-  /// pending put and forgets every outstanding one. Returns `done`, or the
-  /// latest arrival if that is later.
-  simnet::TimeUs drain(simnet::TimeUs done);
-
   runtime::Engine& eng_;
   util::PairMap<simnet::TimeUs>& fifo_;
   std::vector<Region> region_;
@@ -341,7 +306,7 @@ class Space {
   /// Per origin, one record per target with puts outstanding.
   std::vector<std::vector<Outstanding>> outstanding_;
   std::vector<std::byte> scratch_;  ///< payload compaction buffer
-  Rendezvous<double> sync_;         ///< fences / barriers; sums sum_all
+  Rendezvous sync_;                 ///< fences / barriers
   // Literal names, not strings: a window's size sets where glibc places it
   // among roofline_sweep's per-point allocations, and two string members
   // (a 328 B mpi::Win against 288 B) raised that workload's minor page

@@ -117,7 +117,7 @@ RunResult Engine::run(const std::function<void(Rank&)>& body) {
       }
     }
     checker_verdict = res.status.code() == ErrorCode::kFailedPrecondition;
-    if (check::default_check_report() && !checker_.violations().empty()) {
+    if (!checker_.violations().empty()) {
       // The registry sorts at dump time, so the nondeterministic publish
       // order under parallel sweeps cannot perturb the exported JSON bytes.
       check::CheckReportRegistry::instance().publish(checker_.violations());

@@ -151,16 +151,11 @@ std::uint64_t Ctx::atomic_fetch_add(Sym<std::uint64_t> target,
                                rma::AtomicOp{add, 0, false});
 }
 
-void Ctx::barrier_all() { sum_all_kind("barrier_all", 0.0); }
-
-double Ctx::sum_all(double v) { return sum_all_kind("sum_all", v); }
-
-double Ctx::sum_all_kind(const char* kind, double v) {
+void Ctx::barrier_all() {
   // barrier_all implies quiet(): everything lands before it completes.
-  const double sum =
-      world_->space_.sync_all(*rank_, params(), kind, "shmem.barrier_all", v);
+  world_->space_.sync_all(*rank_, params(), "barrier_all",
+                          "shmem.barrier_all");
   world_->engine_.metrics().on_collective(pe());
-  return sum;
 }
 
 }  // namespace mrl::shmem

@@ -77,7 +77,7 @@ class World {
   // don't materialize O(P^2) channel state.
   util::PairMap<simnet::TimeUs> fifo_last_;
   /// The heap slices as regions, pending and outstanding deliveries, the
-  /// barrier_all / sum_all rendezvous and the checker ids. The checker
+  /// barrier_all rendezvous and the checker ids. The checker
   /// resets at engine-run start, after World construction, so the heap
   /// registers with it on first use.
   rma::Space space_;
@@ -157,7 +157,6 @@ class Ctx {
   }
 
   void barrier_all();
-  double sum_all(double v);  ///< allreduce-sum convenience
 
   /// RMA-checker annotations for direct loads/stores of my own
   /// symmetric-heap memory (free no-ops unless --check is on). A read
@@ -194,7 +193,6 @@ class Ctx {
   /// Shared wait loop: re-applies arrivals until `pred` holds locally.
   void wait_local(const char* what, util::FunctionRef<bool()> pred);
 
-  double sum_all_kind(const char* kind, double v);
   void local_access(std::uint64_t off, std::uint64_t bytes, bool is_write) {
     world_->space_.local_access(*rank_, off, bytes, is_write);
   }

@@ -2,8 +2,8 @@
 //
 // The simulator is a library: internal invariant violations are programming
 // errors and abort loudly (MRL_CHECK); recoverable conditions surface as
-// Status / Result<T> so callers can react without exceptions crossing the
-// rank-thread boundary.
+// Status / Result<T> so callers can react without exceptions crossing a
+// rank's fiber boundary.
 #pragma once
 
 #include <cstdio>

@@ -160,33 +160,6 @@ TEST(CheckCorpus, MpiPutNeverFlushedAtExit) {
       << res.status.to_string();
 }
 
-TEST(CheckCorpus, MpiCollectiveKindMismatch) {
-  Engine eng(simnet::Platform::perlmutter_cpu(1), 2, checked());
-  const auto res = mpi::World::run(eng, [](mpi::Comm& c) {
-    if (c.rank() == 0) {
-      c.barrier();
-    } else {
-      c.allreduce_sum(1.0);
-    }
-  });
-  ASSERT_EQ(res.status.code(), ErrorCode::kFailedPrecondition);
-  EXPECT_TRUE(contains(res.status.to_string(),
-                       "collective mismatch on mpi.world"))
-      << res.status.to_string();
-}
-
-TEST(CheckCorpus, MpiBcastRootMismatch) {
-  Engine eng(simnet::Platform::perlmutter_cpu(1), 2, checked());
-  const auto res = mpi::World::run(eng, [](mpi::Comm& c) {
-    double v = 0;
-    c.bcast(&v, sizeof(v), c.rank());  // BUG: every rank names itself root
-  });
-  ASSERT_EQ(res.status.code(), ErrorCode::kFailedPrecondition);
-  const std::string s = res.status.to_string();
-  EXPECT_TRUE(contains(s, "collective mismatch")) << s;
-  EXPECT_TRUE(contains(s, "root=")) << s;
-}
-
 TEST(CheckCorpus, MpiCreateWinCannotPairWithUserBarrier) {
   Engine eng(simnet::Platform::perlmutter_cpu(1), 2, checked());
   const auto res = mpi::World::run(eng, [](mpi::Comm& c) {
@@ -269,21 +242,6 @@ TEST(CheckCorpus, ShmemAtomicRacesWithDataPut) {
   const std::string st = res.status.to_string();
   EXPECT_TRUE(contains(st, "race on symheap@rank2")) << st;
   EXPECT_TRUE(contains(st, "atomic")) << st;
-}
-
-TEST(CheckCorpus, ShmemBarrierVsSumAllMismatch) {
-  Engine eng(simnet::Platform::perlmutter_gpu(), 2, checked());
-  const auto res = shmem::World::run(eng, [](shmem::Ctx& s) {
-    if (s.pe() == 0) {
-      s.barrier_all();
-    } else {
-      s.sum_all(1.0);
-    }
-  });
-  ASSERT_EQ(res.status.code(), ErrorCode::kFailedPrecondition);
-  EXPECT_TRUE(contains(res.status.to_string(),
-                       "collective mismatch on shmem.world"))
-      << res.status.to_string();
 }
 
 // The SHMEM twins of MpiGetRacesWithPut, MpiLocalReadWithoutWinSync and

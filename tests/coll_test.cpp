@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numeric>
 
 #include "coll/algorithms.hpp"
 #include "simnet/platform.hpp"
@@ -15,36 +14,6 @@ namespace {
 simnet::Platform plat() { return simnet::Platform::perlmutter_cpu(); }
 
 class CollRanks : public ::testing::TestWithParam<int> {};
-
-TEST_P(CollRanks, DisseminationBarrierSynchronizes) {
-  const int p = GetParam();
-  runtime::Engine eng(plat(), p);
-  std::vector<double> after(static_cast<std::size_t>(p));
-  const auto r = mpi::World::run(eng, [&](mpi::Comm& c) {
-    c.compute(5.0 * c.rank());
-    dissemination_barrier(c);
-    after[static_cast<std::size_t>(c.rank())] = c.now();
-  });
-  ASSERT_TRUE(r.ok()) << r.status.to_string();
-  // Nobody can leave before the slowest entrant.
-  for (double t : after) EXPECT_GE(t, 5.0 * (p - 1));
-}
-
-TEST_P(CollRanks, BinomialBcastDeliversFromEveryRoot) {
-  const int p = GetParam();
-  runtime::Engine eng(plat(), p);
-  for (int root : {0, p - 1, p / 2}) {
-    const auto r = mpi::World::run(eng, [&](mpi::Comm& c) {
-      std::array<double, 6> buf{};
-      if (c.rank() == root) {
-        std::iota(buf.begin(), buf.end(), 100.0);
-      }
-      binomial_bcast(c, buf.data(), sizeof(buf), root);
-      for (int i = 0; i < 6; ++i) EXPECT_DOUBLE_EQ(buf[i], 100.0 + i);
-    });
-    ASSERT_TRUE(r.ok()) << "root=" << root << ": " << r.status.to_string();
-  }
-}
 
 TEST_P(CollRanks, RecursiveDoublingAllreduceSums) {
   const int p = GetParam();
@@ -145,28 +114,6 @@ TEST(CollPerf, RecursiveDoublingWinsForTinyVectors) {
   ASSERT_TRUE(r.ok());
   // 2(P-1) = 14 latency steps for the ring vs log2(8) = 3 rounds.
   EXPECT_LT(t_rd, t_ring);
-}
-
-TEST(CollPerf, BcastLatencyScalesLogarithmically) {
-  auto bcast_time = [&](int p) {
-    runtime::Engine eng(plat(), p);
-    double t = 0;
-    const auto r = mpi::World::run(eng, [&](mpi::Comm& c) {
-      double x = 1.0;
-      c.barrier();
-      const double t0 = c.now();
-      binomial_bcast(c, &x, sizeof(x), 0);
-      c.barrier();
-      if (c.rank() == 0) t = c.now() - t0;
-    });
-    EXPECT_TRUE(r.ok());
-    return t;
-  };
-  const double t4 = bcast_time(4);
-  const double t64 = bcast_time(64);
-  // 64 ranks = 3x the rounds of 4 ranks, not 16x the cost.
-  EXPECT_LT(t64, 6.0 * t4);
-  EXPECT_GT(t64, 1.5 * t4);
 }
 
 }  // namespace

@@ -236,8 +236,8 @@ TEST(Parallel, ResolveJobsHonorsOverride) {
   set_default_jobs(saved);
 }
 
-// The tentpole determinism guarantee: a parallel sweep is byte-identical to
-// the sequential legacy path — grid points are isolated simulations written
+// The determinism guarantee: a parallel sweep is byte-identical to a
+// one-job sweep — grid points are isolated simulations written
 // to pre-assigned slots, so completion order cannot leak into the results.
 TEST(Parallel, SweepJobs4BitIdenticalToJobs1) {
   SweepConfig cfg;

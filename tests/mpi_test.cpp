@@ -164,28 +164,6 @@ TEST(Collective, BarrierSynchronizesClocks) {
   EXPECT_GT(after[0], 30.0);  // at least the slowest entrant
 }
 
-TEST(Collective, AllreduceValues) {
-  Engine eng(plat(), 8);
-  const auto r = World::run(eng, [](Comm& c) {
-    const double s = c.allreduce_sum(static_cast<double>(c.rank() + 1));
-    EXPECT_DOUBLE_EQ(s, 36.0);  // 1+..+8
-    const double m = c.allreduce_max(static_cast<double>(c.rank()));
-    EXPECT_DOUBLE_EQ(m, 7.0);
-  });
-  ASSERT_TRUE(r.ok());
-}
-
-TEST(Collective, BcastDistributesPayload) {
-  Engine eng(plat(), 4);
-  const auto r = World::run(eng, [](Comm& c) {
-    std::array<int, 4> data{};
-    if (c.rank() == 2) data = {1, 2, 3, 4};
-    c.bcast(data.data(), sizeof(data), /*root=*/2);
-    EXPECT_EQ(data, (std::array<int, 4>{1, 2, 3, 4}));
-  });
-  ASSERT_TRUE(r.ok());
-}
-
 TEST(Collective, RepeatedCollectivesKeepWorking) {
   // More barriers than the rendezvous keeps generations, with a different
   // slowest entrant each time, so its result ring wraps twice.

@@ -51,7 +51,6 @@ struct DefaultsGuard {
     runtime::set_default_trace_ranks({0, -1});
     runtime::set_default_scheduler(SchedulerKind::kIndexedHeap);
     check::set_default_check(false);
-    check::set_default_check_report(false);
     check::CheckReportRegistry::instance().reset();
     ProfileCapture::instance().reset();
   }
@@ -321,7 +320,6 @@ Status run_overlapping_puts() {
 
 TEST(CheckReport, SchemaStableJsonAndSchedulerIdentity) {
   DefaultsGuard guard;
-  check::set_default_check_report(true);
 
   std::string base;
   for (SchedulerKind s :

@@ -542,7 +542,7 @@ TEST(EngineCrossScheduler, BitIdenticalClocksAndTraces) {
 
 TEST(EngineWaitGate, GatedBarrierMatchesUngatedOracleAcrossSchedulers) {
   // WaitGate semantics (DESIGN.md §10): a generation-counter barrier built
-  // exactly like mpi::Comm::collective, with the gate passed through
+  // exactly like rma::Rendezvous::join, with the gate passed through
   // Engine::wait. The heap scheduler parks gated waiters in the threshold
   // heap; the linear scheduler ignores the gate and brute-force re-evaluates
   // every condition. Identical clocks under both prove the gated fast path
