@@ -153,8 +153,8 @@ class Comm {
                              int tag);
 
   /// barrier() with checker signature `kind` (a string literal): create_win
-  /// tags its internal barrier "win.create" so it cannot silently match a
-  /// user barrier on another rank, which would abort the run.
+  /// tags its internal barrier "win.create", so a user barrier on another
+  /// rank that pairs with it aborts the run instead of passing silently.
   void barrier_kind(const char* kind);
 
   World* world_;
