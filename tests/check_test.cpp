@@ -198,6 +198,44 @@ TEST(CheckCorpus, MpiCreateWinEnteringLastAfterUserBarriers) {
             "@1.300us entered barrier(root=-1, bytes=0)");
 }
 
+// Six fences of one window, more generations than a 4-deep ring of sealed
+// wave clocks holds. A second window is never fenced, so only the fence
+// waves order its accesses: rank 0's get and rank 1's atomic on the same
+// word take turns, one fence apart. With `racy_tail`, one more get and
+// atomic follow the last fence with no fence between them; a closing
+// barrier keeps rank 2's window alive until they are done.
+Status fence_waves_order_other_window(bool racy_tail) {
+  Engine eng(simnet::Platform::perlmutter_cpu(1), 3, checked());
+  const auto res = mpi::World::run(eng, [racy_tail](mpi::Comm& c) {
+    std::vector<std::uint64_t> a(8, 0);
+    std::vector<std::uint64_t> b(8, 0);
+    auto fenced = c.create_win(a.data(), a.size() * sizeof(std::uint64_t));
+    auto other = c.create_win(b.data(), b.size() * sizeof(std::uint64_t));
+    std::uint64_t v = 0;
+    for (int gen = 0; gen < 6; ++gen) {
+      if (c.rank() == 0 && gen % 2 == 0) other.get(&v, sizeof(v), 2, 0);
+      if (c.rank() == 1 && gen % 2 == 1) other.fetch_add(1, 2, 0);
+      fenced.fence();
+    }
+    if (racy_tail && c.rank() == 0) other.get(&v, sizeof(v), 2, 0);
+    if (racy_tail && c.rank() == 1) {
+      c.compute(100.0);
+      other.fetch_add(1, 2, 0);  // BUG: nothing orders rank 0's get first
+    }
+    c.barrier();
+  });
+  return res.status;
+}
+
+TEST(CheckCorpus, FenceWavesPastTheRingOrderAnotherWindow) {
+  EXPECT_EQ(fence_waves_order_other_window(false).to_string(), "OK");
+  EXPECT_EQ(fence_waves_order_other_window(true).to_string(),
+            "FAILED_PRECONDITION: RMA checker: 1 violation(s)\n"
+            "  [1] race on win1@rank2: atomic by rank 1 @161.832us bytes "
+            "[0, 8) conflicts with get by rank 0 @61.832us bytes [0, 8) — "
+            "unordered in happens-before");
+}
+
 TEST(CheckCorpus, ShmemMissingQuietBeforePutSignal) {
   Engine eng(simnet::Platform::perlmutter_gpu(), 2, checked());
   const auto res = shmem::World::run(eng, [](shmem::Ctx& s) {
