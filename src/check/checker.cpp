@@ -275,27 +275,24 @@ void Checker::on_recv(int dst, int src, std::uint64_t seq) {
   tick(dst);
 }
 
-CollEnter Checker::on_collective_enter(int chan, int rank, const CollSig& sig,
-                                       simnet::TimeUs t) {
-  CollEnter out;
-  if (!enabled_) return out;
+bool Checker::on_collective_enter(int chan, int rank, const char* kind,
+                                  simnet::TimeUs t, std::uint64_t gen,
+                                  bool last) {
+  if (!enabled_) return true;
   Channel& c = channels_[static_cast<std::size_t>(chan)];
-  out.gen = c.gen;
-  if (c.entered == 0) {
-    c.expected = sig;
+  const bool first = c.first_rank < 0;
+  if (first) {
+    c.gen = gen;
+    c.kind = kind;
     c.first_rank = rank;
     c.first_t = t;
-  } else if (std::strcmp(c.expected.kind, sig.kind) != 0 ||
-             c.expected.root != sig.root || c.expected.bytes != sig.bytes) {
+  } else if (std::strcmp(c.kind, kind) != 0) {
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "collective mismatch on %s (gen %" PRIu64
-                  "): rank %d @%s entered %s(root=%d, bytes=%" PRIu64
-                  ") but rank %d @%s entered %s(root=%d, bytes=%" PRIu64 ")",
-                  c.name.c_str(), c.gen, rank, fmt_t(t).c_str(), sig.kind,
-                  sig.root, sig.bytes, c.first_rank,
-                  fmt_t(c.first_t).c_str(), c.expected.kind, c.expected.root,
-                  c.expected.bytes);
+                  "): rank %d @%s entered %s but rank %d @%s entered %s",
+                  c.name.c_str(), gen, rank, fmt_t(t).c_str(), kind,
+                  c.first_rank, fmt_t(c.first_t).c_str(), c.kind);
     Violation viol;
     viol.kind = "collective_mismatch";
     viol.space = c.name;
@@ -303,16 +300,13 @@ CollEnter Checker::on_collective_enter(int chan, int rank, const CollSig& sig,
     viol.rank_b = c.first_rank;
     viol.t_a = t;
     viol.t_b = c.first_t;
-    viol.bytes_a = sig.bytes;
-    viol.bytes_b = c.expected.bytes;
     viol.text = buf;
     add_violation(std::move(viol));
-    out.ok = false;
-    return out;
+    return false;
   }
   tick(rank);
   const Clock& mine = vc_[static_cast<std::size_t>(rank)];
-  if (c.entered == 0) {
+  if (first) {
     // First entrant seeds the wave merge densely; same-base followers (the
     // norm — everyone shares the previous wave's baseline) then cost only
     // their delta sizes, keeping a wave at O(ranks) total, not O(ranks²).
@@ -330,51 +324,43 @@ CollEnter Checker::on_collective_enter(int chan, int rank, const CollSig& sig,
     }
   }
   c.in_wave[static_cast<std::size_t>(rank)] = 1;
-  ++c.entered;
-  if (c.entered == nranks_) {
-    ChanSlot& slot = c.done[c.gen % 4];
-    slot.gen = c.gen;
-    slot.merged.base = std::make_shared<const std::vector<std::uint64_t>>(
-        std::move(c.merged));
-    slot.merged.delta.clear();
-    c.merged = {};
-    c.wave_base = nullptr;
-    std::fill(c.in_wave.begin(), c.in_wave.end(), std::uint8_t{0});
-    c.entered = 0;
-    ++c.gen;
-    if (c.clears_space >= 0) {
-      // Global RMA sync (fence / SHMEM barrier): every put on this space is
-      // complete, and the history restarts — nothing before the sync can
-      // race with anything after it. The runtime applied all pending
-      // deliveries before this hook ran, so no record handles survive.
-      Space& sp = spaces_[static_cast<std::size_t>(c.clears_space)];
-      for (Region& region : sp.regions) region.recs.clear();
-      for (auto& fl : in_flight_) {
-        fl.erase(std::remove_if(fl.begin(), fl.end(),
-                                [&](const InFlight& f) {
-                                  return f.space == c.clears_space;
-                                }),
-                 fl.end());
-      }
+  if (!last) return true;
+
+  // Every other entrant stays blocked in the rendezvous until it wakes, and
+  // only the drain that just ran could change its clock since it entered:
+  // an on_applied join injects some origin's issue-time snapshot, which
+  // that origin's merged entry clock dominates. So the merged clock
+  // dominates every rank's, and each rank adopts it as the new shared
+  // baseline rather than joining it: O(1) per rank, and it is exactly this
+  // collapse that keeps every rank's delta sparse between collectives.
+  const auto base =
+      std::make_shared<const std::vector<std::uint64_t>>(std::move(c.merged));
+  for (int r = 0; r < nranks_; ++r) {
+    Clock& vc = vc_[static_cast<std::size_t>(r)];
+    vc.base = base;
+    vc.delta.clear();
+    tick(r);
+  }
+  c.merged = {};
+  c.wave_base = nullptr;
+  std::fill(c.in_wave.begin(), c.in_wave.end(), std::uint8_t{0});
+  c.first_rank = -1;
+  if (c.clears_space >= 0) {
+    // Global RMA sync (fence / SHMEM barrier): every put on this space is
+    // complete, and the history restarts — nothing before the sync can
+    // race with anything after it. The drain applied all pending
+    // deliveries before this hook ran, so no record handles survive.
+    Space& sp = spaces_[static_cast<std::size_t>(c.clears_space)];
+    for (Region& region : sp.regions) region.recs.clear();
+    for (auto& fl : in_flight_) {
+      fl.erase(std::remove_if(fl.begin(), fl.end(),
+                              [&](const InFlight& f) {
+                                return f.space == c.clears_space;
+                              }),
+               fl.end());
     }
   }
-  return out;
-}
-
-void Checker::on_collective_complete(int chan, int rank, std::uint64_t gen) {
-  if (!enabled_) return;
-  Channel& c = channels_[static_cast<std::size_t>(chan)];
-  const ChanSlot& slot = c.done[gen % 4];
-  if (slot.gen == gen) {
-    // The merged wave clock dominates this rank's: the rank was blocked
-    // since entering, and the only mid-wave mutation — an on_applied join —
-    // injects some origin's issue-time snapshot, which that origin's own
-    // entry clock (already merged) dominates. So adopt the wave clock as the
-    // new shared baseline instead of joining: O(1), and it is exactly this
-    // collapse that keeps every rank's delta sparse between collectives.
-    vc_[static_cast<std::size_t>(rank)] = Clock{slot.merged.base, {}};
-  }
-  tick(rank);
+  return true;
 }
 
 PutHandles Checker::on_put(int origin, int space, int owner,
@@ -460,32 +446,30 @@ PutHandles Checker::on_put(int origin, int space, int owner,
   return h;
 }
 
-void Checker::on_get(int origin, int space, int owner, std::uint64_t off,
-                     std::uint64_t bytes, simnet::TimeUs t) {
-  if (!enabled_) return;
-  tick(origin);
+void Checker::record_access(int rank, int space, int owner,
+                            AccessKind kind, std::uint64_t off,
+                            std::uint64_t bytes, simnet::TimeUs t) {
+  tick(rank);
   Rec rec;
-  rec.rank = origin;
-  rec.kind = AccessKind::kGet;
+  rec.rank = rank;
+  rec.kind = kind;
   rec.off = off;
   rec.bytes = bytes;
-  rec.order_clk = clk(vc_[static_cast<std::size_t>(origin)], origin);
+  rec.order_clk = clk(vc_[static_cast<std::size_t>(rank)], rank);
   rec.t = t;
   scan_and_record(space, owner, std::move(rec));
 }
 
-void Checker::on_atomic(int origin, int space, int owner, std::uint64_t off,
-                        simnet::TimeUs t) {
+void Checker::on_get(int origin, int space, int owner, std::uint64_t off,
+                     std::uint64_t bytes, simnet::TimeUs t) {
   if (!enabled_) return;
-  tick(origin);
-  Rec rec;
-  rec.rank = origin;
-  rec.kind = AccessKind::kAtomic;
-  rec.off = off;
-  rec.bytes = 8;
-  rec.order_clk = clk(vc_[static_cast<std::size_t>(origin)], origin);
-  rec.t = t;
-  scan_and_record(space, owner, std::move(rec));
+  record_access(origin, space, owner, AccessKind::kGet, off, bytes, t);
+}
+
+void Checker::on_atomic(int origin, int space, int owner, std::uint64_t off,
+                        std::uint64_t bytes, simnet::TimeUs t) {
+  if (!enabled_) return;
+  record_access(origin, space, owner, AccessKind::kAtomic, off, bytes, t);
 }
 
 void Checker::on_local(int rank, int space, std::uint64_t off,
@@ -507,29 +491,10 @@ void Checker::on_local(int rank, int space, std::uint64_t off,
                 "MPI_Win_sync / wait before reading";
     add_violation(std::move(viol));
   }
-  tick(rank);
-  Rec rec;
-  rec.rank = rank;
-  rec.kind = is_write_access ? AccessKind::kLocalWrite : AccessKind::kLocalRead;
-  rec.off = off;
-  rec.bytes = bytes;
-  rec.order_clk = clk(vc_[static_cast<std::size_t>(rank)], rank);
-  rec.t = t;
-  scan_and_record(space, rank, std::move(rec));
-}
-
-void Checker::on_signal_wait(int rank, int space, std::uint64_t off,
-                             std::uint64_t bytes, simnet::TimeUs t) {
-  if (!enabled_) return;
-  tick(rank);
-  Rec rec;
-  rec.rank = rank;
-  rec.kind = AccessKind::kAtomic;  // signal waits model atomic word loads
-  rec.off = off;
-  rec.bytes = bytes;
-  rec.order_clk = clk(vc_[static_cast<std::size_t>(rank)], rank);
-  rec.t = t;
-  scan_and_record(space, rank, std::move(rec));
+  record_access(rank, space, rank,
+                is_write_access ? AccessKind::kLocalWrite
+                                : AccessKind::kLocalRead,
+                off, bytes, t);
 }
 
 void Checker::on_flush(int origin, int space, int target) {
@@ -660,10 +625,11 @@ std::string Checker::report() const {
 std::string Checker::deadlock_note() const {
   std::string out;
   for (const Channel& c : channels_) {
-    if (c.entered == 0) continue;
+    if (c.first_rank < 0) continue;
+    const auto entered = std::count(c.in_wave.begin(), c.in_wave.end(), 1);
     out += "\n  collective " + c.name + " gen " + std::to_string(c.gen) +
-           ": " + std::to_string(c.entered) + "/" + std::to_string(nranks_) +
-           " entered (" + c.expected.kind + "), waiting for ranks";
+           ": " + std::to_string(entered) + "/" + std::to_string(nranks_) +
+           " entered (" + c.kind + "), waiting for ranks";
     int listed = 0;
     for (int r = 0; r < nranks_; ++r) {
       if (c.in_wave[static_cast<std::size_t>(r)]) continue;

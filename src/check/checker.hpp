@@ -40,18 +40,20 @@
 //      by any flush/quiet/fence.
 //
 // Collective matching rides on the same rendezvous the runtimes already use:
-// the first entrant of a generation fixes the expected (kind, root, bytes)
-// signature and every later entrant must match it, otherwise the run aborts
-// with both signatures — instead of the silent hang or payload corruption a
-// real MPI program would get.
+// the first entrant of a generation fixes the expected collective kind and
+// every later entrant must match it, otherwise the run aborts with both
+// kinds — instead of the silent hang or payload corruption a real MPI
+// program would get. The rendezvous's last entrant also completes the
+// wave's clocks for every rank.
 //
 // Violations are recorded (not thrown) and surface as
 // Status(kFailedPrecondition) from Engine::run; a collective mismatch aborts
 // immediately because the runtimes' kind-agnostic rendezvous would otherwise
-// crash on mismatched payloads. Everything here is called from rank contexts
-// while the engine is quiescent, so no locking and full determinism; when
-// disabled every hook is a single branch and no simulated time ever changes
-// either way (the checker never advances clocks).
+// crash on mismatched payloads. Every hook is called inside an
+// Engine::perform body (a receive's in its wait's finalize), so in global
+// virtual-time order with the engine quiescent: no locking and full
+// determinism. When disabled every hook is a single branch, and no simulated
+// time ever changes either way (the checker never advances clocks).
 #pragma once
 
 #include <cstdint>
@@ -87,13 +89,6 @@ enum class PutClass : std::uint8_t {
   kFused,   ///< SHMEM put-with-signal (data + atomic signal, one op)
 };
 
-/// Collective signature checked across ranks at each rendezvous generation.
-struct CollSig {
-  const char* kind = "";     ///< "barrier", "win.create", "win.fence", ...
-  int root = -1;             ///< rooted collectives only; -1 otherwise
-  std::uint64_t bytes = 0;   ///< payload element bytes; 0 for barriers
-};
-
 /// Handles a communication layer stashes next to its pending-delivery state
 /// so applying a put can be reported back. kNoRec = not recorded (checker
 /// disabled at issue, or region history full).
@@ -101,12 +96,6 @@ inline constexpr std::uint32_t kNoRec = ~0u;
 struct PutHandles {
   std::uint32_t data = kNoRec;
   std::uint32_t sig = kNoRec;
-};
-
-/// Result of a collective-enter hook.
-struct CollEnter {
-  bool ok = true;           ///< false => signature mismatch (abort the run)
-  std::uint64_t gen = 0;    ///< generation to pass to on_collective_complete
 };
 
 /// One structured checker verdict (`--check-report`, DESIGN.md §11). `text`
@@ -171,16 +160,16 @@ class Checker {
   /// Two-sided receive of the message carrying `seq`: join the snapshot.
   void on_recv(int dst, int src, std::uint64_t seq);
 
-  /// Collective entry. Verifies the signature against the generation's first
-  /// entrant, merges the entrant's clock, and (for the last entrant of a
-  /// clears_space channel) completes + clears that space's history. Returns
-  /// ok=false on signature mismatch, with the diagnostic recorded; the
-  /// caller must abort the run with report().
-  CollEnter on_collective_enter(int chan, int rank, const CollSig& sig,
-                                simnet::TimeUs t);
-  /// Collective completion (after the rendezvous wait): adopt the merged
-  /// clock of generation `gen`.
-  void on_collective_complete(int chan, int rank, std::uint64_t gen);
+  /// Entry of `rank` into rendezvous generation `gen` on channel `chan`,
+  /// inside the rendezvous's perform body. Verifies `kind` ("barrier",
+  /// "win.create", "win.fence", "barrier_all") against the generation's
+  /// first entrant and merges the entrant's clock. The `last` entrant, after
+  /// the rendezvous's drain, completes the wave: every rank adopts the
+  /// merged clock and ticks, and a clears_space channel completes and
+  /// clears that space's history. Returns false on a kind mismatch, with
+  /// the diagnostic recorded; the caller must abort the run with report().
+  bool on_collective_enter(int chan, int rank, const char* kind,
+                           simnet::TimeUs t, std::uint64_t gen, bool last);
 
   // --- one-sided accesses ---
 
@@ -193,17 +182,16 @@ class Checker {
   /// Blocking get: read record, complete immediately.
   void on_get(int origin, int space, int owner, std::uint64_t off,
               std::uint64_t bytes, simnet::TimeUs t);
-  /// Blocking atomic (8 bytes at `off`): atomic record, complete immediately.
+  /// Blocking atomic on `bytes` at `off` (8 for one word; a signal wait's
+  /// watched words on the waiter's own region): atomic record, complete
+  /// immediately.
   void on_atomic(int origin, int space, int owner, std::uint64_t off,
-                 simnet::TimeUs t);
+                 std::uint64_t bytes, simnet::TimeUs t);
   /// Annotated local access to my own exposure region. `unapplied_overlap`
   /// is supplied by the caller (it owns the pending-delivery queue): a read
   /// overlapping an arrived-but-unapplied put is the missing-Win_sync bug.
   void on_local(int rank, int space, std::uint64_t off, std::uint64_t bytes,
                 bool is_write, bool unapplied_overlap, simnet::TimeUs t);
-  /// Signal wait (wait_until family): an atomic read of the watched words.
-  void on_signal_wait(int rank, int space, std::uint64_t off,
-                      std::uint64_t bytes, simnet::TimeUs t);
 
   // --- put completion ---
 
@@ -302,26 +290,20 @@ class Checker {
     int owner = -1;
     std::uint32_t idx = kNoRec;
   };
-  struct ChanSlot {
-    std::uint64_t gen = ~0ull;
-    /// Merged wave clock (dense base, empty delta): dominates every
-    /// entrant's clock, so completion adopts it instead of joining.
-    Clock merged;
-  };
   struct Channel {
     std::string name;
     int clears_space = -1;
+    /// The open wave: its rendezvous generation, and its first entrant's
+    /// kind, rank (-1: no entrant yet) and entry time.
     std::uint64_t gen = 0;
-    int entered = 0;
-    CollSig expected;
+    const char* kind = "";
     int first_rank = -1;
     simnet::TimeUs first_t = 0;
-    std::vector<std::uint8_t> in_wave;  ///< ranks inside the current wave
+    std::vector<std::uint8_t> in_wave;  ///< ranks inside the open wave
     std::vector<std::uint64_t> merged;  ///< accumulating entrant clocks
     /// First entrant's base: later same-base entrants merge only their
     /// deltas (O(delta) instead of O(ranks) per entrant).
     std::shared_ptr<const std::vector<std::uint64_t>> wave_base;
-    ChanSlot done[4];                   ///< sealed merges, ring like CollSlot
   };
   struct Wire {  ///< in-flight p2p clock snapshots for one (src,dst) pair
     std::uint64_t key = 0;  ///< (src << 32) | dst; wires_ is sorted by key
@@ -337,6 +319,11 @@ class Checker {
   void tick(int rank);
   void join(int rank, const Clock& other);
   [[nodiscard]] Wire& wire(int src, int dst);
+  /// Records a completed (non-put) access by `rank` to `owner`'s region:
+  /// ticks the rank, then scans and records the access at its new clock.
+  void record_access(int rank, int space, int owner, AccessKind kind,
+                     std::uint64_t off, std::uint64_t bytes,
+                     simnet::TimeUs t);
   /// Scans `region` for conflicts with a new access, records the access,
   /// returns its record index (kNoRec when the history is full).
   std::uint32_t scan_and_record(int space, int owner, Rec rec);

@@ -270,7 +270,7 @@ std::uint64_t Space::atomic(runtime::Rank& r, const simnet::LogGP& pp,
   eng_.perform(r, [&] {
     auto* p = reinterpret_cast<std::uint64_t*>(at(target, off, 8, "atomic"));
     if (check::Checker* chk = checker()) {
-      chk->on_atomic(r.id(), chk_space_, target, off, r.now());
+      chk->on_atomic(r.id(), chk_space_, target, off, 8, r.now());
     }
     old = *p;
     if (op.is_cas) {
@@ -319,16 +319,20 @@ std::uint64_t Space::atomic(runtime::Rank& r, const simnet::LogGP& pp,
 
 void Space::local_access(runtime::Rank& r, std::uint64_t off,
                          std::uint64_t bytes, bool is_write) {
-  check::Checker* chk = registered_checker();
-  if (chk == nullptr) return;
-  const bool unapplied = queue(r.id()).arrived_overlaps(off, bytes, r.now());
-  chk->on_local(r.id(), chk_space_, off, bytes, is_write, unapplied, r.now());
+  if (!eng_.checker().enabled()) return;
+  eng_.perform(r, [&] {
+    check::Checker* chk = checker();
+    const bool unapplied =
+        queue(r.id()).arrived_overlaps(off, bytes, r.now());
+    chk->on_local(r.id(), chk_space_, off, bytes, is_write, unapplied,
+                  r.now());
+  });
 }
 
 void Space::note_signal_wait(runtime::Rank& r, std::uint64_t off,
                              std::uint64_t bytes) {
   if (check::Checker* chk = checker()) {
-    chk->on_signal_wait(r.id(), chk_space_, off, bytes, r.now());
+    chk->on_atomic(r.id(), chk_space_, r.id(), off, bytes, r.now());
   }
 }
 
@@ -413,11 +417,11 @@ void Rendezvous::join(
   const int n = eng.nranks();
   const double cost = rendezvous_rounds(n) * (2.0 * pp.o_us + pp.L_us);
   std::uint64_t gen = 0;
-  int chan = -1;
   eng.perform(r, [&] {
     gen = gen_;
     max_enter_ = std::max(max_enter_, r.now());
-    if (++entered_ == n) {
+    const bool last = ++entered_ == n;
+    if (last) {
       Slot& slot = ring_[gen % ring_.size()];
       slot.gen = gen;
       slot.done_at = drain ? drain(max_enter_ + cost) : max_enter_ + cost;
@@ -426,15 +430,12 @@ void Rendezvous::join(
       ++gen_;
     }
     check::Checker& chk = eng.checker();
-    if (chk.enabled()) {
-      chan = channel();
-      const check::CollEnter ce = chk.on_collective_enter(
-          chan, r.id(), check::CollSig{kind, -1, 0}, r.now());
-      if (!ce.ok) {
-        // A kind-blind rendezvous would pair, say, create_win with a user
-        // barrier; abort with the diagnostic.
-        eng.abort_run(r, ErrorCode::kFailedPrecondition, chk.report());
-      }
+    if (chk.enabled() &&
+        !chk.on_collective_enter(channel(), r.id(), kind, r.now(), gen,
+                                 last)) {
+      // A kind-blind rendezvous would pair, say, create_win with a user
+      // barrier; abort with the diagnostic.
+      eng.abort_run(r, ErrorCode::kFailedPrecondition, chk.report());
     }
   });
   const Slot& slot = ring_[gen % ring_.size()];
@@ -445,7 +446,6 @@ void Rendezvous::join(
                            "rendezvous result slot overwritten");
              return slot.done_at;
            });
-  if (chan >= 0) eng.checker().on_collective_complete(chan, r.id(), gen);
   r.bump_epoch();
 }
 

@@ -133,11 +133,14 @@ class Rendezvous {
   /// open generation in one perform body. The last entrant completes it at
   /// its latest entry + rendezvous_rounds(n) * (2o + L), or at what `drain`
   /// (a fence's or barrier's drain of the pending puts) returns for that
-  /// time. A checker that is on then sees the entry on the channel
-  /// `channel()` returns (registering it on first use): after the drain,
-  /// because applying reports put handles back to the checker and the
-  /// channel's final entry clears its space. A `kind` that differs from the
-  /// other entrants' aborts the run. `what` names the wait; r's epoch ends.
+  /// time. A checker that is on then sees the entry, with this generation
+  /// and whether it is the last, on the channel `channel()` returns
+  /// (registering it on first use): after the drain, because applying
+  /// reports put handles back to the checker, and the last entry completes
+  /// the wave's clocks for every rank and clears the channel's space. A
+  /// `kind` that differs from the other entrants' aborts the run. Nothing
+  /// after the wait calls the checker. `what` names the wait; r's epoch
+  /// ends.
   void join(runtime::Engine& eng, runtime::Rank& r, const simnet::LogGP& pp,
             const char* kind, const char* what,
             util::FunctionRef<int()> channel,
@@ -233,17 +236,18 @@ class Space {
   std::uint64_t atomic(runtime::Rank& r, const simnet::LogGP& pp, int target,
                        std::uint64_t off, AtomicOp op);
 
-  /// Annotates a local load/store of r's own region for the checker: free,
-  /// no perform and no clock change. A read overlapping an arrived but
-  /// unapplied put is the missing MPI_Win_sync / wait bug. Ranks execute
-  /// one at a time and queues change only in perform bodies, so the direct
-  /// scan is deterministic.
+  /// Annotates a local load/store of r's own region for the checker, in a
+  /// perform body of its own, so in virtual-time order: a read overlapping
+  /// an arrived but unapplied put is the missing MPI_Win_sync / wait bug.
+  /// Free, with no perform, when the checker is off; never changes r's
+  /// clock.
   void local_access(runtime::Rank& r, std::uint64_t off, std::uint64_t bytes,
                     bool is_write);
 
-  /// Tells the checker that `r` polls the signal words [off, off + bytes)
-  /// of its own region: an atomic-class read, so data puts racing with the
-  /// poll are flagged but a put_signal's own signal word never is.
+  /// Tells the checker, inside a perform body, that `r` polls the signal
+  /// words [off, off + bytes) of its own region: an atomic access, so data
+  /// puts racing with the poll are flagged but a put_signal's own signal
+  /// word never is.
   void note_signal_wait(runtime::Rank& r, std::uint64_t off,
                         std::uint64_t bytes);
 
@@ -291,7 +295,7 @@ class Space {
   /// for the hooks of new accesses and syncs.
   inline check::Checker* checker();
   /// The checker if it is on and the space registered: for the hooks that
-  /// report on earlier accesses (apply, completion, local access).
+  /// report on earlier accesses (apply, completion).
   inline check::Checker* registered_checker();
 
   /// Aborts unless `target` is a rank and [off, off + bytes) lies in its

@@ -79,10 +79,12 @@ void Ctx::get_bytes(void* dest, std::uint64_t src_off, std::uint64_t bytes,
   world_->engine_.metrics().on_get(pe(), bytes);
 }
 
-void Ctx::wait_local(const char* what, util::FunctionRef<bool()> pred) {
-  for (;;) {
+void Ctx::wait_local(const char* what, std::uint64_t off, std::uint64_t bytes,
+                     util::FunctionRef<bool()> pred) {
+  for (bool first = true;; first = false) {
     bool ok = false;
     world_->engine_.perform(*rank_, [&] {
+      if (first) world_->space_.note_signal_wait(*rank_, off, bytes);
       world_->space_.apply(pe(), rank_->now());
       ok = pred();
     });
@@ -95,18 +97,17 @@ void Ctx::wait_local(const char* what, util::FunctionRef<bool()> pred) {
 }
 
 void Ctx::wait_until(Sym<std::uint64_t> sig, std::uint64_t val) {
-  world_->space_.note_signal_wait(*rank_, sig.offset, 8);
   const std::uint64_t* p = local(sig);
-  wait_local("shmem.wait_until", [p, val] { return *p == val; });
+  wait_local("shmem.wait_until", sig.offset, 8,
+             [p, val] { return *p == val; });
 }
 
 std::size_t Ctx::wait_until_any(Sym<std::uint64_t> sigs, std::size_t n,
                                 const std::int32_t* status,
                                 std::uint64_t val) {
-  world_->space_.note_signal_wait(*rank_, sigs.offset, n * 8);
   const std::uint64_t* p = local(sigs);
   std::size_t found = n;
-  wait_local("shmem.wait_until_any", [&, p, val] {
+  wait_local("shmem.wait_until_any", sigs.offset, n * 8, [&, p, val] {
     for (std::size_t i = 0; i < n; ++i) {
       if (status != nullptr && status[i] != 0) continue;
       if (p[i] == val) {
@@ -122,9 +123,8 @@ std::size_t Ctx::wait_until_any(Sym<std::uint64_t> sigs, std::size_t n,
 
 void Ctx::wait_until_all(Sym<std::uint64_t> sigs, std::size_t n,
                          const std::int32_t* status, std::uint64_t val) {
-  world_->space_.note_signal_wait(*rank_, sigs.offset, n * 8);
   const std::uint64_t* p = local(sigs);
-  wait_local("shmem.wait_until_all", [&, p, val] {
+  wait_local("shmem.wait_until_all", sigs.offset, n * 8, [&, p, val] {
     for (std::size_t i = 0; i < n; ++i) {
       if (status != nullptr && status[i] != 0) continue;
       if (p[i] != val) return false;

@@ -190,8 +190,11 @@ class Ctx {
   void get_bytes(void* dest, std::uint64_t src_off, std::uint64_t bytes,
                  int target_pe);
 
-  /// Shared wait loop: re-applies arrivals until `pred` holds locally.
-  void wait_local(const char* what, util::FunctionRef<bool()> pred);
+  /// Shared wait loop of the signal waits on the words [off, off + bytes):
+  /// tells the checker of the wait in its first perform body, then
+  /// re-applies arrivals until `pred` holds locally.
+  void wait_local(const char* what, std::uint64_t off, std::uint64_t bytes,
+                  util::FunctionRef<bool()> pred);
 
   void local_access(std::uint64_t off, std::uint64_t bytes, bool is_write) {
     world_->space_.local_access(*rank_, off, bytes, is_write);

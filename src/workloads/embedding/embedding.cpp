@@ -13,6 +13,7 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "workloads/embedding/server.hpp"
+#include "workloads/stencil/stencil.hpp"
 
 namespace mrl::workloads::embedding {
 
@@ -158,15 +159,8 @@ void query_rows(const ZipfGen& zipf, std::uint64_t seed, std::uint64_t q,
 }
 
 Grid hybrid_grid(int nranks) {
-  Grid g{1, nranks};
-  for (int d = static_cast<int>(std::sqrt(static_cast<double>(nranks)));
-       d >= 1; --d) {
-    if (nranks % d == 0) {
-      g.pr = d;
-      g.pc = nranks / d;
-      break;
-    }
-  }
+  Grid g;
+  stencil::choose_grid(nranks, &g.pc, &g.pr);
   return g;
 }
 

@@ -102,7 +102,8 @@ void query_rows(const ZipfGen& zipf, std::uint64_t seed, std::uint64_t q,
 
 // --- sharding arithmetic (all offsets/lengths in table elements) ---------
 
-/// Hybrid grid: Pr is the largest divisor of nranks <= sqrt(nranks).
+/// Hybrid grid: Pr is the largest divisor of nranks <= sqrt(nranks), as
+/// stencil::choose_grid factors it.
 struct Grid {
   int pr = 1;
   int pc = 1;

@@ -194,8 +194,8 @@ TEST(CheckCorpus, MpiCreateWinEnteringLastAfterUserBarriers) {
   EXPECT_EQ(res.status.to_string(),
             "FAILED_PRECONDITION: RMA checker: 1 violation(s)\n"
             "  [1] collective mismatch on mpi.world (gen 0): rank 2 "
-            "@10.300us entered win.create(root=-1, bytes=0) but rank 0 "
-            "@1.300us entered barrier(root=-1, bytes=0)");
+            "@10.300us entered win.create but rank 0 @1.300us entered "
+            "barrier");
 }
 
 // Six fences of one window, more generations than a 4-deep ring of sealed
@@ -332,6 +332,55 @@ TEST(CheckCorpus, ShmemLocalReadOfUnappliedDelivery) {
             "  [2] race on symheap@rank1: local_read by rank 1 @100.500us "
             "bytes [0, 8) conflicts with put by rank 0 @0.500us bytes [0, 8) "
             "— unordered in happens-before");
+}
+
+TEST(CheckCorpus, ShmemLocalReadOfUnappliedDeliveryWithoutQuiet) {
+  // ShmemLocalReadOfUnappliedDelivery with no scheduling point before the
+  // read: the annotation itself is checked in virtual-time order, after
+  // PE 0's put at 0.5 us, not when PE 1's host code reaches it.
+  Engine eng(simnet::Platform::perlmutter_gpu(), 2, checked());
+  const auto res = shmem::World::run(eng, [](shmem::Ctx& s) {
+    auto data = s.allocate<double>(8);
+    if (s.pe() == 0) {
+      const double v = 7.0;
+      s.put_nbi(data, &v, 1, 1);
+      s.quiet();
+    } else {
+      s.compute(100.0);
+      s.local_read(data);  // BUG: reads bytes an arrived put will change
+    }
+    s.barrier_all();
+  });
+  EXPECT_EQ(res.status.to_string(),
+            "FAILED_PRECONDITION: RMA checker: 2 violation(s)\n"
+            "  [1] sync misuse: local_read by rank 1 @100.000us of "
+            "symheap@rank1 bytes [0, 8) overlaps an arrived but unapplied "
+            "put — missing MPI_Win_sync / wait before reading\n"
+            "  [2] race on symheap@rank1: local_read by rank 1 @100.000us "
+            "bytes [0, 8) conflicts with put by rank 0 @0.500us bytes [0, 8) "
+            "— unordered in happens-before");
+}
+
+TEST(CheckCorpus, ShmemGetRacesWithFirstLocalWrite) {
+  // PE 1's local store is the heap's first access: it must be recorded for
+  // PE 0's later, unsynchronized get to race with.
+  Engine eng(simnet::Platform::perlmutter_gpu(), 2, checked());
+  const auto res = shmem::World::run(eng, [](shmem::Ctx& s) {
+    auto data = s.allocate<double>(8);
+    if (s.pe() == 1) {
+      s.local_write(data);
+    } else {
+      double v = 0;
+      s.compute(10.0);
+      s.get(&v, data, 1, 1);  // BUG: nothing orders PE 1's store first
+    }
+    s.barrier_all();
+  });
+  EXPECT_EQ(res.status.to_string(),
+            "FAILED_PRECONDITION: RMA checker: 1 violation(s)\n"
+            "  [1] race on symheap@rank1: get by rank 0 @10.500us bytes "
+            "[0, 8) conflicts with local_write by rank 1 @0.000us bytes "
+            "[0, 8) — unordered in happens-before");
 }
 
 TEST(CheckCorpus, ShmemPutNeverQuietedAtExit) {
